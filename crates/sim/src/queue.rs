@@ -12,18 +12,34 @@
 //!   backwards, so a new arrival's key is almost always the largest yet and the
 //!   job is pushed at the tail in O(1);
 //! * **removals tombstone**: starting a job marks its slot dead in O(1) via an
-//!   id→slot map (slots never shift), with the dead prefix skipped eagerly and
-//!   the whole vector compacted amortized-O(1) once tombstones outnumber live
-//!   jobs;
-//! * **out-of-order pushes walk back from the tail**: same-instant arrivals
-//!   whose ids land out of order (closed-loop dependency releases) insert a
-//!   few slots from the end at O(cluster) cost, and a genuine requeue (outage
-//!   kill, preemption) pays O(distance) to return to its original
-//!   `(queued_at, id)` position — only the shifted suffix is touched, never
-//!   the whole vector;
+//!   id→location map (slots never shift between compactions), with the dead
+//!   prefix skipped eagerly;
+//! * **out-of-order pushes go to the late set**: a push whose key is below the
+//!   high-water key — an outage kill or preemption returning to its original
+//!   `(queued_at, id)` position, or a same-instant closed-loop release whose
+//!   id arrives out of order — is filed in an ordered side set keyed by that
+//!   pair, in O(log n); no slot moves and no other job's location changes;
+//! * **compaction absorbs the late set**: once tombstones plus late entries
+//!   pass a quarter of the live jobs, one in-place pass drops the tombstones
+//!   and merges the late set back into the slot vector back to front, so every
+//!   push and removal costs amortized O(1) slot work;
 //! * **iteration is a contiguous scan** over the slot vector, skipping
-//!   tombstones: policies consume the queue in sorted order at slice speed, no
-//!   sort, no per-react allocation, and head-of-queue policies can stop early.
+//!   tombstones, with the late entries merged in at their key positions until
+//!   the late set is exhausted: policies consume the queue in sorted order at
+//!   slice speed, no sort, no per-react allocation, and head-of-queue policies
+//!   can stop early. A requeued job was queued before every job that arrived
+//!   while it ran, so it usually sorts near the head and the merged prefix is
+//!   short.
+//!
+//! ## Late-set invariants
+//!
+//! * The late set and the live slots are disjoint, and together hold exactly
+//!   the indexed jobs; the id index names each job's home — a slot position,
+//!   or the late set, where a side map gives the job's `queued_at` bits.
+//! * Every late entry is filed under its own `(queued_at bits, id)` key, and
+//!   no late key exceeds the high-water key, so appends above it keep the
+//!   slot vector sorted and a compaction's merge yields one sorted vector.
+//! * The late set is empty right after a compaction.
 //!
 //! # The backlog index
 //!
@@ -596,16 +612,29 @@ fn convert_stairs(stairs: &[(u32, f64)]) -> Vec<(u32, u64)> {
         .collect()
 }
 
+/// The id index's value for a job in the late set; slot positions never
+/// reach it, so the index stays one word per job.
+const LATE: usize = usize::MAX;
+
+/// A late-set entry: the job's compact key (what [`JobQueue::iter_keys`]
+/// yields) and the job itself.
+type LateEntry = (QueueKey, QueuedJob);
+
 /// The wait queue, iterated in `(queued_at, job id)` order.
 #[derive(Debug, Clone, Default)]
 pub struct JobQueue {
-    /// Live jobs in key order, with tombstones left by removals.
+    /// Jobs pushed in key order, with tombstones left by removals.
     slots: Vec<Option<QueuedJob>>,
     /// Compact scheduling keys, mirroring `slots` tombstone-for-tombstone
     /// (`procs == 0` marks a dead entry).
     keys: Vec<QueueKey>,
-    /// Job id → slot position (stable until a compaction).
+    /// Jobs pushed below the high-water key, by `(queued_at bits, id)`,
+    /// until the next compaction merges them into `slots`.
+    late: BTreeMap<(u64, u64), LateEntry>,
+    /// Job id → its slot position (stable until a compaction), or [`LATE`].
     index: HashMap<u64, usize>,
+    /// Late job id → its `queued_at` bits, the rest of its late-set key.
+    late_at: HashMap<u64, u64>,
     /// The backlog index: per-`procs` bucket treaps (roots into `arena`),
     /// one entry per live job, keyed by arrival order and augmented with
     /// subtree minimum estimates (see the module docs for the invariants).
@@ -621,7 +650,8 @@ pub struct JobQueue {
     widths: BTreeMap<u32, u32>,
     /// First slot that may be live (everything before it is dead).
     head: usize,
-    /// Largest key ever appended; new keys above it may use the O(1) tail path.
+    /// Largest key ever appended; new keys above it take the O(1) tail path,
+    /// every other key goes to the late set.
     max_key: Option<(u64, u64)>,
 }
 
@@ -645,19 +675,62 @@ impl JobQueue {
     /// requeued (preempted / outage-killed) jobs back at their original
     /// position. Head-of-queue policies can stop iterating early.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.slots[self.head..].iter().filter_map(Option::as_ref)
+        self.scan().map(|at| match at {
+            Ok(i) => self.slots[i].as_ref().expect("scan yields live slots"),
+            Err((_, q)) => q,
+        })
     }
 
     /// The queued jobs' compact [`QueueKey`]s, in the same `(queued_at, id)`
     /// order as [`Self::iter`]. This is the fast path for policies that scan
     /// deep queues: ~3× less memory traffic than iterating full jobs.
     pub fn iter_keys(&self) -> impl Iterator<Item = &QueueKey> {
-        self.keys[self.head..].iter().filter(|k| k.procs != 0)
+        self.scan().map(|at| match at {
+            Ok(i) => &self.keys[i],
+            Err((k, _)) => k,
+        })
     }
 
-    /// Look up a queued job by id, O(1).
+    /// The arrival-order scan behind [`Self::iter`] and [`Self::iter_keys`]:
+    /// the live slots from `head`, with the late set merged in at its key
+    /// positions. Yields `Ok(slot position)` or `Err(late entry)`; once the
+    /// late set is exhausted every step is a plain tombstone-skipping slice
+    /// step.
+    fn scan(&self) -> impl Iterator<Item = Result<usize, &LateEntry>> {
+        let mut late = self.late.iter().peekable();
+        let mut pos = self.head;
+        std::iter::from_fn(move || {
+            while self.keys.get(pos).is_some_and(|k| k.procs == 0) {
+                pos += 1;
+            }
+            if let Some(&(&late_key, entry)) = late.peek() {
+                let slot_first = self
+                    .slots
+                    .get(pos)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|q| key_of(q) < late_key);
+                if !slot_first {
+                    late.next();
+                    return Some(Err(entry));
+                }
+            }
+            (pos < self.keys.len()).then(|| {
+                pos += 1;
+                Ok(pos - 1)
+            })
+        })
+    }
+
+    /// Look up a queued job by id: O(1) for a slot, O(log n) for a late
+    /// entry.
     pub fn get(&self, id: u64) -> Option<&QueuedJob> {
-        self.index.get(&id).and_then(|&i| self.slots[i].as_ref())
+        match *self.index.get(&id)? {
+            LATE => {
+                let arr = *self.late_at.get(&id)?;
+                self.late.get(&(arr, id)).map(|(_, q)| q)
+            }
+            i => self.slots[i].as_ref(),
+        }
     }
 
     /// Total processors demanded by all queued jobs, O(1). Maintained
@@ -828,10 +901,13 @@ impl JobQueue {
         scan
     }
 
-    /// Insert a job (ids must be unique within the queue). O(log n): amortized
-    /// O(1) slot append for keys in arrival order (the overwhelmingly common
-    /// case) plus the backlog-index insert; a requeue below the high-water key
-    /// pays a compacting sorted insert.
+    /// Insert a job (ids must be unique within the queue). O(log n): a key
+    /// above the high-water key (arrival order, the overwhelmingly common
+    /// case) appends to the slot vector in amortized O(1); any other key — a
+    /// requeue returning to its original position, or an out-of-order
+    /// same-instant release — is filed in the late set in O(log n), where it
+    /// stays until a compaction merges it into the slots. Either way the
+    /// backlog index takes its O(log n) insert.
     pub(crate) fn push(&mut self, q: QueuedJob) {
         let procs = q.job.procs;
         self.demanded += procs as u64;
@@ -846,15 +922,30 @@ impl JobQueue {
             self.keys.push(QueueKey::of(&q));
             self.slots.push(Some(q));
         } else {
-            self.insert_sorted(q, key);
+            self.index.insert(q.job.id, LATE);
+            self.late_at.insert(q.job.id, key.0);
+            self.late.insert(key, (QueueKey::of(&q), q));
+            self.compact_if_loose();
         }
     }
 
-    /// Remove a job by id. O(log n) amortized (tombstone plus backlog-index
-    /// removal plus occasional compaction).
+    /// Remove a job by id. O(log n) amortized (tombstone or late-set removal
+    /// plus backlog-index removal plus occasional compaction).
     pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        let i = self.index.remove(&id)?;
-        let q = self.slots[i].take();
+        let q = match self.index.remove(&id)? {
+            LATE => {
+                let arr = self.late_at.remove(&id).expect("late jobs have a late key");
+                self.late.remove(&(arr, id)).map(|(_, q)| q)
+            }
+            i => {
+                self.keys[i] = QueueKey::TOMBSTONE;
+                let q = self.slots[i].take();
+                while self.head < self.slots.len() && self.slots[self.head].is_none() {
+                    self.head += 1;
+                }
+                q
+            }
+        };
         if let Some(job) = &q {
             let procs = job.job.procs;
             self.demanded -= procs as u64;
@@ -874,59 +965,56 @@ impl JobQueue {
                 }
             }
         }
-        self.keys[i] = QueueKey::TOMBSTONE;
-        while self.head < self.slots.len() && self.slots[self.head].is_none() {
-            self.head += 1;
-        }
-        // Keep scans tight: iteration cost is proportional to live + dead, so
-        // compact once tombstones reach a quarter of the live population.
-        if self.slots.len() - self.head > self.index.len() + self.index.len() / 4 + 32 {
-            self.compact();
-        }
+        self.compact_if_loose();
         q
     }
 
-    /// Drop tombstones and rebuild the id→slot map.
+    /// Keep scans tight: iteration cost grows with the tombstones and late
+    /// entries it passes, so compact once those pass a quarter of the live
+    /// population (plus a small floor, so tiny queues do not thrash).
+    fn compact_if_loose(&mut self) {
+        let live = self.index.len();
+        let dead = self.slots.len() - self.head - (live - self.late.len());
+        if dead + self.late.len() > live / 4 + 32 {
+            self.compact();
+        }
+    }
+
+    /// Drop tombstones, merge the late set into the slot vector, and rebuild
+    /// the id→slot map. In place: the live slots slide to the front, the
+    /// vector grows by the late set's size, and a back-to-front merge moves
+    /// each slot at most once more — no second slot vector is built.
     fn compact(&mut self) {
         self.slots.retain(Option::is_some);
         self.keys.retain(|k| k.procs != 0);
         self.head = 0;
+        let late = std::mem::take(&mut self.late);
+        self.late_at.clear();
+        // `unmerged` slots at the front are still in place; everything from
+        // `w` up is final.
+        let mut unmerged = self.slots.len();
+        let mut w = unmerged + late.len();
+        self.slots.resize_with(w, || None);
+        self.keys.resize(w, QueueKey::TOMBSTONE);
+        for (key, (k, q)) in late.into_iter().rev() {
+            while unmerged > 0
+                && self.slots[unmerged - 1]
+                    .as_ref()
+                    .is_some_and(|s| key_of(s) > key)
+            {
+                unmerged -= 1;
+                w -= 1;
+                self.slots.swap(unmerged, w);
+                self.keys.swap(unmerged, w);
+            }
+            w -= 1;
+            self.slots[w] = Some(q);
+            self.keys[w] = k;
+        }
         self.index.clear();
         for (i, s) in self.slots.iter().enumerate() {
-            self.index
-                .insert(s.as_ref().expect("retained Some").job.id, i);
+            self.index.insert(s.as_ref().expect("compacted").job.id, i);
         }
-    }
-
-    /// The out-of-order path: place a job below the high-water key at its
-    /// sorted position. Walks back from the tail, so the cost is the distance
-    /// to the insertion point — O(cluster) for the common case (same-instant
-    /// closed-loop releases whose ids arrive out of order land within a few
-    /// slots of the end), O(n) only for a genuine deep requeue (outage kill /
-    /// preemption putting a job back near its original position). Only the
-    /// shifted suffix has its id→slot entries fixed up; the seed
-    /// implementation densified the whole vector and rebuilt the entire map
-    /// per insert, which turned saturated closed-loop runs quadratic.
-    fn insert_sorted(&mut self, q: QueuedJob, key: (u64, u64)) {
-        let mut pos = self.slots.len();
-        while pos > self.head {
-            match &self.slots[pos - 1] {
-                Some(j) if key_of(j) > key => pos -= 1,
-                Some(_) => break,
-                // Dead slots carry no order; passing them only means they end
-                // up after the new entry, which cannot disturb the live order.
-                None => pos -= 1,
-            }
-        }
-        self.keys.insert(pos, QueueKey::of(&q));
-        let id = q.job.id;
-        self.slots.insert(pos, Some(q));
-        for i in pos + 1..self.slots.len() {
-            if let Some(j) = &self.slots[i] {
-                self.index.insert(j.job.id, i);
-            }
-        }
-        self.index.insert(id, pos);
     }
 
     #[cfg(debug_assertions)]
@@ -938,8 +1026,34 @@ impl JobQueue {
         for w in live.windows(2) {
             debug_assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
         }
+        let live_slots = self.slots.iter().flatten().count();
+        debug_assert_eq!(
+            live_slots + self.late.len(),
+            self.index.len(),
+            "late set and slots overlap or drifted from the index"
+        );
         for (id, &i) in &self.index {
-            debug_assert_eq!(self.slots[i].as_ref().map(|q| q.job.id), Some(*id));
+            let home = match i {
+                LATE => self.late.get(&(self.late_at[id], *id)).map(|(_, q)| q),
+                i => self.slots[i].as_ref(),
+            };
+            debug_assert_eq!(home.map(|q| q.job.id), Some(*id), "index points astray");
+        }
+        // Late-set invariants: sorted by each entry's own key, below the
+        // high-water key, and every late job indexed as late.
+        debug_assert_eq!(self.late_at.len(), self.late.len(), "stale late keys");
+        for (&key, (k, q)) in &self.late {
+            debug_assert_eq!(key, key_of(q), "late entry filed under a foreign key");
+            debug_assert_eq!(*k, QueueKey::of(q), "late key out of sync with its job");
+            debug_assert!(
+                self.max_key.is_some_and(|m| key <= m),
+                "late key above the high-water key"
+            );
+            debug_assert_eq!(
+                (self.index.get(&q.job.id), self.late_at.get(&q.job.id)),
+                (Some(&LATE), Some(&key.0)),
+                "late job not indexed as late"
+            );
         }
         for (s, k) in self.slots.iter().zip(self.keys.iter()) {
             debug_assert_eq!(
@@ -1061,8 +1175,8 @@ mod tests {
     fn iterates_in_queued_at_then_id_order() {
         let mut q = JobQueue::new();
         q.push(queued(5, 10.0));
-        q.push(queued(2, 10.0)); // same time, lower id: takes the slow path
-        q.push(queued(9, 0.5)); // earlier time: slow path
+        q.push(queued(2, 10.0)); // same time, lower id: goes to the late set
+        q.push(queued(9, 0.5)); // earlier time: late set
         q.push(queued(1, 20.0));
         assert_eq!(ids(&q), vec![9, 2, 5, 1]);
         assert_eq!(q.len(), 4);
@@ -1213,15 +1327,17 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Index integrity under churn: after any sequence of pushes,
-        /// tombstoning removals, requeues (re-push at an old queued_at) and
-        /// the compactions they trigger, every candidates query equals the
-        /// filtered arrival-order scan.
+        /// Queue integrity under requeue-heavy churn: after every push,
+        /// tombstoning removal, requeue (a re-push at an old queued_at, which
+        /// lands in the late set) and the compactions they trigger — many of
+        /// which absorb a non-empty late set — `iter`, `iter_keys` and `get`
+        /// agree with a sorted-map model, and every candidates query equals
+        /// the filtered arrival-order scan.
         #[test]
         fn candidates_match_filtered_scan_under_churn(
             ops in proptest::collection::vec(
-                (0u8..3, 0u32..40, 1u32..24, 0u32..600, 0u32..50),
-                1..120,
+                (0u8..8, 0u32..40, 1u32..24, 0u32..600, 0u32..1000),
+                1..300,
             ),
             queries in proptest::collection::vec(
                 (0u32..26, 0u32..700, 0u32..26, 0u8..2),
@@ -1229,35 +1345,49 @@ mod tests {
             ),
         ) {
             let mut q = JobQueue::new();
+            let mut model: BTreeMap<(u64, u64), QueuedJob> = BTreeMap::new();
             let mut clock = 0.0f64;
             let mut next_id = 1u64;
             let mut removed: Vec<QueuedJob> = Vec::new();
             for (op, dt, procs, est, pick) in ops {
                 match op {
                     // Arrival: monotone queued_at, fresh id.
-                    0 => {
+                    0..=2 => {
                         clock += dt as f64 / 8.0;
-                        q.push(queued_with(next_id, clock, procs, est as f64 / 4.0));
+                        let j = queued_with(next_id, clock, procs, est as f64 / 4.0);
+                        model.insert(key_of(&j), j.clone());
+                        q.push(j);
                         next_id += 1;
                     }
-                    // Tombstoning removal of some live job.
-                    1 => {
+                    // Tombstoning removal of some live job, slot or late.
+                    3 | 4 => {
                         let live: Vec<u64> = q.iter().map(|j| j.job.id).collect();
                         if !live.is_empty() {
                             let id = live[pick as usize % live.len()];
-                            removed.push(q.remove(id).unwrap());
+                            let j = q.remove(id).unwrap();
+                            model.remove(&key_of(&j));
+                            removed.push(j);
                         }
                     }
                     // Requeue: a previously removed job returns at its
-                    // original (old) queued_at — the sorted re-insert path.
+                    // original (old) queued_at — the late-set path.
                     _ => {
                         if !removed.is_empty() {
                             let j = removed.swap_remove(pick as usize % removed.len());
+                            model.insert(key_of(&j), j.clone());
                             q.push(j);
                         }
                     }
                 }
                 q.check_invariants();
+                let want: Vec<&QueuedJob> = model.values().collect();
+                proptest::prop_assert_eq!(q.iter().collect::<Vec<_>>(), want);
+                let want_keys: Vec<QueueKey> = model.values().map(QueueKey::of).collect();
+                proptest::prop_assert_eq!(q.iter_keys().copied().collect::<Vec<_>>(), want_keys);
+                for j in model.values() {
+                    proptest::prop_assert_eq!(q.get(j.job.id), Some(j));
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
             }
             for (wide, est_num, narrow, bounded) in queries {
                 let wide_est = if bounded == 1 {

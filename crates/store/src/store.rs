@@ -174,7 +174,19 @@ impl Drop for TmpGuard {
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
-    tmp_seq: AtomicU64,
+}
+
+/// Temp-name sequence shared by every [`ArtifactStore`] handle in the
+/// process, so handles opened on one root (a serve shard opens one per drain)
+/// never write through the same temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh dot-prefixed temp path in `dir`, unique within this process.
+fn tmp_path(dir: &Path) -> PathBuf {
+    // Relaxed: the counter publishes no other data; `fetch_add` alone makes
+    // every value unique.
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!(".tmp-{}-{seq}", std::process::id()))
 }
 
 impl ArtifactStore {
@@ -184,10 +196,7 @@ impl ArtifactStore {
         for kind in ArtifactKind::ALL {
             fs::create_dir_all(root.join(kind.dir()))?;
         }
-        Ok(ArtifactStore {
-            root,
-            tmp_seq: AtomicU64::new(0),
-        })
+        Ok(ArtifactStore { root })
     }
 
     /// The store's root directory.
@@ -207,12 +216,6 @@ impl ArtifactStore {
         self.path(kind, key).is_file()
     }
 
-    /// A fresh dot-prefixed temp path in `dir`, unique within this process.
-    fn tmp_path(&self, dir: &Path) -> PathBuf {
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        dir.join(format!(".tmp-{}-{seq}", std::process::id()))
-    }
-
     /// Atomically publish `bytes` as the artifact `(kind, key)`. A no-op if
     /// the artifact already exists (content under one key is immutable, so
     /// first-writer-wins is correct).
@@ -221,7 +224,7 @@ impl ArtifactStore {
         if final_path.is_file() {
             return Ok(());
         }
-        let tmp = self.tmp_path(&self.root.join(kind.dir()));
+        let tmp = tmp_path(&self.root.join(kind.dir()));
         let guard = TmpGuard::new(tmp.clone());
         {
             let mut f = File::create(&tmp)?;
@@ -325,7 +328,7 @@ impl ArtifactStore {
     /// failure.
     pub fn ingest<S: JobSource>(&self, mut source: S) -> Result<IngestOutcome, ParseError> {
         let trace_dir = self.root.join(ArtifactKind::Trace.dir());
-        let body_path = self.tmp_path(&trace_dir);
+        let body_path = tmp_path(&trace_dir);
         let _body_guard = TmpGuard::new(body_path.clone());
         let mut body = BufWriter::new(FaultyWriter::new(
             File::create(&body_path).map_err(io_parse)?,
@@ -357,7 +360,7 @@ impl ArtifactStore {
             });
         }
         // Assemble header + body into the final artifact, atomically.
-        let assembled = self.tmp_path(&trace_dir);
+        let assembled = tmp_path(&trace_dir);
         let guard = TmpGuard::new(assembled.clone());
         {
             let mut out = BufWriter::new(FaultyWriter::new(
@@ -570,6 +573,24 @@ mod tests {
         Lublin99::default().generate(50, 3)
     }
 
+    fn sample_result() -> SimulationResult {
+        SimulationResult {
+            scheduler: "fcfs".into(),
+            machine_size: 8,
+            finished: vec![],
+            unfinished: 0,
+            discarded: 0,
+            idle_while_queued: 0.25,
+            busy_integral: 1.5,
+            lost_node_seconds: 0.0,
+            kills: 0,
+            rejected_decisions: 0,
+            coalesced_wakeups: 0,
+            events_processed: 17,
+            end_time: 9.5,
+        }
+    }
+
     #[test]
     fn ingest_then_reingest_deduplicates() {
         let dir = scratch("ingest");
@@ -608,21 +629,7 @@ mod tests {
         store.put_profile(key, &profile).unwrap();
         assert_eq!(store.get_profile(key).unwrap().unwrap(), profile);
 
-        let result = SimulationResult {
-            scheduler: "fcfs".into(),
-            machine_size: 8,
-            finished: vec![],
-            unfinished: 0,
-            discarded: 0,
-            idle_while_queued: 0.25,
-            busy_integral: 1.5,
-            lost_node_seconds: 0.0,
-            kills: 0,
-            rejected_decisions: 0,
-            coalesced_wakeups: 0,
-            events_processed: 17,
-            end_time: 9.5,
-        };
+        let result = sample_result();
         store.put_result(42, &result).unwrap();
         assert_eq!(store.get_result(42).unwrap().unwrap(), result);
         fs::remove_dir_all(&dir).unwrap();
@@ -679,6 +686,71 @@ mod tests {
         let report = store.verify().unwrap();
         assert_eq!(report.problems.len(), 1);
         assert!(report.problems[0].contains("fingerprints to"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log's records, meeting `barrier` once the first is out: by then
+    /// `ingest` has created its temp body file, so two rendezvousing ingests
+    /// are both mid-write at once.
+    struct Rendezvous<'a> {
+        records: psbench_swf::LogSource<'a>,
+        barrier: &'a std::sync::Barrier,
+        yielded: usize,
+    }
+
+    impl JobSource for Rendezvous<'_> {
+        fn meta(&self) -> &psbench_swf::SourceMeta {
+            self.records.meta()
+        }
+
+        fn next_record(&mut self) -> Option<Result<psbench_swf::SwfRecord, ParseError>> {
+            if self.yielded == 1 {
+                self.barrier.wait();
+            }
+            self.yielded += 1;
+            self.records.next_record()
+        }
+    }
+
+    #[test]
+    fn concurrent_handles_on_one_root_ingest_and_publish_cleanly() {
+        let dir = scratch("concurrent");
+        let logs = [
+            Lublin99::default().generate(400, 3),
+            Lublin99::default().generate(400, 4),
+        ];
+        let barrier = std::sync::Barrier::new(logs.len());
+        let outcomes: Vec<Result<(), String>> = std::thread::scope(|s| {
+            let threads: Vec<_> = logs
+                .iter()
+                .enumerate()
+                .map(|(i, log)| {
+                    let (dir, barrier) = (&dir, &barrier);
+                    s.spawn(move || {
+                        // One handle per thread, as a serve shard opens one
+                        // per drain.
+                        let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
+                        let source = Rendezvous {
+                            records: log.as_source(format!("t{i}")),
+                            barrier,
+                            yielded: 0,
+                        };
+                        let trace = store.ingest(source).map_err(|e| e.to_string())?;
+                        store
+                            .put_result(trace.key, &sample_result())
+                            .map_err(|e| e.to_string())
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("ingest thread panicked"))
+                .collect()
+        });
+        assert_eq!(outcomes, vec![Ok(()), Ok(())]);
+        let report = ArtifactStore::open(&dir).unwrap().verify().unwrap();
+        assert!(report.problems.is_empty(), "{:?}", report.problems);
+        assert_eq!(report.ok, 4, "two traces and two results");
         fs::remove_dir_all(&dir).unwrap();
     }
 }
