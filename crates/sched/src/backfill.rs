@@ -196,31 +196,22 @@ struct EasyCache {
 impl EasyBackfill {
     /// Full three-phase plan; refreshes the cache. Phase 1 consumes the
     /// fitting prefix of the arrival-ordered key array, phase 2 computes the
-    /// head's shadow from the completion profile, and phase 3 backfills from
+    /// head's shadow from the completion profile (built only when phase 1
+    /// leaves a blocked head), and phase 3 backfills from
     /// the backlog index: only jobs narrow enough for the free capacity (with
     /// an estimate inside the shadow budget) or for the extra processors are
     /// ever examined, so the plan's cost scales with the viable candidates,
     /// not the backlog depth.
     fn full_plan(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Decision> {
         self.cache = None;
-        let mut queue = ctx.queue.iter_keys();
         let mut out = Vec::new();
         let mut free = ctx.free_capacity();
-        // Local copy of (estimated end, procs) for the shadow computation, updated
-        // as we decide to start jobs in this very call. The context's profile is
-        // sorted once per react and carries the released proc·share directly.
-        let mut completions: Vec<(f64, f64)> = ctx
-            .completion_profile()
-            .into_iter()
-            .map(|(_, end, procs)| (end, procs))
-            .collect();
 
         // Phase 1: start jobs from the head while they fit.
         let mut head = None;
-        for q in queue.by_ref() {
+        for q in ctx.queue.iter_keys() {
             if (q.procs as f64) <= free + 1e-9 {
                 free -= q.procs as f64;
-                completions.push((ctx.now + q.estimate.max(1.0), q.procs as f64));
                 out.push(Decision::start(q.id));
             } else {
                 head = Some(q);
@@ -232,6 +223,23 @@ impl EasyBackfill {
         };
 
         // Phase 2: reservation (shadow time) for the head job that did not fit.
+        // Only a blocked head reads the (estimated end, procs) completions, so
+        // they are built here: the running jobs' sorted profile (already
+        // carrying the released proc·share), then phase 1's starts in start
+        // order, re-walked off the queue's started prefix. The stable sort
+        // keeps that order among equal ends, which fixes the float summation
+        // order behind `extra`.
+        let mut completions: Vec<(f64, f64)> = ctx
+            .completion_profile()
+            .into_iter()
+            .map(|(_, end, procs)| (end, procs))
+            .collect();
+        completions.extend(
+            ctx.queue
+                .iter_keys()
+                .take(out.len())
+                .map(|q| (ctx.now + q.estimate.max(1.0), q.procs as f64)),
+        );
         completions.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut avail = free;
         let mut shadow = f64::INFINITY;
@@ -594,6 +602,30 @@ mod tests {
         assert_eq!(j3.start, 2.0);
         let j2 = result.finished.iter().find(|f| f.id == 2).unwrap();
         assert_eq!(j2.start, 100.0);
+    }
+
+    #[test]
+    fn easy_shadow_counts_jobs_started_in_the_same_plan() {
+        // When job 1 ends at t=10, one plan starts job 2 and finds job 3
+        // blocked. The shadow (t=110) comes from job 2's completion, so only
+        // job 4 fits the 16 extra processors; job 5 would run past the shadow
+        // on processors job 3 needs.
+        let js = jobs(&[
+            (1, 0.0, 10.0, 64),
+            (2, 1.0, 100.0, 40),
+            (3, 2.0, 200.0, 48),
+            (4, 3.0, 5000.0, 16),
+            (5, 4.0, 5000.0, 8),
+        ]);
+        let result = Simulation::new(SimConfig::new(64), js).run(&mut EasyBackfill::default());
+        let start = |id| result.finished.iter().find(|f| f.id == id).unwrap().start;
+        assert_eq!(start(2), 10.0);
+        assert_eq!(start(4), 10.0, "backfilled into the extra processors");
+        assert_eq!(start(3), 110.0, "head starts at its shadow");
+        assert!(
+            start(5) >= 110.0,
+            "backfill that delays the head is refused"
+        );
     }
 
     #[test]

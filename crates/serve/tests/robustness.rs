@@ -3,7 +3,7 @@
 //! wedge the shared shard pool for other sessions.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use psbench_serve::{serve, ClockMode, ServeConfig, ServerHandle, MAX_LINE_BYTES};
@@ -233,7 +233,11 @@ fn named_sessions_survive_disconnects_in_memory() {
         assert!(conn
             .roundtrip("advance to=50 seq=2")
             .starts_with("ok advance"));
-        // Connection dropped without drain or bye.
+        // Connection dropped without drain or bye. The server detaches the
+        // session before it closes its end, so wait for that close: a
+        // reconnect racing the detach would find the name still attached.
+        conn.writer.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(conn.recv(), None, "server should close the connection");
     }
     // While detached, a different client cannot steal the name twice…
     let mut a = Conn::open(&server);

@@ -23,6 +23,7 @@
 //! shape they do not understand (a store written by a future format version
 //! reads as corrupt, never as wrong data).
 
+use crate::fnv::Fnv64;
 use psbench_analyze::profile::GroupStats;
 use psbench_analyze::{
     Correlation, Histogram, Histogram2, MarginalSketch, Moments, WorkloadProfile, ANALYZE_VERSION,
@@ -95,8 +96,18 @@ fn unescape_name(s: &str) -> String {
     out
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// The digit table behind every float the codec writes.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Append the 16 lower-case hex digits of `v`'s bit pattern (`{:016x}` of
+/// [`f64::to_bits`]) without allocating.
+fn push_f64_hex(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX_DIGITS[(bits >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
 }
 
 /// A line cursor over an encoded artifact.
@@ -427,44 +438,66 @@ pub fn decode_profile(text: &str) -> Result<WorkloadProfile, CodecError> {
 /// Every float travels as its bit pattern, so `decode(encode(r)) == r` holds
 /// with `==` — the property the byte-identical-resume guarantee rests on.
 pub fn encode_result(r: &SimulationResult) -> String {
-    let mut out = String::new();
-    out.push_str(RESULT_MAGIC);
-    out.push('\n');
-    out.push_str(&format!("sched_version {SCHED_VERSION}\n"));
-    out.push_str(&format!("scheduler {}\n", escape_name(&r.scheduler)));
-    out.push_str(&format!("machine_size {}\n", r.machine_size));
-    out.push_str(&format!(
-        "counters {} {} {} {} {} {}\n",
+    // A typical `f` line is ~83 bytes (8.26 MB for 100k jobs), so 96 per job
+    // plus the header lines is one allocation that rarely regrows.
+    let mut out = String::with_capacity(256 + 96 * r.finished.len());
+    write_result(r, &mut out, |_| {}).expect("formatting into a String cannot fail");
+    out
+}
+
+/// Write the encoding of `r` into `buf`, calling `line_done` after each
+/// line (the header lines count as one). The callback may consume and clear
+/// `buf`: [`encode_result`] keeps every line, [`result_fingerprint`] hashes
+/// and discards each one.
+fn write_result(
+    r: &SimulationResult,
+    buf: &mut String,
+    mut line_done: impl FnMut(&mut String),
+) -> fmt::Result {
+    use fmt::Write as _;
+    writeln!(buf, "{RESULT_MAGIC}")?;
+    writeln!(buf, "sched_version {SCHED_VERSION}")?;
+    writeln!(buf, "scheduler {}", escape_name(&r.scheduler))?;
+    writeln!(buf, "machine_size {}", r.machine_size)?;
+    writeln!(
+        buf,
+        "counters {} {} {} {} {} {}",
         r.unfinished,
         r.discarded,
         r.kills,
         r.rejected_decisions,
         r.coalesced_wakeups,
         r.events_processed
-    ));
-    out.push_str(&format!(
-        "integrals {} {} {} {}\n",
-        f64_hex(r.idle_while_queued),
-        f64_hex(r.busy_integral),
-        f64_hex(r.lost_node_seconds),
-        f64_hex(r.end_time)
-    ));
-    out.push_str(&format!("finished {}\n", r.finished.len()));
-    for f in &r.finished {
-        out.push_str(&format!(
-            "f {} {} {} {} {} {} {} {}\n",
-            f.id,
-            f64_hex(f.submit),
-            f64_hex(f.start),
-            f64_hex(f.first_start),
-            f64_hex(f.end),
-            f.procs,
-            f.restarts,
-            f.user.map(|u| u.to_string()).unwrap_or_else(|| "-".into())
-        ));
+    )?;
+    buf.push_str("integrals");
+    for v in [
+        r.idle_while_queued,
+        r.busy_integral,
+        r.lost_node_seconds,
+        r.end_time,
+    ] {
+        buf.push(' ');
+        push_f64_hex(buf, v);
     }
-    out.push_str("end\n");
-    out
+    buf.push('\n');
+    writeln!(buf, "finished {}", r.finished.len())?;
+    line_done(buf);
+    for f in &r.finished {
+        write!(buf, "f {}", f.id)?;
+        for v in [f.submit, f.start, f.first_start, f.end] {
+            buf.push(' ');
+            push_f64_hex(buf, v);
+        }
+        write!(buf, " {} {} ", f.procs, f.restarts)?;
+        match f.user {
+            Some(u) => writeln!(buf, "{u}")?,
+            None => buf.push_str("-\n"),
+        }
+        line_done(buf);
+    }
+    buf.push_str("end\n");
+    line_done(buf);
+    Ok(())
 }
 
 /// Decode a [`SimulationResult`] from artifact text produced by
@@ -532,8 +565,19 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
 /// exact encoding. This is the per-cell fingerprint journaled by sweep
 /// ledgers, and the one width-compatible continuation of the table
 /// fingerprints `sweep-bench` snapshots.
+///
+/// The encoding is streamed, never built: each line is written into one
+/// reused line buffer and fed to the hasher, so the digest equals
+/// `fnv1a_64(encode_result(r).as_bytes())` without the whole-result string.
 pub fn result_fingerprint(r: &SimulationResult) -> u64 {
-    crate::fnv::fnv1a_64(encode_result(r).as_bytes())
+    let mut hash = Fnv64::new();
+    let mut line = String::with_capacity(256);
+    write_result(r, &mut line, |l| {
+        hash.write(l.as_bytes());
+        l.clear();
+    })
+    .expect("formatting into a String cannot fail");
+    hash.finish()
 }
 
 /// A memoized metasystem run: the merged fleet-wide [`SimulationResult`]
@@ -670,15 +714,136 @@ mod tests {
         }
     }
 
+    /// The original `format!`-per-field encoder, kept as the byte-level
+    /// reference the streaming writer is checked against.
+    fn reference_encode_result(r: &SimulationResult) -> String {
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let mut out = String::new();
+        out.push_str(RESULT_MAGIC);
+        out.push('\n');
+        out.push_str(&format!("sched_version {SCHED_VERSION}\n"));
+        out.push_str(&format!("scheduler {}\n", escape_name(&r.scheduler)));
+        out.push_str(&format!("machine_size {}\n", r.machine_size));
+        out.push_str(&format!(
+            "counters {} {} {} {} {} {}\n",
+            r.unfinished,
+            r.discarded,
+            r.kills,
+            r.rejected_decisions,
+            r.coalesced_wakeups,
+            r.events_processed
+        ));
+        out.push_str(&format!(
+            "integrals {} {} {} {}\n",
+            hex(r.idle_while_queued),
+            hex(r.busy_integral),
+            hex(r.lost_node_seconds),
+            hex(r.end_time)
+        ));
+        out.push_str(&format!("finished {}\n", r.finished.len()));
+        for f in &r.finished {
+            out.push_str(&format!(
+                "f {} {} {} {} {} {} {} {}\n",
+                f.id,
+                hex(f.submit),
+                hex(f.start),
+                hex(f.first_start),
+                hex(f.end),
+                f.procs,
+                f.restarts,
+                f.user.map(|u| u.to_string()).unwrap_or_else(|| "-".into())
+            ));
+        }
+        out.push_str("end\n");
+        out
+    }
+
     #[test]
     fn result_round_trips_bit_for_bit() {
         let r = sample_result();
         let text = encode_result(&r);
+        // The encoding is a stable on-disk format: pin its exact bytes and
+        // fingerprint, not just the round trip.
+        assert_eq!(
+            text,
+            "psbench-result v1\n\
+             sched_version 1\n\
+             scheduler easy\n\
+             machine_size 64\n\
+             counters 3 1 2 4 5 999\n\
+             integrals 4074010000000000 3fd5555555555555 3fd3333333333334 40c81cd6e631f8a1\n\
+             finished 2\n\
+             f 1 0000000000000000 3fe0000000000000 3fd0000000000000 4059080000000000 32 1 7\n\
+             f 2 8000000000000000 3e112e0be826d695 3e112e0be826d695 426d1a94a2000000 1 0 -\n\
+             end\n"
+        );
+        assert_eq!(result_fingerprint(&r), 0xf0ac_f727_ab7f_b205);
         let back = decode_result(&text).unwrap();
         assert_eq!(back, r);
         // Determinism: equal values, equal bytes, equal fingerprints.
         assert_eq!(encode_result(&back), text);
         assert_eq!(result_fingerprint(&back), result_fingerprint(&r));
+    }
+
+    #[test]
+    fn streaming_encoder_matches_reference_bytes_on_edge_values() {
+        let nan_payload = f64::from_bits(0x7ff8_0000_dead_beef);
+        let neg_nan = f64::from_bits(0xfff0_0000_0000_0001);
+        let subnormal = f64::from_bits(1);
+        let neg_subnormal = -f64::from_bits(0x000f_ffff_ffff_ffff);
+        let job = |id, user, restarts, [submit, start, first_start, end]: [f64; 4]| FinishedJob {
+            id,
+            submit,
+            start,
+            first_start,
+            end,
+            procs: u32::MAX,
+            restarts,
+            user,
+        };
+        let edge = SimulationResult {
+            scheduler: "odd \\ name\nwith breaks\r".into(),
+            finished: vec![
+                job(
+                    u64::MAX,
+                    None,
+                    3,
+                    [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY],
+                ),
+                job(
+                    0,
+                    Some(u32::MAX),
+                    0,
+                    [f64::NAN, nan_payload, neg_nan, subnormal],
+                ),
+                job(
+                    7,
+                    Some(0),
+                    u32::MAX,
+                    [neg_subnormal, f64::MIN_POSITIVE, f64::MAX, -1.5],
+                ),
+            ],
+            idle_while_queued: nan_payload,
+            busy_integral: -0.0,
+            lost_node_seconds: f64::NEG_INFINITY,
+            end_time: subnormal,
+            events_processed: u64::MAX,
+            ..sample_result()
+        };
+        let empty = SimulationResult {
+            finished: Vec::new(),
+            ..sample_result()
+        };
+        for r in [sample_result(), edge, empty] {
+            let text = encode_result(&r);
+            // Bytes, not values: NaN payloads make `==` useless here.
+            assert_eq!(text.as_bytes(), reference_encode_result(&r).as_bytes());
+            assert_eq!(
+                result_fingerprint(&r),
+                crate::fnv::fnv1a_64(text.as_bytes())
+            );
+            assert_eq!(encode_result(&decode_result(&text).unwrap()), text);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use psbench_analyze::WorkloadProfile;
 use psbench_sched::by_name;
 use psbench_sim::{SimConfig, SimJob, Simulation};
 use psbench_store::{
-    decode_profile, decode_result, encode_profile, encode_result, result_fingerprint,
+    decode_profile, decode_result, encode_profile, encode_result, fnv1a_64, result_fingerprint,
 };
 use psbench_swf::{CompletionStatus, SwfLog, SwfRecord, SwfRecordBuilder};
 
@@ -116,6 +116,8 @@ proptest! {
         prop_assert_eq!(encode_result(&decoded), encoded.clone());
         // The fingerprint sweeps journal is a pure function of the value.
         prop_assert_eq!(result_fingerprint(&decoded), result_fingerprint(&result));
+        // The streamed fingerprint hashes exactly the bytes the encoder emits.
+        prop_assert_eq!(result_fingerprint(&result), fnv1a_64(encoded.as_bytes()));
     }
 }
 
