@@ -563,8 +563,8 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
 
 /// The canonical 64-bit fingerprint of a simulation result: FNV-1a over its
 /// exact encoding. This is the per-cell fingerprint journaled by sweep
-/// ledgers, and the one width-compatible continuation of the table
-/// fingerprints `sweep-bench` snapshots.
+/// ledgers, and the row fingerprint of the `bench sim` and `bench meta`
+/// snapshots (`BENCH_sim.json`, `BENCH_meta.json`).
 ///
 /// The encoding is streamed, never built: each line is written into one
 /// reused line buffer and fed to the hasher, so the digest equals

@@ -3,11 +3,11 @@
 //! Two widths share one algorithm:
 //!
 //! * **64-bit** ([`Fnv64`], [`fnv1a_64`], [`fnv1a_64_hex`]) — the table and
-//!   result fingerprints that `sweep-bench` snapshots into
-//!   `BENCH_sweep.json`. The helper here is byte-for-byte the hash that tool
-//!   has always computed (same offset basis, same prime, same `{:016x}`
-//!   rendering), so extracting it into this module changes no committed
-//!   baseline.
+//!   result fingerprints the `bench` snapshots carry (`BENCH_sweep.json`,
+//!   `BENCH_sim.json`, `BENCH_meta.json`). The helper is byte-for-byte the
+//!   hash the sweep snapshot has always held (same offset basis, same prime,
+//!   same `{:016x}` rendering), so extracting it into this module changed no
+//!   committed baseline.
 //! * **128-bit** ([`Fnv128`]) — the content-addressing width of the artifact
 //!   store. Store keys name artifacts on disk and must never collide across
 //!   thousands of sweep cells and ingested traces; 128 bits of FNV-1a is far

@@ -7,7 +7,7 @@
 //! that work *content-addressed and durable*:
 //!
 //! * [`fnv`] — the canonical FNV-1a hashing module for the whole workspace:
-//!   the 64-bit table/result fingerprints `sweep-bench` snapshots, and the
+//!   the 64-bit table/result fingerprints the `bench` snapshots carry, and the
 //!   128-bit keys that name store artifacts.
 //! * [`codec`] — exact, deterministic (de)serialization of
 //!   [`psbench_analyze::WorkloadProfile`]s and
