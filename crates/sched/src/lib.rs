@@ -13,8 +13,8 @@
 //! * [`adaptive`] — adaptive equipartitioning for moldable (flexible) jobs.
 //! * [`drain`] — outage- and reservation-aware EASY (drains before announced
 //!   outages, schedules around advance reservations).
-//! * [`probe`] — predicted-start queries against a cloned engine (the `whatif`
-//!   surface of `psbench serve`).
+//! * [`probe`] — predicted-start queries against a fork of the engine's live
+//!   state (the `whatif` surface of `psbench serve`).
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,35 @@
 //! Predicted-start queries: "when would job J start under policy P?"
 //!
 //! This is the query surface behind `psbench serve`'s `whatif` command. A
-//! probe never touches the live engine: it clones the [`Simulation`], builds
-//! a **fresh** policy instance with [`by_name`] (the live policy's internal
-//! state stays private to the live session), pokes it once so it plans the
-//! inherited backlog, and steps the clone until the target job starts. The
-//! clone is discarded afterwards, so a probe is free of side effects by
-//! construction — the live session cannot observe that it happened.
+//! probe never touches the live engine: it takes a [`Fork`] of the
+//! [`Simulation`], builds a **fresh** policy instance with [`by_name`] (the
+//! live policy's internal state stays private to the live session), pokes it
+//! once so it plans the inherited backlog, and steps the fork until the
+//! target job starts. The fork is dropped afterwards, so a probe is free of
+//! side effects by construction: the live session cannot observe that it
+//! happened.
+//!
+//! # What a fork costs
+//!
+//! A fork copies only the live state: the queue, the running set and its
+//! index, the event heap, the completion calendar, the cluster, the pending
+//! wakeups, the cancelled set and the counters. It shares the submitted jobs
+//! (an append-only vector behind an `Arc`) and leaves out the finished and
+//! discarded jobs and the online id set. Stepping cannot read that history:
+//! the engine only appends to the finished and discarded jobs, consults the
+//! id set only when a job is submitted, and a policy sees nothing but
+//! [`psbench_sim::SchedulerContext`] (`now`, the cluster, the queue, the
+//! running set and the used capacity).
+//!
+//! Finding the target costs O(log queued) if it waits in the queue and
+//! O(events) if its arrival is pending; watching for its start in the fork
+//! is O(1) per step. So no probe does work proportional to the finished or
+//! submitted jobs: its cost grows with the queued, running and pending jobs
+//! and with the steps until the target starts. A job that already started
+//! runs no probe; if it has finished, [`Simulation::job_state`] reads its
+//! record by a scan of the finished jobs, as `query job` does.
+//!
+//! [`Fork`]: psbench_sim::Fork
 
 use crate::{by_name, UnknownScheduler};
 use psbench_sim::{JobState, Simulation};
@@ -94,8 +117,8 @@ fn waiting_since(state: &JobState) -> f64 {
 }
 
 /// Predict when `job_id` would start if the cluster ran `scheduler` from this
-/// instant on. Answers from a cloned engine under a fresh policy instance;
-/// the live `sim` (and its live policy) are never touched.
+/// instant on. Answers from a [`Simulation::fork`] under a fresh policy
+/// instance; the live `sim` (and its live policy) are never touched.
 pub fn probe_start(
     sim: &Simulation,
     job_id: u64,
@@ -118,14 +141,14 @@ pub fn probe_start(
     }
     let since = waiting_since(&state);
     let mut policy = by_name(scheduler, sim.config().machine_size)?;
-    let mut probe = sim.clone();
+    let mut probe = sim.fork();
     // A fresh policy has never seen the inherited backlog: consult it once at
     // the current instant so it plans (and possibly starts jobs) before any
     // event fires.
     probe.poke(policy.as_mut());
     let mut steps: u64 = 0;
     loop {
-        if let Some(start) = probe.job_state(job_id).as_ref().and_then(started_at) {
+        if let Some(start) = probe.started_at(job_id) {
             return Ok(Prediction {
                 job_id,
                 scheduler: scheduler.to_string(),

@@ -17,6 +17,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crate::protocol::write_line;
 use crate::server::read_reply;
 
 /// A payload captured during a script run.
@@ -162,7 +163,16 @@ where
     // immediately instead of waiting on a delayed ACK.
     let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    converse(&mut BufReader::new(stream), &mut writer, script)
+}
+
+/// Send the script's lines in lockstep, each in one `write`, and record the
+/// replies.
+fn converse<S: AsRef<str>>(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    script: &[S],
+) -> std::io::Result<(Transcript, Option<Duration>)> {
     let mut transcript = Transcript::default();
     let mut first = true;
     for raw in script {
@@ -170,9 +180,9 @@ where
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        writeln!(writer, "{line}")?;
+        write_line(writer, line)?;
         writer.flush()?;
-        let Some((head, body)) = read_reply(&mut reader)? else {
+        let Some((head, body)) = read_reply(reader)? else {
             break;
         };
         if first {
@@ -198,18 +208,21 @@ where
     Ok((transcript, None))
 }
 
-/// Pipeline a batch of command lines: write them all, then collect exactly
-/// one reply per line. Only valid for commands that reply with a single line
-/// (no payloads). Used by high-throughput feeders where per-line lockstep
-/// round trips would dominate.
+/// Pipeline a batch of command lines: write them all in one `write`, then
+/// collect exactly one reply per line. Only valid for commands that reply
+/// with a single line (no payloads). Used by high-throughput feeders where
+/// per-line lockstep round trips would dominate.
 pub fn run_pipelined(
     writer: &mut (impl Write + ?Sized),
     reader: &mut impl BufRead,
     lines: &[String],
 ) -> std::io::Result<Vec<String>> {
+    let mut batch = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
     for line in lines {
-        writeln!(writer, "{line}")?;
+        batch.extend_from_slice(line.as_bytes());
+        batch.push(b'\n');
     }
+    writer.write_all(&batch)?;
     writer.flush()?;
     let mut replies = Vec::with_capacity(lines.len());
     for _ in lines {
@@ -225,6 +238,41 @@ pub fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::WriteCalls;
+    use std::io::Cursor;
+
+    #[test]
+    fn each_request_line_leaves_in_one_write() {
+        let mut calls = WriteCalls::default();
+        let replies = b"ok hello\nok trace bytes=3 records=1\nabcok bye\n";
+        let script = ["hello psbench-serve/1", "# a comment", "trace", "bye"];
+        let (transcript, retry) =
+            converse(&mut Cursor::new(&replies[..]), &mut calls, &script).unwrap();
+        assert_eq!(
+            calls.0,
+            [
+                b"hello psbench-serve/1\n".to_vec(),
+                b"trace\n".to_vec(),
+                b"bye\n".to_vec()
+            ]
+        );
+        assert_eq!(retry, None);
+        assert_eq!(transcript.payload("trace").unwrap().body, b"abc");
+    }
+
+    #[test]
+    fn a_pipelined_batch_leaves_in_one_write() {
+        let mut calls = WriteCalls::default();
+        let lines = ["query queue".to_string(), "query job 1".to_string()];
+        let replies = run_pipelined(
+            &mut calls,
+            &mut Cursor::new(&b"ok queue\nok job id=1\n"[..]),
+            &lines,
+        )
+        .unwrap();
+        assert_eq!(calls.0, [b"query queue\nquery job 1\n".to_vec()]);
+        assert_eq!(replies, ["ok queue", "ok job id=1"]);
+    }
 
     #[test]
     fn busy_replies_carry_their_retry_hint() {

@@ -4,8 +4,8 @@
 //! This crate turns the same engine into a long-running **service**: clients
 //! connect over TCP, submit jobs as they materialize, watch the queue evolve,
 //! and ask **what-if** questions ("when would job 17 start under EASY instead
-//! of conservative?") answered from a cloned engine without perturbing the
-//! live session.
+//! of conservative?") answered from a fork of the engine's live state
+//! without perturbing the live session.
 //!
 //! The server is deliberately boring infrastructure: blocking `std::net`
 //! sockets, one thread per connection, and a shared session registry guarded
@@ -69,9 +69,11 @@
 //!   trace round-trips exactly. A `submit=`/`advance to=` instant earlier
 //!   than the session frontier (or, in `real`/`scale:` modes, the wall
 //!   clock) is clamped forward; the effective instant is echoed back.
-//! * `whatif` answers from a **clone** of the live engine under a fresh
-//!   policy built with [`psbench_sched::by_name`]; an unknown policy name
-//!   returns an `err` listing every valid scheduler.
+//! * `whatif` answers from a **fork** of the live engine under a fresh
+//!   policy built with [`psbench_sched::by_name`]. A fork copies only the
+//!   queued, running and pending state, so a probe costs the same however
+//!   long the session has run. An unknown policy name returns an `err`
+//!   listing every valid scheduler.
 //! * `drain` runs the engine to completion and is final: afterwards only
 //!   `trace` and `bye` remain meaningful. With a store configured, the
 //!   drained trace + result are published under the offline cell key, so

@@ -7,6 +7,7 @@
 //! the stream. See the crate-level docs for the full grammar.
 
 use std::fmt;
+use std::io::Write;
 
 /// Version of the wire protocol. Clients announce it in the hello line
 /// (`hello psbench-serve/1`); the server rejects any other version.
@@ -77,7 +78,8 @@ pub enum Command {
         /// Job to look up.
         id: u64,
     },
-    /// `whatif <id> under <scheduler>` — predicted start from a cloned engine.
+    /// `whatif <id> under <scheduler>` — predicted start from a fork of the
+    /// live engine.
     Whatif {
         /// Job the prediction is about.
         id: u64,
@@ -159,6 +161,34 @@ pub fn payload_len(head: &str) -> Option<usize> {
     head.split_whitespace()
         .find_map(|tok| tok.strip_prefix("bytes="))
         .and_then(|v| v.parse().ok())
+}
+
+/// Write `line` and its `\n` terminator as one buffer, so the pair leaves
+/// in a single `write` call. (`writeln!` writes the formatted pieces one by
+/// one, and on a `TCP_NODELAY` socket each write is a segment of its own.)
+pub(crate) fn write_line(writer: &mut (impl Write + ?Sized), line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(&buf)
+}
+
+/// A `Write` that keeps the bytes of each `write` call apart, so tests can
+/// count the calls a reply or request takes.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WriteCalls(pub Vec<Vec<u8>>);
+
+#[cfg(test)]
+impl Write for WriteCalls {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// One `key=value` token.

@@ -36,7 +36,9 @@ use parking_lot::Mutex;
 use psbench_store::FsyncPolicy;
 
 use crate::clock::ClockMode;
-use crate::protocol::{parse_command, Command, Reply, MAX_LINE_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{
+    parse_command, write_line, Command, Reply, MAX_LINE_BYTES, PROTOCOL_VERSION,
+};
 use crate::session::Session;
 use crate::shard::ShardConfig;
 
@@ -470,57 +472,56 @@ fn handle_connection(stream: TcpStream, pool: Arc<SessionPool>) {
     // A wedged or vanished client cannot hold its slot forever: reads time
     // out after the idle timeout and the session detaches (still resumable).
     let _ = stream.set_read_timeout(pool.config.idle_timeout);
-    let mut writer = stream;
-    let Ok(read_half) = writer.try_clone() else {
+    let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    converse(BufReader::new(read_half), stream, &pool);
+}
+
+/// Answer one connection's request lines. Every reply goes out through
+/// [`write_reply`], so each reply line leaves in one `write`.
+fn converse(mut reader: impl BufRead, mut writer: impl Write, pool: &SessionPool) {
     // Handshake loop: the server owns hello. Errors (unknown commands, a
     // pool at capacity) leave the connection usable so the client can retry
     // the hello without reconnecting.
     let attached = loop {
-        match read_line_capped(&mut reader) {
-            Ok(LineRead::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let reply = match parse_command(&line) {
-                    Err(msg) => Some(format!("err {msg}")),
-                    Ok(Command::Hello { version, session }) if version == PROTOCOL_VERSION => {
-                        match pool.attach(session) {
-                            Ok(attached) => break Some(attached),
-                            Err(msg) => Some(format!("err {msg}")),
-                        }
-                    }
-                    Ok(Command::Hello { version, .. }) => Some(format!(
-                        "err unsupported protocol version {version}; \
-                         this server speaks {PROTOCOL_VERSION}"
-                    )),
-                    Ok(Command::Bye) => {
-                        let _ = writeln!(writer, "ok bye");
-                        let _ = writer.flush();
-                        return;
-                    }
-                    Ok(_) => Some("err expected: hello psbench-serve/1".into()),
-                };
-                if let Some(reply) = reply {
-                    if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
-                        return;
-                    }
-                }
-            }
+        let line = match read_line_capped(&mut reader) {
+            Ok(LineRead::Line(line)) => line,
             Ok(LineRead::TooLong) => {
-                let _ = writeln!(writer, "err line exceeds {MAX_LINE_BYTES} bytes");
+                let _ = write_reply(&mut writer, too_long());
                 return;
             }
             Ok(LineRead::Idle) => {
-                let _ = writeln!(writer, "err idle timeout");
+                let _ = write_reply(&mut writer, idle());
                 return;
             }
             Ok(LineRead::Eof) | Err(_) => return,
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let reply = match parse_command(&line) {
+            Err(msg) => format!("err {msg}"),
+            Ok(Command::Hello { version, session }) if version == PROTOCOL_VERSION => {
+                match pool.attach(session) {
+                    Ok(attached) => break attached,
+                    Err(msg) => format!("err {msg}"),
+                }
+            }
+            Ok(Command::Hello { version, .. }) => format!(
+                "err unsupported protocol version {version}; \
+                 this server speaks {PROTOCOL_VERSION}"
+            ),
+            Ok(Command::Bye) => {
+                let _ = write_reply(&mut writer, Reply::Goodbye("ok bye".into()));
+                return;
+            }
+            Ok(_) => "err expected: hello psbench-serve/1".into(),
+        };
+        if write_reply(&mut writer, Reply::Line(reply)).is_err() {
+            return;
         }
     };
-    let Some(attached) = attached else { return };
     let hello = {
         let session = attached.session.lock();
         let shard = session.shard();
@@ -536,7 +537,7 @@ fn handle_connection(stream: TcpStream, pool: Arc<SessionPool>) {
             attached.resumed,
         )
     };
-    if writeln!(writer, "{hello}").is_err() || writer.flush().is_err() {
+    if write_reply(&mut writer, Reply::Line(hello)).is_err() {
         pool.detach(&attached.name);
         return;
     }
@@ -550,11 +551,11 @@ fn handle_connection(stream: TcpStream, pool: Arc<SessionPool>) {
             }
             Ok(LineRead::Eof) => break,
             Ok(LineRead::TooLong) => {
-                let _ = writeln!(writer, "err line exceeds {MAX_LINE_BYTES} bytes");
+                let _ = write_reply(&mut writer, too_long());
                 break;
             }
             Ok(LineRead::Idle) => {
-                let _ = writeln!(writer, "err idle timeout");
+                let _ = write_reply(&mut writer, idle());
                 break;
             }
             Err(_) => break,
@@ -567,11 +568,21 @@ fn handle_connection(stream: TcpStream, pool: Arc<SessionPool>) {
     pool.detach(&attached.name);
 }
 
+fn too_long() -> Reply {
+    Reply::Line(format!("err line exceeds {MAX_LINE_BYTES} bytes"))
+}
+
+fn idle() -> Reply {
+    Reply::Line("err idle timeout".into())
+}
+
+/// Send one reply and flush: the line leaves in one `write`, and a
+/// payload's body in one more.
 fn write_reply(writer: &mut impl Write, reply: Reply) -> std::io::Result<()> {
     match reply {
-        Reply::Line(line) | Reply::Goodbye(line) => writeln!(writer, "{line}")?,
+        Reply::Line(line) | Reply::Goodbye(line) => write_line(writer, &line)?,
         Reply::Payload { head, body } => {
-            writeln!(writer, "{head}")?;
+            write_line(writer, &head)?;
             writer.write_all(&body)?;
         }
     }
@@ -600,7 +611,72 @@ pub fn read_reply(reader: &mut impl BufRead) -> std::io::Result<Option<(String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{payload_len, WriteCalls};
     use std::io::Cursor;
+
+    /// Run `requests` through one connection and return its `write` calls.
+    fn writes_for(requests: &[u8]) -> Vec<Vec<u8>> {
+        let pool = SessionPool::new(ServeConfig {
+            machine: 64,
+            ..ServeConfig::default()
+        });
+        let mut calls = WriteCalls::default();
+        converse(Cursor::new(requests), &mut calls, &pool);
+        calls.0
+    }
+
+    /// Each write is one whole reply line, or the payload body the line
+    /// before it announced. Returns the reply lines.
+    fn reply_lines(writes: &[Vec<u8>]) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut body = None;
+        for write in writes {
+            if let Some(len) = body.take() {
+                assert_eq!(write.len(), len, "payload body in one write");
+                continue;
+            }
+            let text = String::from_utf8(write.clone()).unwrap();
+            let line = text.strip_suffix('\n').expect("a whole line");
+            assert!(!line.contains('\n'), "one line per write: {text:?}");
+            body = payload_len(line);
+            lines.push(line.to_string());
+        }
+        lines
+    }
+
+    #[test]
+    fn every_reply_line_leaves_in_one_write() {
+        let writes = writes_for(
+            b"nonsense\nhello psbench-serve/1\nsubmit id=1 runtime=10 procs=4\n\
+              whatif 1 under easy\nquery queue\ntrace\ndrain\nbye\n",
+        );
+        let lines = reply_lines(&writes);
+        let verbs: Vec<&str> = lines
+            .iter()
+            .map(|l| l.split_whitespace().take(2).last().unwrap())
+            .collect();
+        assert_eq!(
+            verbs,
+            ["unknown", "hello", "submit", "whatif", "queue", "trace", "drain", "bye"],
+            "{lines:?}"
+        );
+        // Eight replies, two of them with payloads.
+        assert_eq!(writes.len(), 10);
+    }
+
+    #[test]
+    fn handshake_bye_and_oversized_lines_leave_in_one_write() {
+        assert_eq!(writes_for(b"bye\n"), [b"ok bye\n".to_vec()]);
+        let mut oversized = vec![b'x'; MAX_LINE_BYTES + 1];
+        oversized.push(b'\n');
+        let too_long = format!("err line exceeds {MAX_LINE_BYTES} bytes");
+        // Before the hello, and inside a session.
+        assert_eq!(reply_lines(&writes_for(&oversized)), [too_long.as_str()]);
+        let attached = [b"hello psbench-serve/1\n".as_slice(), &oversized].concat();
+        let lines = reply_lines(&writes_for(&attached));
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[1], too_long);
+    }
 
     #[test]
     fn capped_reader_handles_exact_and_oversized_lines() {

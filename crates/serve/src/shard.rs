@@ -329,8 +329,9 @@ impl Shard {
         Ok(self.engine()?.job_state(id))
     }
 
-    /// Predicted start of `id` under `scheduler`, answered from a cloned
-    /// engine — the live engine and policy are not perturbed.
+    /// Predicted start of `id` under `scheduler`, answered from a fork of
+    /// the engine's live state — the live engine and policy are not
+    /// perturbed.
     pub fn whatif(
         &mut self,
         id: u64,

@@ -3,8 +3,10 @@
 //! session exported — across the scheduler zoo, with what-if probes and
 //! queries interleaved throughout to prove they have no side effects.
 
+use psbench_sched::scheduler_names;
 use psbench_serve::{run_script, serve, ClockMode, ServeConfig};
 use psbench_sim::{SimConfig, SimJob, Simulation};
+use psbench_store::fnv1a_64_hex;
 use psbench_swf::{parse_str, ParseOptions};
 
 /// Deterministic job stream: (id, submit, runtime, procs, estimate, user).
@@ -29,9 +31,9 @@ fn job_stream(n: u64) -> Vec<(u64, i64, i64, u32, i64, u32)> {
         .collect()
 }
 
-/// Build the session script: submits interleaved with whatifs and queries,
-/// closing with trace + drain.
-fn session_script(jobs: &[(u64, i64, i64, u32, i64, u32)]) -> Vec<String> {
+/// Build the session script: submits interleaved with whatifs under each
+/// policy in `probe_under` and queries, closing with trace + drain.
+fn session_script(jobs: &[(u64, i64, i64, u32, i64, u32)], probe_under: &[&str]) -> Vec<String> {
     let mut script = vec!["hello psbench-serve/1".to_string()];
     for (i, (id, submit, runtime, procs, estimate, user)) in jobs.iter().enumerate() {
         script.push(format!(
@@ -41,8 +43,9 @@ fn session_script(jobs: &[(u64, i64, i64, u32, i64, u32)]) -> Vec<String> {
         // Sprinkle read-only traffic through the whole session: none of it
         // may perturb the engine.
         if i % 41 == 3 {
-            script.push(format!("whatif {id} under easy"));
-            script.push(format!("whatif {id} under conservative"));
+            for under in probe_under {
+                script.push(format!("whatif {id} under {under}"));
+            }
         }
         if i % 23 == 7 {
             script.push("query queue".to_string());
@@ -69,7 +72,8 @@ fn assert_online_matches_offline(scheduler: &str) {
     .expect("bind server");
 
     let jobs = job_stream(180);
-    let transcript = run_script(server.addr(), &session_script(&jobs)).expect("run script");
+    let script = session_script(&jobs, &["easy", "conservative"]);
+    let transcript = run_script(server.addr(), &script).expect("run script");
     assert!(
         !transcript.has_errors(),
         "unexpected err reply under {scheduler}: {:?}",
@@ -134,4 +138,61 @@ fn online_matches_offline_conservative() {
 #[test]
 fn online_matches_offline_gang() {
     assert_online_matches_offline("gang");
+}
+
+/// FNV-1a digest of every whatif reply (each with its newline) of the
+/// session, probing under every policy, by live policy. Pinned when a probe
+/// still copied the whole engine; a probe of a fork must answer the same,
+/// byte for byte. (A few probes of a gang session answer `err`: a job the
+/// fork's fresh policy never starts.)
+const WHATIF_DIGESTS: [(&str, &str); 12] = [
+    ("fcfs", "d0cc77246ac09ff2"),
+    ("sjf", "898f574b4fdc3624"),
+    ("ljf", "a2e62ab491533b41"),
+    ("widest-first", "508a74bfe4fba44b"),
+    ("narrowest-first", "d7e51af643f041f2"),
+    ("greedy-fcfs", "ee6a1425ec10c966"),
+    ("easy", "eca12300496d9d95"),
+    ("conservative", "208680cd09bac36e"),
+    ("conservative-replan", "f15a33f8ad178005"),
+    ("gang", "de148a58d524b917"),
+    ("adaptive", "d0cc77246ac09ff2"),
+    ("draining-easy", "eca12300496d9d95"),
+];
+
+#[test]
+fn whatif_replies_match_the_pinned_digests_under_every_policy() {
+    let names = scheduler_names();
+    let script = session_script(&job_stream(180), &names);
+    let digests: Vec<(&str, String)> = names
+        .iter()
+        .map(|&scheduler| {
+            let server = serve(
+                "127.0.0.1:0",
+                ServeConfig {
+                    scheduler: scheduler.into(),
+                    machine: 64,
+                    mode: ClockMode::Afap,
+                    max_sessions: 4,
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("bind server");
+            let transcript = run_script(server.addr(), &script).expect("run script");
+            server.stop();
+            let whatifs: String = script
+                .iter()
+                .zip(&transcript.replies)
+                .filter(|(line, _)| line.starts_with("whatif"))
+                .map(|(_, reply)| format!("{reply}\n"))
+                .collect();
+            assert_eq!(whatifs.lines().count(), 5 * names.len(), "{scheduler}");
+            (scheduler, fnv1a_64_hex(whatifs.as_bytes()))
+        })
+        .collect();
+    let pinned: Vec<(&str, String)> = WHATIF_DIGESTS
+        .iter()
+        .map(|&(name, digest)| (name, digest.to_string()))
+        .collect();
+    assert_eq!(digests, pinned);
 }

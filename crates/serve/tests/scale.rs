@@ -60,7 +60,7 @@ fn sixty_four_sessions_sustain_100k_submissions_with_whatifs() {
                     // Every chunk also asks a what-if and a queue query, so
                     // predictions are being served while the firehose runs.
                     // Probe a job ~25% into the backlog: deep enough to be a
-                    // real prediction, shallow enough that the probe clone
+                    // real prediction, shallow enough that the probe's fork
                     // does not have to drain the whole firehose every chunk.
                     lines.push(format!("whatif {} under easy", 1 + id / 4));
                     lines.push("query queue".to_string());

@@ -88,6 +88,7 @@ use psbench_swf::outage::OutageLog;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// What to do with jobs killed by an outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -374,10 +375,11 @@ pub enum JobState {
 }
 
 /// The simulator.
-#[derive(Clone)]
 pub struct Simulation {
     config: SimConfig,
-    jobs: Vec<SimJob>,
+    /// Every job ever handed to the simulation, indexed by arrival events.
+    /// Append-only, so a [`Fork`] shares it instead of copying it.
+    jobs: Arc<Vec<SimJob>>,
     cluster: Cluster,
     events: BinaryHeap<Event>,
     seq: u64,
@@ -465,7 +467,7 @@ impl Simulation {
             cancelled: HashSet::new(),
             released: 0.0,
             config,
-            jobs,
+            jobs: Arc::new(jobs),
         };
         sim.seed_events();
         sim
@@ -1143,7 +1145,7 @@ impl Simulation {
         // while wakeups draw from the high [`ONLINE_EVENT_BAND`] counter, so
         // equal-time ties break identically online and offline.
         let idx = self.jobs.len();
-        self.jobs.push(job);
+        Arc::make_mut(&mut self.jobs).push(job);
         self.events.push(Event {
             time: t,
             seq: idx as u64,
@@ -1170,25 +1172,24 @@ impl Simulation {
         if !self.online_ids.contains(&job_id) {
             return Err(OnlineError::UnknownJob(job_id));
         }
-        if self.running_index.contains_key(&job_id) {
-            return Err(OnlineError::JobRunning(job_id));
+        match self.job_state(job_id) {
+            Some(JobState::Running { .. }) => Err(OnlineError::JobRunning(job_id)),
+            Some(JobState::Queued { .. }) => {
+                self.queue.remove(job_id);
+                self.cancelled.insert(job_id);
+                self.consult(scheduler, SchedulerEvent::JobCancelled { job_id });
+                Ok(())
+            }
+            Some(JobState::Pending { .. }) => {
+                // Tombstone the arrival; it is consumed silently when it pops.
+                self.cancelled.insert(job_id);
+                Ok(())
+            }
+            Some(JobState::Cancelled | JobState::Finished { .. } | JobState::Discarded) => {
+                Err(OnlineError::JobDone(job_id))
+            }
+            None => Err(OnlineError::UnknownJob(job_id)),
         }
-        if self.queue.get(job_id).is_some() {
-            self.queue.remove(job_id);
-            self.cancelled.insert(job_id);
-            self.consult(scheduler, SchedulerEvent::JobCancelled { job_id });
-            return Ok(());
-        }
-        if self.cancelled.contains(&job_id)
-            || self.discarded.contains(&job_id)
-            || self.finished.iter().any(|f| f.id == job_id)
-        {
-            return Err(OnlineError::JobDone(job_id));
-        }
-        // Pending arrival: tombstone it; the arrival event is consumed
-        // silently when it pops.
-        self.cancelled.insert(job_id);
-        Ok(())
     }
 
     /// Apply one [`OnlineOp`] — the single entry point deterministic replay
@@ -1223,9 +1224,9 @@ impl Simulation {
     }
 
     /// Consult the scheduler with a bare [`SchedulerEvent::Timer`] at the
-    /// current instant. Intended for **probe clones**: a freshly constructed
-    /// policy knows nothing about the inherited backlog until it is consulted
-    /// once, so a probe pokes its scheduler before stepping.
+    /// current instant. A freshly built policy knows nothing about the
+    /// inherited backlog until it is consulted once, so a what-if probe pokes
+    /// its policy before stepping ([`Fork::poke`]).
     pub fn poke(&mut self, scheduler: &mut dyn Scheduler) {
         self.consult(scheduler, SchedulerEvent::Timer);
     }
@@ -1287,8 +1288,15 @@ impl Simulation {
     }
 
     /// Where `job_id` currently is in its life cycle, or `None` if the id was
-    /// never handed to this simulation. Finished/discarded lookups scan their
-    /// vectors, so this is a query-path helper, not a hot-path one.
+    /// never handed to this simulation.
+    ///
+    /// The states are exclusive and are checked in this order, each at the
+    /// cost given: running, O(1); queued, O(log queued); cancelled, O(1); a
+    /// pending arrival, O(events); finished, O(finished); discarded,
+    /// O(discarded); an unreleased closed-loop dependent, O(unreleased
+    /// dependents). A job that has not started is therefore found in time
+    /// that grows with the live state only; finished, discarded and unknown
+    /// ids also scan the history.
     pub fn job_state(&self, job_id: u64) -> Option<JobState> {
         if let Some(&idx) = self.running_index.get(&job_id) {
             let r = &self.running[idx];
@@ -1306,6 +1314,19 @@ impl Simulation {
         if self.cancelled.contains(&job_id) {
             return Some(JobState::Cancelled);
         }
+        let pending = |idx: usize| {
+            let job = &self.jobs[idx];
+            (job.id == job_id).then(|| JobState::Pending {
+                submit: job.submit.max(0.0),
+            })
+        };
+        let arrival = self.events.iter().find_map(|e| match e.kind {
+            EventKind::Arrival(idx) => pending(idx),
+            _ => None,
+        });
+        if arrival.is_some() {
+            return arrival;
+        }
         if let Some(f) = self.finished.iter().find(|f| f.id == job_id) {
             return Some(JobState::Finished {
                 start: f.start,
@@ -1315,12 +1336,90 @@ impl Simulation {
         if self.discarded.contains(&job_id) {
             return Some(JobState::Discarded);
         }
-        self.jobs
-            .iter()
-            .find(|j| j.id == job_id)
-            .map(|j| JobState::Pending {
-                submit: j.submit.max(0.0),
-            })
+        self.dependents
+            .values()
+            .flatten()
+            .find_map(|&idx| pending(idx))
+    }
+
+    /// Copy the live state into a [`Fork`] for a what-if probe.
+    ///
+    /// The fork copies what stepping reads: the queue, the running set with
+    /// its index and dispatch metadata, the event heap, the completion
+    /// calendar, the cluster, the pending wakeups, the unreleased
+    /// dependents, the cancelled set and the counters. It shares the
+    /// append-only job vector and leaves out the finished and discarded
+    /// jobs and the online id set: stepping only appends to the first two
+    /// and never consults the third, and policies see only
+    /// [`SchedulerContext`]. Its cost therefore grows with the queued,
+    /// running and pending jobs, not with the session's history.
+    pub fn fork(&self) -> Fork {
+        // A struct literal naming every field: a field added later must be
+        // placed on one side or the other here.
+        Fork(Simulation {
+            config: self.config.clone(),
+            jobs: Arc::clone(&self.jobs),
+            cluster: self.cluster.clone(),
+            events: self.events.clone(),
+            seq: self.seq,
+            now: self.now,
+            queue: self.queue.clone(),
+            running: self.running.clone(),
+            running_index: self.running_index.clone(),
+            rmeta: self.rmeta.clone(),
+            calendar: self.calendar.clone(),
+            next_start_seq: self.next_start_seq,
+            used_procs: self.used_procs,
+            pending_wakeups: self.pending_wakeups.clone(),
+            finished: Vec::new(),
+            discarded: Vec::new(),
+            dependents: self.dependents.clone(),
+            idle_while_queued: self.idle_while_queued,
+            busy_integral: self.busy_integral,
+            lost_node_seconds: self.lost_node_seconds,
+            kills: self.kills,
+            rejected_decisions: self.rejected_decisions,
+            coalesced_wakeups: self.coalesced_wakeups,
+            events_processed: self.events_processed,
+            outage_down: self.outage_down.clone(),
+            kind: self.kind,
+            online: self.online,
+            online_ids: HashSet::new(),
+            cancelled: self.cancelled.clone(),
+            released: self.released,
+        })
+    }
+}
+
+/// A copy of a simulation's live state that a what-if probe steps forward
+/// under a policy of its own ([`Simulation::fork`]).
+///
+/// A fork holds no history, so it can only be poked, stepped and asked when
+/// a job started: it cannot take submissions or cancellations, answer
+/// [`Simulation::job_state`], or produce a [`SimulationResult`]. Dropping it
+/// leaves the simulation it was taken from untouched.
+pub struct Fork(Simulation);
+
+impl Fork {
+    /// Poke the policy at the fork's current instant, as [`Simulation::poke`].
+    pub fn poke(&mut self, scheduler: &mut dyn Scheduler) {
+        self.0.poke(scheduler);
+    }
+
+    /// One iteration of the event loop, as [`Simulation::step`].
+    pub fn step(&mut self, scheduler: &mut dyn Scheduler) -> bool {
+        self.0.step(scheduler)
+    }
+
+    /// When `job_id`'s current dispatch started, if it is running. A job
+    /// that starts in the fork is running at the end of that step (the
+    /// step's completions are collected before anything starts), so
+    /// checking after each step sees every start.
+    pub fn started_at(&self, job_id: u64) -> Option<f64> {
+        let sim = &self.0;
+        sim.running_index
+            .get(&job_id)
+            .map(|&idx| sim.running[idx].started_at)
     }
 }
 
@@ -1958,7 +2057,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_clone_does_not_perturb_the_live_session() {
+    fn fork_does_not_perturb_the_live_session() {
         let mut sim = Simulation::new_online(SimConfig::new(64));
         let s = &mut TestFcfs;
         sim.begin(s);
@@ -1967,15 +2066,225 @@ mod tests {
         sim.advance_released(s, 10.0);
         let before_now = sim.now();
         let before_queue = sim.queue_len();
-        // A what-if probe: clone, run the clone to completion.
-        let clone = sim.clone();
-        let probed = clone.finish(&mut TestFcfs);
-        assert_eq!(probed.finished.len(), 2);
-        // The live session is untouched.
+        // A what-if probe: fork, step the fork until job 2 starts.
+        let mut fork = sim.fork();
+        fork.poke(&mut TestFcfs);
+        while fork.started_at(2).is_none() {
+            assert!(fork.step(&mut TestFcfs), "job 2 never started");
+        }
+        assert_eq!(fork.started_at(2), Some(100.0));
+        while fork.step(&mut TestFcfs) {}
+        drop(fork);
+        // The live session is untouched, and still takes submissions.
         assert_eq!(sim.now(), before_now);
         assert_eq!(sim.queue_len(), before_queue);
+        sim.submit(SimJob::rigid(3, 20.0, 10.0, 8)).unwrap();
         let live = sim.finish(s);
-        assert_eq!(live.finished.len(), 2);
+        assert_eq!(live.finished.len(), 3);
+    }
+
+    /// `job_state` as it was before the lookup was reordered: the finished
+    /// and discarded jobs, then every submitted job, by linear scan. The
+    /// reference the reordered lookup must agree with.
+    fn job_state_by_scan(sim: &Simulation, job_id: u64) -> Option<JobState> {
+        if let Some(&idx) = sim.running_index.get(&job_id) {
+            let r = &sim.running[idx];
+            return Some(JobState::Running {
+                started_at: r.started_at,
+                predicted_end: r.predicted_end,
+                procs: r.procs,
+            });
+        }
+        if let Some(q) = sim.queue.get(job_id) {
+            return Some(JobState::Queued {
+                queued_at: q.queued_at,
+            });
+        }
+        if sim.cancelled.contains(&job_id) {
+            return Some(JobState::Cancelled);
+        }
+        if let Some(f) = sim.finished.iter().find(|f| f.id == job_id) {
+            return Some(JobState::Finished {
+                start: f.start,
+                end: f.end,
+            });
+        }
+        if sim.discarded.contains(&job_id) {
+            return Some(JobState::Discarded);
+        }
+        sim.jobs
+            .iter()
+            .find(|j| j.id == job_id)
+            .map(|j| JobState::Pending {
+                submit: j.submit.max(0.0),
+            })
+    }
+
+    /// Every id up to `max_id` plus two unknown ones: `job_state` equals the
+    /// linear-scan reference.
+    fn assert_job_states_match_scan(sim: &Simulation, max_id: u64) {
+        for id in 0..=max_id + 2 {
+            assert_eq!(sim.job_state(id), job_state_by_scan(sim, id), "job {id}");
+        }
+    }
+
+    /// Starts every queued job that fits, in queue order (no head blocking),
+    /// so queued, running and finished jobs interleave in more ways than
+    /// under FCFS.
+    struct TestGreedy;
+    impl Scheduler for TestGreedy {
+        fn name(&self) -> &str {
+            "test-greedy"
+        }
+        fn react(&mut self, ctx: &SchedulerContext<'_>, _event: SchedulerEvent) -> Vec<Decision> {
+            let mut free = ctx.free_capacity();
+            let mut out = Vec::new();
+            for q in ctx.queue.iter() {
+                if (q.job.procs as f64) <= free + 1e-9 {
+                    free -= q.job.procs as f64;
+                    out.push(Decision::start(q.job.id));
+                }
+            }
+            out
+        }
+    }
+
+    /// One operation of a random online session: a submit (optionally
+    /// releasing the timeline up to it first, as `psbench serve` does), an
+    /// advance, or a cancel of an id counted back from the two unknown ids
+    /// past the last submit.
+    #[derive(Debug, Clone)]
+    enum SessionOp {
+        Submit {
+            gap: u32,
+            runtime: u32,
+            procs: u32,
+            estimate_extra: u32,
+            user: u32,
+            release: bool,
+        },
+        Advance(u32),
+        Cancel(usize),
+    }
+
+    /// Submits twice as often as advances or cancels, so the machine fills
+    /// and jobs queue.
+    fn session_op() -> impl proptest::strategy::Strategy<Value = SessionOp> {
+        use proptest::prelude::*;
+        let submit = || {
+            (0u32..60, 0u32..400, 1u32..=64, 0u32..300, 0u32..4, 0u32..3).prop_map(
+                |(gap, runtime, procs, estimate_extra, user, release)| SessionOp::Submit {
+                    gap,
+                    runtime,
+                    procs,
+                    estimate_extra,
+                    user,
+                    release: release > 0,
+                },
+            )
+        };
+        prop_oneof![
+            submit(),
+            submit(),
+            (0u32..300).prop_map(SessionOp::Advance),
+            (0usize..12).prop_map(SessionOp::Cancel),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn job_state_matches_the_linear_scan_over_online_sessions(
+            ops in proptest::collection::vec(session_op(), 1..48),
+            greedy in 0u32..2,
+        ) {
+            let mut policy: Box<dyn Scheduler> = if greedy == 1 {
+                Box::new(TestGreedy)
+            } else {
+                Box::new(TestFcfs)
+            };
+            let mut sim = Simulation::new_online(SimConfig::new(64));
+            sim.begin(policy.as_mut());
+            let mut next_id = 0u64;
+            for op in ops {
+                match op {
+                    SessionOp::Submit { gap, runtime, procs, estimate_extra, user, release } => {
+                        next_id += 1;
+                        let t = sim.released().ceil() + gap as f64;
+                        if release {
+                            sim.advance_released(policy.as_mut(), t);
+                        }
+                        let job = SimJob::rigid(next_id, t, runtime as f64, procs)
+                            .with_estimate((runtime + estimate_extra) as f64)
+                            .with_user(user);
+                        sim.submit(job).unwrap();
+                    }
+                    SessionOp::Advance(dt) => {
+                        let t = sim.released() + dt as f64;
+                        sim.advance_released(policy.as_mut(), t);
+                    }
+                    SessionOp::Cancel(back) => {
+                        // One of the latest ids, or one of the two unknown
+                        // ids past the last submit.
+                        let id = (next_id + 2).saturating_sub(back as u64);
+                        let before = job_state_by_scan(&sim, id);
+                        let result = sim.cancel(policy.as_mut(), id);
+                        let want = match before {
+                            None => Err(OnlineError::UnknownJob(id)),
+                            Some(JobState::Running { .. }) => Err(OnlineError::JobRunning(id)),
+                            Some(JobState::Queued { .. } | JobState::Pending { .. }) => Ok(()),
+                            Some(_) => Err(OnlineError::JobDone(id)),
+                        };
+                        assert_eq!(result, want, "cancel {id} from {before:?}");
+                    }
+                }
+                assert_job_states_match_scan(&sim, next_id);
+            }
+            while sim.step(policy.as_mut()) {
+                assert_job_states_match_scan(&sim, next_id);
+            }
+        }
+    }
+
+    #[test]
+    fn job_state_matches_the_linear_scan_with_unreleased_dependents() {
+        // A closed-loop chain: 2 and 3 wait on 1, 4 waits on 3, 5 waits on
+        // an unknown job (so it arrives at once), and 6 waits on 7, which
+        // the outage kills and discards, so 6 is never released.
+        let mut jobs = rigid_jobs(&[
+            (1, 0.0, 100.0, 32),
+            (2, 0.0, 50.0, 16),
+            (3, 0.0, 50.0, 16),
+            (4, 0.0, 10.0, 8),
+            (5, 0.0, 10.0, 8),
+            (6, 0.0, 10.0, 8),
+            (7, 0.0, 500.0, 32),
+        ]);
+        let preceding = [None, Some(1), Some(1), Some(3), Some(99), Some(7), None];
+        for (job, preceding) in jobs.iter_mut().zip(preceding) {
+            job.preceding = preceding;
+            job.think_time = 20.0;
+        }
+        let outages = OutageLog::from_records(vec![OutageRecord {
+            outage_id: 1,
+            announced_time: None,
+            start_time: 400,
+            end_time: 450,
+            kind: OutageKind::CpuFailure,
+            nodes_affected: Some(48),
+            components: vec![],
+        }]);
+        let mut config = SimConfig::new(64).closed_loop().with_outages(outages);
+        config.outage_policy = OutagePolicy::KillAndDiscard;
+        let mut sim = Simulation::new(config, jobs);
+        let mut policy = TestFcfs;
+        sim.begin(&mut policy);
+        assert_job_states_match_scan(&sim, 7);
+        assert!(matches!(sim.job_state(4), Some(JobState::Pending { .. })));
+        while sim.step(&mut policy) {
+            assert_job_states_match_scan(&sim, 7);
+        }
+        assert_eq!(sim.job_state(7), Some(JobState::Discarded));
+        assert!(matches!(sim.job_state(6), Some(JobState::Pending { .. })));
     }
 
     #[test]

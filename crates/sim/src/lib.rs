@@ -27,7 +27,7 @@ pub mod scheduler;
 pub mod prelude {
     pub use crate::cluster::{Cluster, Reservation};
     pub use crate::engine::{
-        EngineKind, JobState, OnlineError, OnlineOp, OutagePolicy, SimConfig, Simulation,
+        EngineKind, Fork, JobState, OnlineError, OnlineOp, OutagePolicy, SimConfig, Simulation,
     };
     pub use crate::job::{FinishedJob, QueuedJob, RunningJob, SimJob};
     pub use crate::queue::{BackfillScan, Candidates, JobQueue, QueueKey, StaircaseScan};
