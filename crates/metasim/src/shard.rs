@@ -1,5 +1,5 @@
-//! Engine shards: each metasystem site wraps an independent online
-//! [`Simulation`] plus a local scheduling policy from the zoo.
+//! Engine shards: each metasystem site wraps an independent [`LiveSim`], an
+//! online engine that owns its local scheduling policy from the zoo.
 //!
 //! Where [`crate::site`] models a site analytically (the paper's "simple
 //! models of local schedulers"), a [`Shard`] *is* a local scheduler: a real
@@ -9,11 +9,8 @@
 //! decision happens at epoch boundaries on the driving thread (see
 //! [`crate::epoch`]) — which is what makes the fleet embarrassingly parallel.
 
-use psbench_sched::{by_name, UnknownScheduler};
-use psbench_sim::{
-    Cluster, FinishedJob, JobQueue, OnlineError, Scheduler, SimConfig, SimJob, Simulation,
-    SimulationResult,
-};
+use psbench_sched::{LiveSim, UnknownScheduler};
+use psbench_sim::{Cluster, FinishedJob, JobQueue, OnlineError, SimJob, SimulationResult};
 use serde::{Deserialize, Serialize};
 
 /// The static description of an engine shard: one site of the metasystem.
@@ -58,13 +55,12 @@ pub fn standard_shard_fleet(n: usize, scheduler: &str) -> Vec<ShardSpec> {
         .collect()
 }
 
-/// One site of the sharded metasystem: an online engine, its local policy,
-/// and the bookkeeping the epoch loop needs.
+/// One site of the sharded metasystem: an online engine under its local
+/// policy, and the bookkeeping the epoch loop needs.
 pub struct Shard {
     /// The static description of this shard.
     pub spec: ShardSpec,
-    sim: Simulation,
-    policy: Box<dyn Scheduler>,
+    live: LiveSim,
     /// Advisory reservation calendar for co-allocating dispatch policies.
     /// Separate from the engine (local policies keep full control of their
     /// machine); bookings model the negotiation of Section 3.1 and steer
@@ -82,13 +78,9 @@ impl Shard {
     /// Build a shard: a fresh online engine of `spec.procs` processors under
     /// a newly constructed local policy.
     pub fn new(spec: ShardSpec) -> Result<Self, UnknownScheduler> {
-        let mut policy = by_name(&spec.scheduler, spec.procs)?;
-        let mut sim = Simulation::new_online(SimConfig::new(spec.procs));
-        sim.begin(policy.as_mut());
         Ok(Shard {
             calendar: Cluster::new(spec.procs.max(1)),
-            sim,
-            policy,
+            live: LiveSim::new(&spec.scheduler, spec.procs)?,
             inflight: 0,
             harvested: 0,
             spec,
@@ -117,7 +109,7 @@ impl Shard {
             think_time: 0.0,
             speedup: None,
         };
-        self.sim.submit(scaled)?;
+        self.live.submit(scaled)?;
         self.inflight += procs as u64;
         Ok(())
     }
@@ -126,7 +118,7 @@ impl Shard {
     /// processing every local event strictly below it. Pure shard-local work:
     /// this is the call the epoch loop fans out across threads.
     pub fn advance_to(&mut self, frontier: f64) {
-        self.sim.advance_released(self.policy.as_mut(), frontier);
+        self.live.advance(frontier);
         self.inflight = 0;
     }
 
@@ -134,7 +126,7 @@ impl Shard {
     /// engine's completion order. Called on the driving thread in site-id
     /// order, which is what makes the merged stream deterministic.
     pub fn harvest(&mut self) -> &[FinishedJob] {
-        let all = self.sim.finished_jobs();
+        let all = self.live.sim().finished_jobs();
         let from = self.harvested;
         self.harvested = all.len();
         &all[from..]
@@ -143,12 +135,12 @@ impl Shard {
     /// Cancel a queued or pending job (used when an outage migrates the
     /// shard's backlog elsewhere).
     pub fn cancel(&mut self, engine_id: u64) -> Result<(), OnlineError> {
-        self.sim.cancel(self.policy.as_mut(), engine_id)
+        self.live.cancel(engine_id)
     }
 
     /// Engine ids of the queued jobs, in arrival order.
     pub fn queued_engine_ids(&self) -> Vec<u64> {
-        self.sim.queue().iter().map(|q| q.job.id).collect()
+        self.queue().iter().map(|q| q.job.id).collect()
     }
 
     /// The shard's load pressure: demanded-but-unserved processor work
@@ -157,8 +149,8 @@ impl Shard {
     /// dispatched this epoch but not yet arrived — all O(1) reads, which is
     /// what lets least-pressure dispatch consult a thousand shards per epoch.
     pub fn pressure(&self) -> f64 {
-        let demanded = self.sim.queue().demanded_procs() as f64
-            + self.sim.used_capacity()
+        let demanded = self.queue().demanded_procs() as f64
+            + self.live.sim().used_capacity()
             + self.inflight as f64;
         demanded / (self.spec.procs as f64 * self.spec.speed.max(1e-9))
     }
@@ -171,26 +163,23 @@ impl Shard {
 
     /// The wait queue of the underlying engine (backlog aggregates included).
     pub fn queue(&self) -> &JobQueue {
-        self.sim.queue()
+        self.live.sim().queue()
     }
 
     /// Jobs waiting in the shard's queue.
     pub fn queue_len(&self) -> usize {
-        self.sim.queue_len()
+        self.live.sim().queue_len()
     }
 
     /// Jobs currently holding processors on this shard.
     pub fn running_len(&self) -> usize {
-        self.sim.running_len()
+        self.live.sim().running_len()
     }
 
     /// Drain the shard to completion and return the engine's result (site
     /// times, engine ids).
     pub fn finish(self) -> SimulationResult {
-        let Shard {
-            sim, mut policy, ..
-        } = self;
-        sim.finish(policy.as_mut())
+        self.live.finish()
     }
 }
 

@@ -167,9 +167,9 @@ impl Profile {
 /// starting, or a running job outliving its estimate (which makes its
 /// estimated end drift) — falls back to a full replan; and the full replan's
 /// backfill phase consults the queue's **backlog index**
-/// ([`psbench_sim::JobQueue::candidates_fitting_either`]) so it examines only
-/// the jobs that can possibly fit the free capacity or the extra budget,
-/// instead of the entire backlog.
+/// ([`psbench_sim::JobQueue::backfill_scan`]) so it examines only the jobs
+/// that can possibly fit the free capacity or the extra budget, instead of
+/// the entire backlog.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EasyBackfill {
     cache: Option<EasyCache>,
@@ -426,9 +426,10 @@ impl Scheduler for ReplanConservative {
         if startable < 1.0 {
             return Vec::new();
         }
+        let wide = startable.min(u32::MAX as f64) as u32;
         let cands: Vec<_> = ctx
             .queue
-            .candidates_fitting(startable.min(u32::MAX as f64) as u32, f64::INFINITY)
+            .backfill_scan(wide, f64::INFINITY, 0, None)
             .collect();
         if cands.is_empty() {
             return Vec::new();

@@ -576,6 +576,8 @@ impl Calendar {
             if c.first_time() > horizon {
                 break;
             }
+            // A chunk whose minimum stays at or above the running minimum
+            // records no dip at any level — skip it wholesale.
             if c.min + c.off < runmin {
                 for &(t, raw) in &c.steps {
                     if t <= from {
@@ -758,33 +760,7 @@ impl StepFn for Calendar {
     }
 
     fn dip_times(&self, from: f64) -> Vec<f64> {
-        let mut runmin = self.capacity_at(from);
-        if runmin < 1.0 || self.chunks.is_empty() {
-            return Vec::new();
-        }
-        let mut dips = vec![f64::INFINITY; runmin.floor() as usize];
-        let mut ci = self.chunk_at(from);
-        'scan: while ci < self.chunks.len() {
-            let c = &self.chunks[ci];
-            // A chunk whose minimum stays at or above the running minimum
-            // records no dip at any level — skip it wholesale.
-            if c.min + c.off < runmin {
-                for &(t, raw) in &c.steps {
-                    if t <= from {
-                        continue;
-                    }
-                    let cap = raw + c.off;
-                    if cap < runmin {
-                        record_dip(&mut dips, &mut runmin, t, cap);
-                        if runmin < 1.0 {
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-            ci += 1;
-        }
-        dips
+        self.dip_times_upto(from, f64::INFINITY)
     }
 }
 
@@ -835,15 +811,29 @@ struct Slot {
     procs: f64,
 }
 
-/// The canonical, bit-stable completion profile used by both conservative
-/// implementations — [`SchedulerContext::canonical_completions`]: `(id, end,
-/// procs)` sorted by `(end, id)` with `end = max(started_at + max(estimate,
-/// 1), now)`. Unlike [`SchedulerContext::completion_profile`] (whose `now +
-/// est_remaining` arithmetic drifts in ulps as `now` advances), this end is a
-/// fixed absolute instant for the lifetime of the running job, which is what
-/// lets the incremental calendar keep breakpoints across reacts.
-fn canonical_completions(ctx: &SchedulerContext<'_>) -> Vec<(u64, f64, f64)> {
-    ctx.canonical_completions()
+/// Does this react invalidate a committed plan outright? Shared by both
+/// conservative implementations: a plan never anchored, the start, kills,
+/// outages and external reservation changes all force a rebuild, and so does
+/// a running job past its estimated end (`min_running_end < now`), whose end
+/// then drifts with the clock.
+fn needs_rebuild(
+    anchored: bool,
+    min_running_end: f64,
+    ctx: &SchedulerContext<'_>,
+    event: SchedulerEvent,
+) -> bool {
+    if !anchored {
+        return true;
+    }
+    match event {
+        SchedulerEvent::Start
+        | SchedulerEvent::JobsKilled { .. }
+        | SchedulerEvent::OutageAnnounced { .. }
+        | SchedulerEvent::OutageStarted { .. }
+        | SchedulerEvent::OutageEnded { .. }
+        | SchedulerEvent::ReservationsChanged => true,
+        _ => min_running_end < ctx.now,
+    }
 }
 
 /// Conservative backfilling with a persistent reservation calendar.
@@ -882,25 +872,6 @@ pub struct ConservativeBackfill {
 }
 
 impl ConservativeBackfill {
-    /// Does this react invalidate the committed base outright?
-    fn needs_rebuild(&self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> bool {
-        if !self.anchored {
-            return true;
-        }
-        match event {
-            SchedulerEvent::Start
-            | SchedulerEvent::JobsKilled { .. }
-            | SchedulerEvent::OutageAnnounced { .. }
-            | SchedulerEvent::OutageStarted { .. }
-            | SchedulerEvent::OutageEnded { .. }
-            | SchedulerEvent::ReservationsChanged => true,
-            _ => {
-                // A running job past its estimated end drifts with the clock.
-                self.min_running_end < ctx.now
-            }
-        }
-    }
-
     /// Full rebuild: recommit the base from the running set's canonical ends
     /// and re-reserve every queued job in arrival order, starting those whose
     /// earliest slot is `now`. This is the seed-style exhaustive sweep, kept
@@ -914,7 +885,7 @@ impl ConservativeBackfill {
         self.min_running_end = f64::INFINITY;
         self.dur_bound = 0.0;
         self.cal.reset(ctx.now, ctx.free_capacity());
-        let completions = canonical_completions(ctx);
+        let completions = ctx.canonical_completions();
         self.park.rebase(ctx.now, ctx.free_capacity(), &completions);
         for (id, end, procs) in completions {
             self.cal.add_range(end, f64::INFINITY, procs);
@@ -1068,52 +1039,14 @@ impl ConservativeBackfill {
             let slot = self.slots.get(&id).copied().expect("indexed slot");
             self.uncommit(id, &slot);
             let Some(q) = ctx.queue.get(id) else { continue };
-            let duration = q.job.estimate.max(1.0);
             if slot.start.is_finite() {
                 self.cal
                     .add_range(slot.start.max(ctx.now), slot.end, slot.procs);
             }
-            let start = match self.cal.earliest_start_capped(
-                ctx.now,
-                slot.procs,
-                duration,
-                PLACEMENT_PROBES,
-            ) {
-                Some(start) => start,
-                None => self
-                    .park
-                    .time_for(slot.procs)
-                    .map(|t| t.max(ctx.now))
-                    .unwrap_or(f64::INFINITY),
-            };
-            if start == ctx.now {
-                let m = self.cal.add_range(ctx.now, ctx.now + duration, -slot.procs);
-                self.park.note(ctx.now + duration, m);
-                self.running.insert(id, (ctx.now + duration, slot.procs));
-                self.min_running_end = self.min_running_end.min(ctx.now + duration);
-                out.push(Decision::start(id));
-            } else if start.is_finite() {
-                // `start > now` here, so the loop cannot revisit this slot.
-                let m = self.cal.add_range(start, start + duration, -slot.procs);
-                self.park.note(start + duration, m);
-                self.commit(
-                    id,
-                    Slot {
-                        start,
-                        end: start + duration,
-                        procs: slot.procs,
-                    },
-                );
-            } else {
-                self.commit(
-                    id,
-                    Slot {
-                        start: f64::INFINITY,
-                        end: f64::INFINITY,
-                        procs: slot.procs,
-                    },
-                );
-            }
+            // The job was placed since the last rebuild, so `dur_bound`
+            // already covers its duration. A re-placed slot starts now or
+            // lands strictly after `now`, so the loop cannot revisit it.
+            self.place(ctx, id, slot.procs, q.job.estimate.max(1.0), out);
         }
     }
 
@@ -1188,7 +1121,7 @@ impl Scheduler for ConservativeBackfill {
 
 impl ConservativeBackfill {
     fn react_inner(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
-        if self.needs_rebuild(ctx, event) {
+        if needs_rebuild(self.anchored, self.min_running_end, ctx, event) {
             return self.rebuild(ctx);
         }
         if !self.reconcile(ctx) {
@@ -1257,7 +1190,7 @@ impl ConservativeOracle {
     /// committed occupancy, clipped to `[now, ∞)`.
     fn profile(&self, ctx: &SchedulerContext<'_>) -> StepVec {
         let mut p = StepVec::anchored(ctx.now, ctx.free_capacity());
-        for (_, end, procs) in canonical_completions(ctx) {
+        for (_, end, procs) in ctx.canonical_completions() {
             p.add_range(end, f64::INFINITY, procs);
         }
         // The engine counts a due-but-unstarted reservation's processors as
@@ -1271,21 +1204,6 @@ impl ConservativeOracle {
             }
         }
         p
-    }
-
-    fn needs_rebuild(&self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> bool {
-        if !self.anchored {
-            return true;
-        }
-        match event {
-            SchedulerEvent::Start
-            | SchedulerEvent::JobsKilled { .. }
-            | SchedulerEvent::OutageAnnounced { .. }
-            | SchedulerEvent::OutageStarted { .. }
-            | SchedulerEvent::OutageEnded { .. }
-            | SchedulerEvent::ReservationsChanged => true,
-            _ => self.min_running_end < ctx.now,
-        }
     }
 
     fn track_start(&mut self, id: u64, now: f64, duration: f64, procs: f64) {
@@ -1335,7 +1253,7 @@ impl ConservativeOracle {
         self.slots.clear();
         self.running.clear();
         self.min_running_end = f64::INFINITY;
-        let completions = canonical_completions(ctx);
+        let completions = ctx.canonical_completions();
         self.park.rebase(ctx.now, ctx.free_capacity(), &completions);
         for (id, end, procs) in completions {
             self.running.insert(id, (end, procs));
@@ -1373,38 +1291,10 @@ impl ConservativeOracle {
             let Some((_, id)) = next else { break };
             let slot = self.slots.remove(&id).expect("scanned slot");
             let Some(q) = ctx.queue.get(id) else { continue };
-            let duration = q.job.estimate.max(1.0);
             if slot.start.is_finite() {
                 p.add_range(slot.start.max(ctx.now), slot.end, slot.procs);
             }
-            let start =
-                match p.earliest_start_capped(ctx.now, slot.procs, duration, PLACEMENT_PROBES) {
-                    Some(start) => start,
-                    None => self
-                        .park
-                        .time_for(slot.procs)
-                        .map(|t| t.max(ctx.now))
-                        .unwrap_or(f64::INFINITY),
-                };
-            if start == ctx.now {
-                let m = p.add_range(ctx.now, ctx.now + duration, -slot.procs);
-                self.park.note(ctx.now + duration, m);
-                self.track_start(id, ctx.now, duration, slot.procs);
-                out.push(Decision::start(id));
-            } else {
-                if start.is_finite() {
-                    let m = p.add_range(start, start + duration, -slot.procs);
-                    self.park.note(start + duration, m);
-                }
-                self.slots.insert(
-                    id,
-                    Slot {
-                        start,
-                        end: start + duration,
-                        procs: slot.procs,
-                    },
-                );
-            }
+            self.place(p, ctx.now, id, slot.procs, q.job.estimate.max(1.0), out);
         }
     }
 
@@ -1464,7 +1354,7 @@ impl Scheduler for ConservativeOracle {
 
 impl ConservativeOracle {
     fn react_inner(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
-        if self.needs_rebuild(ctx, event) {
+        if needs_rebuild(self.anchored, self.min_running_end, ctx, event) {
             return self.rebuild(ctx);
         }
         // Reconcile completions: forget them (the from-scratch profile below
@@ -1553,9 +1443,10 @@ mod tests {
     #[test]
     fn calendar_matches_stepvec_on_random_ops() {
         // Differential test: the chunked calendar and the flat reference must
-        // agree exactly on capacities and earliest-start searches across a
-        // deterministic pseudo-random op mix dense enough to force chunk
-        // splits, offsets and partial-range updates.
+        // agree exactly on capacities, earliest-start searches and dip
+        // profiles (whole and clamped to a horizon) across a deterministic
+        // pseudo-random op mix dense enough to force chunk splits, offsets
+        // and partial-range updates.
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -1599,6 +1490,20 @@ mod tests {
                         cal.capacity_at(t),
                         reference.capacity_at(t),
                         "round {round} cap"
+                    );
+                    let dips = reference.dip_times(t);
+                    assert_eq!(cal.dip_times(t), dips, "round {round} dips");
+                    // The clamped scan reports every dip past the horizon as
+                    // never happening.
+                    let horizon = t + (r / 19 % 1500) as f64;
+                    let clamped: Vec<f64> = dips
+                        .iter()
+                        .map(|&d| if d > horizon { f64::INFINITY } else { d })
+                        .collect();
+                    assert_eq!(
+                        cal.dip_times_upto(t, horizon),
+                        clamped,
+                        "round {round} dips up to {horizon}"
                     );
                 }
                 _ => {

@@ -13,8 +13,9 @@
 //! * [`adaptive`] — adaptive equipartitioning for moldable (flexible) jobs.
 //! * [`drain`] — outage- and reservation-aware EASY (drains before announced
 //!   outages, schedules around advance reservations).
-//! * [`probe`] — predicted-start queries against a fork of the engine's live
-//!   state (the `whatif` surface of `psbench serve`).
+//! * [`probe`] — [`LiveSim`], an online engine that owns its live policy,
+//!   and predicted-start queries against a fork of its state (the `whatif`
+//!   surface of `psbench serve`).
 
 #![warn(missing_docs)]
 
@@ -42,7 +43,7 @@ pub mod prelude {
     pub use crate::calendar::{ConservativeBackfill, ConservativeOracle};
     pub use crate::drain::DrainingEasy;
     pub use crate::gang::{GangScheduler, Packing};
-    pub use crate::probe::{probe_start, Prediction, ProbeError};
+    pub use crate::probe::{probe_start, LiveSim, Prediction, ProbeError};
     pub use crate::queue_order::{Fcfs, Order, SortedGreedy};
     pub use crate::{by_name, scheduler_names, standard_schedulers, UnknownScheduler};
 }

@@ -1,7 +1,13 @@
-//! Predicted-start queries: "when would job J start under policy P?"
+//! Live online sessions, and predicted-start queries against them: "when
+//! would job J start under policy P?"
 //!
-//! This is the query surface behind `psbench serve`'s `whatif` command. A
-//! probe never touches the live engine: it takes a [`Fork`] of the
+//! A [`LiveSim`] is an online [`Simulation`] that owns its live policy:
+//! `psbench serve` sessions and `psbench_metasim` sites each drive one, and
+//! never see the policy at all. The engine itself stays policy-agnostic:
+//! offline runs and probe forks take a policy per call.
+//!
+//! [`probe_start`] is the query surface behind `psbench serve`'s `whatif`
+//! command. A probe never touches the live engine: it takes a [`Fork`] of the
 //! [`Simulation`], builds a **fresh** policy instance with [`by_name`] (the
 //! live policy's internal state stays private to the live session), pokes it
 //! once so it plans the inherited backlog, and steps the fork until the
@@ -32,7 +38,64 @@
 //! [`Fork`]: psbench_sim::Fork
 
 use crate::{by_name, UnknownScheduler};
-use psbench_sim::{JobState, Simulation};
+use psbench_sim::{
+    JobState, OnlineError, Scheduler, SimConfig, SimJob, Simulation, SimulationResult,
+};
+
+/// An online [`Simulation`] together with the live policy it runs under.
+///
+/// [`LiveSim::new`] builds both and consults the policy once at the start, so
+/// every later call routes through the same policy instance without the
+/// caller ever holding it. Submissions and cancellations are those of the
+/// engine's online API; [`LiveSim::sim`] gives read access to everything
+/// else, including [`probe_start`].
+pub struct LiveSim {
+    sim: Simulation,
+    policy: Box<dyn Scheduler>,
+}
+
+impl LiveSim {
+    /// An empty online session of `machine` processors under the registry
+    /// policy `scheduler`.
+    ///
+    /// # Panics
+    ///
+    /// If `machine` is 0, as [`psbench_sim::Cluster::new`] does.
+    pub fn new(scheduler: &str, machine: u32) -> Result<LiveSim, UnknownScheduler> {
+        let mut policy = by_name(scheduler, machine)?;
+        let mut sim = Simulation::new_online(SimConfig::new(machine));
+        sim.begin(policy.as_mut());
+        Ok(LiveSim { sim, policy })
+    }
+
+    /// Submit a job ([`Simulation::submit`]).
+    pub fn submit(&mut self, job: SimJob) -> Result<(), OnlineError> {
+        self.sim.submit(job)
+    }
+
+    /// Cancel a job that has not started ([`Simulation::cancel`]).
+    pub fn cancel(&mut self, job_id: u64) -> Result<(), OnlineError> {
+        self.sim.cancel(self.policy.as_mut(), job_id)
+    }
+
+    /// Release the timeline up to `frontier`
+    /// ([`Simulation::advance_released`]).
+    pub fn advance(&mut self, frontier: f64) {
+        self.sim.advance_released(self.policy.as_mut(), frontier);
+    }
+
+    /// Run the rest of the timeline and return the result
+    /// ([`Simulation::finish`]).
+    pub fn finish(self) -> SimulationResult {
+        let LiveSim { sim, mut policy } = self;
+        sim.finish(policy.as_mut())
+    }
+
+    /// The engine, read-only.
+    pub fn sim(&self) -> &Simulation {
+        &self.sim
+    }
+}
 
 /// Hard ceiling on probe steps. A finite workload always terminates long
 /// before this; the cap only guards against a pathological policy that keeps
@@ -170,27 +233,25 @@ pub fn probe_start(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psbench_sim::{SimConfig, SimJob};
 
     /// A saturated online session: job 1 holds the whole machine, jobs 2 and 3
     /// wait behind it (2 is wide, 3 is narrow and backfillable).
-    fn busy_session() -> (Simulation, Box<dyn psbench_sim::Scheduler>) {
-        let mut policy = by_name("fcfs", 64).unwrap();
-        let mut sim = Simulation::new_online(SimConfig::new(64));
-        sim.begin(policy.as_mut());
-        sim.submit(SimJob::rigid(1, 0.0, 1000.0, 64)).unwrap();
-        sim.submit(SimJob::rigid(2, 10.0, 100.0, 64).with_estimate(100.0))
+    fn busy_session() -> LiveSim {
+        let mut live = LiveSim::new("fcfs", 64).unwrap();
+        live.submit(SimJob::rigid(1, 0.0, 1000.0, 64)).unwrap();
+        live.submit(SimJob::rigid(2, 10.0, 100.0, 64).with_estimate(100.0))
             .unwrap();
-        sim.submit(SimJob::rigid(3, 20.0, 50.0, 8).with_estimate(50.0))
+        live.submit(SimJob::rigid(3, 20.0, 50.0, 8).with_estimate(50.0))
             .unwrap();
-        sim.advance_released(policy.as_mut(), 30.0);
-        (sim, policy)
+        live.advance(30.0);
+        live
     }
 
     #[test]
     fn probe_predicts_queued_start_under_fcfs() {
-        let (sim, _policy) = busy_session();
-        let p = probe_start(&sim, 2, "fcfs").unwrap();
+        let live = busy_session();
+        let sim = live.sim();
+        let p = probe_start(sim, 2, "fcfs").unwrap();
         assert!(!p.already_started);
         // FCFS: job 2 starts when job 1 releases the machine at t = 1000.
         assert_eq!(p.start, 1000.0);
@@ -199,34 +260,37 @@ mod tests {
 
     #[test]
     fn probe_sees_backfill_opportunities_easy_vs_conservative() {
-        let (sim, _policy) = busy_session();
+        let live = busy_session();
+        let sim = live.sim();
         // Job 3 (8 procs, 50 s) cannot start under FCFS until the head of the
         // queue clears, but EASY backfills it immediately: job 1 leaves no
         // free capacity... actually job 1 holds all 64 procs, so nothing can
         // backfill before t = 1000. Both policies agree here.
-        let fcfs = probe_start(&sim, 3, "fcfs").unwrap();
-        let easy = probe_start(&sim, 3, "easy").unwrap();
+        let fcfs = probe_start(sim, 3, "fcfs").unwrap();
+        let easy = probe_start(sim, 3, "easy").unwrap();
         assert!(easy.start <= fcfs.start);
         // Under EASY, job 3 backfills at t = 1000 alongside job 2? No — job 2
         // takes all 64 procs. EASY runs job 3 only after job 2 unless it fits
         // the shadow window; conservative gives it a reservation. Either way
         // a prediction comes back, and the probes never touched the live sim.
-        let cons = probe_start(&sim, 3, "conservative").unwrap();
+        let cons = probe_start(sim, 3, "conservative").unwrap();
         assert!(cons.start >= sim.now());
     }
 
     #[test]
     fn probe_reports_already_started_jobs() {
-        let (sim, _policy) = busy_session();
-        let p = probe_start(&sim, 1, "easy").unwrap();
+        let live = busy_session();
+        let sim = live.sim();
+        let p = probe_start(sim, 1, "easy").unwrap();
         assert!(p.already_started);
         assert_eq!(p.start, 0.0);
     }
 
     #[test]
     fn probe_rejects_unknown_scheduler_with_full_listing() {
-        let (sim, _policy) = busy_session();
-        let err = probe_start(&sim, 2, "no-such-policy").unwrap_err();
+        let live = busy_session();
+        let sim = live.sim();
+        let err = probe_start(sim, 2, "no-such-policy").unwrap_err();
         let msg = err.to_string();
         for name in crate::scheduler_names() {
             assert!(msg.contains(name), "listing should contain {name}");
@@ -235,25 +299,26 @@ mod tests {
 
     #[test]
     fn probe_rejects_unknown_job() {
-        let (sim, _policy) = busy_session();
+        let live = busy_session();
+        let sim = live.sim();
         assert_eq!(
-            probe_start(&sim, 777, "fcfs").unwrap_err(),
+            probe_start(sim, 777, "fcfs").unwrap_err(),
             ProbeError::UnknownJob(777)
         );
     }
 
     #[test]
     fn probe_does_not_perturb_live_state() {
-        let (sim, mut policy) = busy_session();
-        let now = sim.now();
-        let queued = sim.queue_len();
+        let live = busy_session();
+        let now = live.sim().now();
+        let queued = live.sim().queue_len();
         for sched in ["fcfs", "easy", "conservative", "sjf"] {
-            probe_start(&sim, 2, sched).unwrap();
+            probe_start(live.sim(), 2, sched).unwrap();
         }
-        assert_eq!(sim.now(), now);
-        assert_eq!(sim.queue_len(), queued);
+        assert_eq!(live.sim().now(), now);
+        assert_eq!(live.sim().queue_len(), queued);
         // The live session still drains to the same job count.
-        let result = sim.finish(policy.as_mut());
+        let result = live.finish();
         assert_eq!(result.finished.len(), 3);
     }
 }

@@ -131,7 +131,10 @@ impl Scheduler for SortedGreedy {
             }
             return out;
         }
-        let mut queue: Vec<_> = ctx.queue.candidates_fitting(wide, f64::INFINITY).collect();
+        let mut queue: Vec<_> = ctx
+            .queue
+            .backfill_scan(wide, f64::INFINITY, 0, None)
+            .collect();
         match self.order {
             Order::ShortestFirst => {
                 queue.sort_by(|a, b| a.estimate.total_cmp(&b.estimate).then(a.id.cmp(&b.id)))

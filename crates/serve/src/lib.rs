@@ -10,9 +10,10 @@
 //! The server is deliberately boring infrastructure: blocking `std::net`
 //! sockets, one thread per connection, and a shared session registry guarded
 //! by `parking_lot` mutexes (which do not poison — a panicking connection
-//! can never wedge the pool). Each session owns an **engine shard**: an
-//! online [`psbench_sim::Simulation`] plus a live policy instance and the
-//! canonical SWF record of everything submitted.
+//! can never wedge the pool). Each session owns an **engine shard**: a
+//! [`psbench_sched::LiveSim`] (an online [`psbench_sim::Simulation`] that
+//! owns its live policy), the session clock, and the canonical SWF record of
+//! everything submitted.
 //!
 //! The cornerstone property is **online/offline equivalence**: drive an
 //! as-fast-as-possible session from a script, `drain` it, and the returned
@@ -28,10 +29,13 @@
 //! and only then applied. Kill the server at any byte; on restart each
 //! journal is validated (a torn tail is truncated, mid-file corruption is
 //! refused) and the session rebuilt by deterministic replay — the recovered
-//! session drains to a byte-identical result. Mutating commands may carry
-//! `seq=<n>` for idempotent resubmission after a lost reply; the hello reply
-//! echoes the session's `seq=` high-water mark so clients know where they
-//! stand. See the [`session`] module docs for the journal format.
+//! session drains to a byte-identical result. A journal that cannot be
+//! recovered (corrupt mid-file, an unknown scheduler, a 0-processor machine)
+//! poisons only its own session name; the server still starts. Mutating
+//! commands may carry `seq=<n>` for idempotent resubmission after a lost
+//! reply; the hello reply echoes the session's `seq=` high-water mark so
+//! clients know where they stand. See the [`session`] module docs for the
+//! journal format.
 //!
 //! ## Protocol reference (version 1)
 //!
@@ -87,7 +91,9 @@
 //!
 //! * [`protocol`] — command grammar, parsing, reply framing.
 //! * [`clock`] — session clock modes (`afap`, `real`, `scale:<f>`).
-//! * [`shard`] — the per-session engine wrapper (resolve/apply split).
+//! * [`shard`] — the per-session engine: resolve and apply halves over a
+//!   `LiveSim`, whose life cycle (live, finished but unpublished, drained)
+//!   is one matched state.
 //! * [`session`] — sessions: write-ahead journaling, seq idempotency,
 //!   deterministic recovery.
 //! * [`server`] — listener, named session pool, connection threads.

@@ -166,7 +166,8 @@ fn render_open_line(config: &ShardConfig) -> String {
     )
 }
 
-/// Parse the journal's `open` header line back into its fields.
+/// Parse the journal's `open` header line back into its fields. A machine of
+/// 0 processors is refused like any other malformed field.
 fn parse_open_line(line: &str) -> Option<(String, u32, ClockMode)> {
     let tokens: Vec<&str> = line.split(' ').collect();
     let ["open", proto, scheduler, machine, mode] = tokens.as_slice() else {
@@ -178,7 +179,7 @@ fn parse_open_line(line: &str) -> Option<(String, u32, ClockMode)> {
     }
     Some((
         field(scheduler, "scheduler=")?,
-        field(machine, "machine=")?,
+        field(machine, "machine=").filter(|&m: &u32| m > 0)?,
         ClockMode::parse(mode.strip_prefix("mode=")?)?,
     ))
 }
@@ -215,25 +216,17 @@ fn render_state(state: &JobState) -> String {
 }
 
 impl Session {
-    /// Wrap an existing shard in an unjournaled session (in-process
-    /// embedders and tests; a crash loses the session).
-    pub fn new(shard: Shard, name: String) -> Session {
-        Session {
-            shard,
-            name,
-            journal: None,
-            last_seq: 0,
-            last_reply: None,
-        }
-    }
-
-    /// Build a fresh session, optionally journaled at `journal`. The journal
-    /// file must not already hold a session (recover instead).
+    /// Build a fresh session, optionally journaled at `journal`; without one,
+    /// a crash loses the session. The journal file must not already hold a
+    /// session (recover instead).
     pub fn create(
         config: &ShardConfig,
         name: String,
         journal: Option<(&Path, FsyncPolicy)>,
     ) -> Result<Session, String> {
+        if config.machine == 0 {
+            return Err("machine must be >= 1".into());
+        }
         let shard = Shard::new(config, name.clone()).map_err(|e| e.to_string())?;
         let journal = match journal {
             None => None,
@@ -862,6 +855,24 @@ mod tests {
         let err = match Session::recover(&path, FsyncPolicy::Always, None) {
             Err(e) => e,
             Ok(_) => panic!("mid-file corruption must refuse recovery"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zero_processor_machine_is_refused() {
+        let config = ShardConfig {
+            machine: 0,
+            ..afap_config()
+        };
+        assert!(Session::create(&config, "z".into(), None).is_err());
+        let dir = temp_dir("machine0");
+        let path = dir.join("z.journal");
+        std::fs::write(&path, "open proto=1 scheduler=fcfs machine=0 mode=afap\n").unwrap();
+        let err = match Session::recover(&path, FsyncPolicy::Always, None) {
+            Err(e) => e,
+            Ok(_) => panic!("a 0-processor journal must refuse recovery"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();

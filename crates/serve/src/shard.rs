@@ -1,11 +1,11 @@
 //! Engine shards: one live simulation per client session.
 //!
-//! A [`Shard`] wraps an online [`Simulation`] together with its policy
-//! instance, the session clock, and the canonical SWF record of everything
-//! submitted so far. All mutation goes through the shard, which maintains the
-//! invariants the online engine needs (monotone release frontier, integer
-//! submit instants so the exported trace round-trips exactly) and keeps the
-//! exported trace in lockstep with the engine.
+//! A [`Shard`] wraps a [`LiveSim`] (an online engine that owns its live
+//! policy) together with the session clock and the canonical SWF record of
+//! everything submitted so far. All mutation goes through the shard, which
+//! maintains the invariants the online engine needs (monotone release
+//! frontier, integer submit instants so the exported trace round-trips
+//! exactly) and keeps the exported trace in lockstep with the engine.
 //!
 //! The shard's mutating surface is split in two layers so sessions can be
 //! write-ahead journaled:
@@ -14,18 +14,20 @@
 //!   client request into the exact instant it lands at (folding in the wall
 //!   clock, the session frontier, and the engine's released frontier);
 //! * **apply** — [`Shard::submit_at`], [`Shard::cancel_at`] and
-//!   [`Shard::advance_to`] take only resolved values and route them through
-//!   [`Simulation::apply`], so replaying a journal of resolved commands
-//!   rebuilds the engine deterministically, independent of wall time.
+//!   [`Shard::advance_to`] take only resolved values, so replaying a journal
+//!   of resolved commands rebuilds the engine deterministically, independent
+//!   of wall time.
 //!
-//! The convenience wrappers ([`Shard::submit`], [`Shard::cancel`],
-//! [`Shard::advance`]) compose the two for unjournaled (in-process) use.
+//! [`crate::session::Session`] composes the two: it resolves a request,
+//! journals the resolved command, then applies it through
+//! [`crate::session::Session::apply_logged`], the one path live commands and
+//! journal replay share.
 
 use std::path::PathBuf;
 
 use psbench_core::trace_cell_key;
-use psbench_sched::{by_name, probe_start, Prediction, ProbeError, UnknownScheduler};
-use psbench_sim::{JobState, OnlineOp, Scheduler, SimConfig, SimJob, Simulation, SimulationResult};
+use psbench_sched::{probe_start, LiveSim, Prediction, ProbeError, UnknownScheduler};
+use psbench_sim::{JobState, SimJob, Simulation, SimulationResult};
 use psbench_store::{key_hex, ArtifactStore};
 use psbench_swf::{write_string, SwfHeader, SwfLog, SwfRecord, SwfRecordBuilder, FORMAT_VERSION};
 
@@ -45,10 +47,20 @@ pub struct ShardConfig {
     pub store_dir: Option<PathBuf>,
 }
 
+/// Where a shard's engine is in its life cycle.
+enum Engine {
+    /// Taking submissions, cancellations and advances.
+    Live(Box<LiveSim>),
+    /// Run to completion, but publishing to the store failed: the result is
+    /// kept so `drain` is retryable instead of silently losing the run.
+    Finished(SimulationResult),
+    /// Drained and, when a store is configured, published.
+    Drained,
+}
+
 /// A live per-session scheduling engine.
 pub struct Shard {
-    engine: Option<Simulation>,
-    policy: Box<dyn Scheduler>,
+    engine: Engine,
     scheduler_name: String,
     machine: u32,
     clock: SessionClock,
@@ -58,9 +70,6 @@ pub struct Shard {
     session_time: i64,
     store_dir: Option<PathBuf>,
     session_name: String,
-    /// A finished result whose store publication failed: kept so `drain` is
-    /// retryable instead of silently losing the run.
-    pending_drain: Option<SimulationResult>,
 }
 
 /// The outcome of draining a shard: the completed run plus, when a store was
@@ -73,14 +82,10 @@ pub struct Drained {
 }
 
 impl Shard {
-    /// Build a fresh shard: a new online engine plus a new policy instance.
+    /// Build a fresh shard: a new online engine under a new policy instance.
     pub fn new(config: &ShardConfig, session_name: String) -> Result<Shard, UnknownScheduler> {
-        let mut policy = by_name(&config.scheduler, config.machine)?;
-        let mut engine = Simulation::new_online(SimConfig::new(config.machine));
-        engine.begin(policy.as_mut());
         Ok(Shard {
-            engine: Some(engine),
-            policy,
+            engine: Engine::Live(Box::new(LiveSim::new(&config.scheduler, config.machine)?)),
             scheduler_name: config.scheduler.clone(),
             machine: config.machine,
             clock: SessionClock::new(config.mode),
@@ -88,7 +93,6 @@ impl Shard {
             session_time: 0,
             store_dir: config.store_dir.clone(),
             session_name,
-            pending_drain: None,
         })
     }
 
@@ -110,7 +114,7 @@ impl Shard {
     /// True once the session has been fully drained (result produced and,
     /// when configured, published).
     pub fn drained(&self) -> bool {
-        self.engine.is_none() && self.pending_drain.is_none()
+        matches!(self.engine, Engine::Drained)
     }
 
     /// Restart the wall-clock anchor in `mode`. Called after journal replay:
@@ -121,9 +125,16 @@ impl Shard {
     }
 
     fn engine(&self) -> Result<&Simulation, String> {
-        match self.engine.as_ref() {
-            Some(engine) => Ok(engine),
-            None => Err("session already drained".into()),
+        match &self.engine {
+            Engine::Live(live) => Ok(live.sim()),
+            Engine::Finished(_) | Engine::Drained => Err("session already drained".into()),
+        }
+    }
+
+    fn live_mut(&mut self) -> Result<&mut LiveSim, String> {
+        match &mut self.engine {
+            Engine::Live(live) => Ok(live),
+            Engine::Finished(_) | Engine::Drained => Err("session already drained".into()),
         }
     }
 
@@ -145,8 +156,7 @@ impl Shard {
             .map(|w| w.floor() as i64)
             .unwrap_or(0);
         let released = self
-            .engine
-            .as_ref()
+            .engine()
             .map(|e| e.released().ceil() as i64)
             .unwrap_or(0);
         requested
@@ -163,10 +173,8 @@ impl Shard {
     /// next mutating command's resolved instant (the wall clock is monotone),
     /// so replay converges on the same engine.
     fn catch_up(&mut self) {
-        if let Some(wall) = self.clock.wall_seconds() {
-            if let (Some(engine), policy) = (self.engine.as_mut(), self.policy.as_mut()) {
-                let _ = engine.apply(policy, OnlineOp::Advance(wall));
-            }
+        if let (Some(wall), Engine::Live(live)) = (self.clock.wall_seconds(), &mut self.engine) {
+            live.advance(wall);
         }
     }
 
@@ -198,27 +206,9 @@ impl Shard {
         Ok(())
     }
 
-    /// Submit one job. Returns the effective submit instant.
-    pub fn submit(
-        &mut self,
-        id: u64,
-        submit: Option<i64>,
-        runtime: i64,
-        procs: u32,
-        estimate: Option<i64>,
-        user: Option<u32>,
-    ) -> Result<i64, String> {
-        Self::validate_submit(submit, runtime, procs, estimate)?;
-        if self.engine.is_none() {
-            return Err("session already drained".into());
-        }
-        let t = self.resolve_time(submit);
-        self.submit_at(id, t, runtime, procs, estimate.unwrap_or(runtime), user)
-    }
-
     /// Submit one job at the exact, already-resolved instant `t` with the
-    /// already-resolved estimate. This is the replayable half of `submit`:
-    /// it consults nothing but its arguments and the engine.
+    /// already-resolved estimate. It consults nothing but its arguments and
+    /// the engine. Returns `t`.
     pub fn submit_at(
         &mut self,
         id: u64,
@@ -240,73 +230,35 @@ impl Shard {
         }
         let record = builder.build();
         let job = SimJob::from_swf(&record).ok_or("record does not describe a runnable job")?;
-        let engine = match self.engine.as_mut() {
-            Some(engine) => engine,
-            None => return Err("session already drained".into()),
-        };
-        let policy = self.policy.as_mut();
-        engine
-            .apply(policy, OnlineOp::Advance(t as f64))
-            .map_err(|e| e.to_string())?;
-        engine
-            .apply(policy, OnlineOp::Submit(job))
-            .map_err(|e| e.to_string())?;
+        let live = self.live_mut()?;
+        live.advance(t as f64);
+        live.submit(job).map_err(|e| e.to_string())?;
         self.records.push(record);
         self.session_time = t;
         Ok(t)
     }
 
-    /// Cancel a job that has not started yet.
-    pub fn cancel(&mut self, id: u64) -> Result<(), String> {
-        self.cancel_at(id, self.wall_now())
-    }
-
-    /// Cancel `id` at the already-resolved wall instant `at` (`None` in
-    /// as-fast-as-possible mode). The replayable half of `cancel`.
+    /// Cancel `id` (which must not have started) at the already-resolved
+    /// wall instant `at` (`None` in as-fast-as-possible mode).
     pub fn cancel_at(&mut self, id: u64, at: Option<f64>) -> Result<(), String> {
-        let engine = match self.engine.as_mut() {
-            Some(engine) => engine,
-            None => return Err("session already drained".into()),
-        };
-        let policy = self.policy.as_mut();
+        let live = self.live_mut()?;
         if let Some(at) = at {
-            engine
-                .apply(policy, OnlineOp::Advance(at))
-                .map_err(|e| e.to_string())?;
+            live.advance(at);
         }
-        engine
-            .apply(policy, OnlineOp::Cancel(id))
-            .map_err(|e| e.to_string())
-    }
-
-    /// Release session time up to `to`. Returns the engine's resulting clock.
-    pub fn advance(&mut self, to: i64) -> Result<f64, String> {
-        if to < 0 {
-            return Err(format!("advance target must be >= 0, got {to}"));
-        }
-        if self.engine.is_none() {
-            return Err("session already drained".into());
-        }
-        let t = self.resolve_time(Some(to));
-        self.advance_to(t)
+        live.cancel(id).map_err(|e| e.to_string())
     }
 
     /// Release session time up to the exact, already-resolved instant `t`.
-    /// The replayable half of `advance`.
+    /// Returns the engine's resulting clock.
     pub fn advance_to(&mut self, t: i64) -> Result<f64, String> {
         if t < 0 {
             return Err(format!("advance target must be >= 0, got {t}"));
         }
-        let policy = self.policy.as_mut();
-        let engine = match self.engine.as_mut() {
-            Some(engine) => engine,
-            None => return Err("session already drained".into()),
-        };
-        engine
-            .apply(policy, OnlineOp::Advance(t as f64))
-            .map_err(|e| e.to_string())?;
+        let live = self.live_mut()?;
+        live.advance(t as f64);
+        let now = live.sim().now();
         self.session_time = self.session_time.max(t);
-        Ok(engine.now())
+        Ok(now)
     }
 
     /// Live counters: (now, released, queued, running, finished, used procs).
@@ -376,19 +328,18 @@ impl Shard {
     /// `drain` retries the publish with the identical result — a flaky disk
     /// can delay the reply but never lose or change the run.
     pub fn drain(&mut self) -> Result<Drained, String> {
-        let result = match (self.engine.take(), self.pending_drain.take()) {
-            (Some(engine), _) => engine.finish(self.policy.as_mut()),
-            (None, Some(pending)) => pending,
-            (None, None) => return Err("session already drained".into()),
+        let result = match std::mem::replace(&mut self.engine, Engine::Drained) {
+            Engine::Live(live) => live.finish(),
+            Engine::Finished(result) => result,
+            Engine::Drained => return Err("session already drained".into()),
         };
-        let stored = match self.publish(&result) {
-            Ok(stored) => stored,
+        match self.publish(&result) {
+            Ok(stored) => Ok(Drained { result, stored }),
             Err(msg) => {
-                self.pending_drain = Some(result);
-                return Err(msg);
+                self.engine = Engine::Finished(result);
+                Err(msg)
             }
-        };
-        Ok(Drained { result, stored })
+        }
     }
 
     fn publish(&self, result: &SimulationResult) -> Result<Option<String>, String> {
@@ -436,58 +387,41 @@ mod tests {
         assert_eq!(err.name, "nope");
     }
 
+    /// Submit at the instant the request resolves to, as a session does.
+    fn submit(shard: &mut Shard, id: u64, at: Option<i64>, runtime: i64) -> Result<i64, String> {
+        let t = shard.resolve_time(at);
+        shard.submit_at(id, t, runtime, 4, runtime, None)
+    }
+
     #[test]
     fn submit_clamps_time_monotonically() {
         let mut shard = afap_shard();
-        assert_eq!(shard.submit(1, Some(100), 50, 4, None, None).unwrap(), 100);
+        assert_eq!(submit(&mut shard, 1, Some(100), 50).unwrap(), 100);
         // An earlier requested instant is clamped to the session frontier.
-        assert_eq!(shard.submit(2, Some(40), 50, 4, None, None).unwrap(), 100);
+        assert_eq!(submit(&mut shard, 2, Some(40), 50).unwrap(), 100);
         // Omitted submit means "now" (the frontier in afap mode).
-        assert_eq!(shard.submit(3, None, 50, 4, None, None).unwrap(), 100);
+        assert_eq!(submit(&mut shard, 3, None, 50).unwrap(), 100);
     }
 
     #[test]
     fn submit_validates_inputs() {
+        assert!(Shard::validate_submit(None, -5, 4, None).is_err());
+        assert!(Shard::validate_submit(None, 5, 0, None).is_err());
+        assert!(Shard::validate_submit(Some(-1), 5, 4, None).is_err());
+        assert!(Shard::validate_submit(None, 5, 4, Some(-2)).is_err());
         let mut shard = afap_shard();
-        assert!(shard.submit(1, None, -5, 4, None, None).is_err());
-        assert!(shard.submit(1, None, 5, 0, None, None).is_err());
-        assert!(shard.submit(1, Some(-1), 5, 4, None, None).is_err());
-        assert!(shard.submit(1, None, 5, 4, Some(-2), None).is_err());
-        shard.submit(1, None, 5, 4, None, None).unwrap();
-        let err = shard.submit(1, None, 5, 4, None, None).unwrap_err();
+        assert!(shard.submit_at(1, 0, -5, 4, 5, None).is_err());
+        assert!(shard.submit_at(1, 0, 5, 0, 5, None).is_err());
+        shard.submit_at(1, 0, 5, 4, 5, None).unwrap();
+        let err = shard.submit_at(1, 0, 5, 4, 5, None).unwrap_err();
         assert!(err.contains("already submitted"), "{err}");
-    }
-
-    #[test]
-    fn exact_time_replay_reproduces_the_convenience_path() {
-        // Drive one shard through the convenience API and a twin through the
-        // resolved-time API with the instants the first one reports — the
-        // shape of what journal replay does.
-        let mut live = afap_shard();
-        let mut replayed = afap_shard();
-        let t1 = live.submit(1, Some(0), 100, 64, None, None).unwrap();
-        let t2 = live.submit(2, Some(10), 50, 8, Some(80), Some(3)).unwrap();
-        live.advance(200).unwrap();
-        live.cancel(2).unwrap_err(); // finished by 200: deterministic error
-        replayed.submit_at(1, t1, 100, 64, 100, None).unwrap();
-        replayed.submit_at(2, t2, 50, 8, 80, Some(3)).unwrap();
-        replayed.advance_to(200).unwrap();
-        replayed.cancel_at(2, None).unwrap_err();
-        let a = live.drain().unwrap().result;
-        let b = replayed.drain().unwrap().result;
-        assert_eq!(
-            psbench_store::encode_result(&a),
-            psbench_store::encode_result(&b)
-        );
     }
 
     #[test]
     fn trace_round_trips_through_the_parser() {
         let mut shard = afap_shard();
-        shard
-            .submit(1, Some(0), 100, 8, Some(120), Some(3))
-            .unwrap();
-        shard.submit(2, Some(30), 60, 64, None, None).unwrap();
+        shard.submit_at(1, 0, 100, 8, 120, Some(3)).unwrap();
+        shard.submit_at(2, 30, 60, 64, 60, None).unwrap();
         let text = shard.trace_text();
         let log = psbench_swf::parse_str(&text, &psbench_swf::ParseOptions::default()).unwrap();
         assert_eq!(log.jobs.len(), 2);
@@ -498,13 +432,15 @@ mod tests {
     #[test]
     fn drain_is_final() {
         let mut shard = afap_shard();
-        shard.submit(1, Some(0), 10, 4, None, None).unwrap();
+        submit(&mut shard, 1, Some(0), 10).unwrap();
         let drained = shard.drain().unwrap();
         assert_eq!(drained.result.finished.len(), 1);
         assert!(drained.stored.is_none());
         assert!(shard.drained());
         assert!(shard.drain().is_err());
-        assert!(shard.submit(2, None, 5, 1, None, None).is_err());
+        assert!(submit(&mut shard, 2, None, 5).is_err());
+        assert!(shard.advance_to(50).is_err());
+        assert!(shard.cancel_at(1, None).is_err());
         // The trace is still readable after draining.
         assert_eq!(shard.record_count(), 1);
     }
@@ -525,7 +461,7 @@ mod tests {
             store_dir: Some(blocked.clone()),
         };
         let mut shard = Shard::new(&config, "retry".into()).unwrap();
-        shard.submit(1, Some(0), 10, 4, None, None).unwrap();
+        submit(&mut shard, 1, Some(0), 10).unwrap();
         let err = match shard.drain() {
             Err(e) => e,
             Ok(_) => panic!("drain must fail while the store root is blocked"),

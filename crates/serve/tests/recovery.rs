@@ -7,9 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use psbench_serve::{
-    serve, ClockMode, FsyncPolicy, Reply, ServeConfig, Session, Shard, ShardConfig,
-};
+use psbench_serve::{serve, ClockMode, FsyncPolicy, Reply, ServeConfig, Session, ShardConfig};
 use psbench_sim::{SimConfig, SimJob, Simulation};
 use psbench_swf::{parse_str, ParseOptions};
 
@@ -107,7 +105,7 @@ fn assert_crash_recover_matches(scheduler: &str) {
     let drain = payload(&mut recovered, "drain");
 
     // Twin leg: the same script, uninterrupted, no journal.
-    let mut twin = Session::new(Shard::new(&config, "s".into()).unwrap(), "s".into());
+    let mut twin = Session::create(&config, "s".into(), None).unwrap();
     for cmd in &script {
         line(&mut twin, cmd);
     }
@@ -183,7 +181,7 @@ fn small_script() -> Vec<String> {
 /// Drain bytes of a fresh unjournaled session that applied the first `k`
 /// lines of `script` — the reference a crash-recovered session must match.
 fn reference_drain(config: &ShardConfig, script: &[String], k: usize) -> Vec<u8> {
-    let mut session = Session::new(Shard::new(config, "s".into()).unwrap(), "s".into());
+    let mut session = Session::create(config, "s".into(), None).unwrap();
     for cmd in &script[..k] {
         line(&mut session, cmd);
     }
@@ -290,8 +288,7 @@ proptest! {
                     line(&mut recovered, cmd);
                 }
                 // …and the drain must match the twin that never crashed.
-                let mut twin =
-                    Session::new(Shard::new(&config, "p".into()).unwrap(), "p".into());
+                let mut twin = Session::create(&config, "p".into(), None).unwrap();
                 for cmd in &script {
                     line(&mut twin, cmd);
                 }
@@ -385,10 +382,7 @@ fn server_restart_resumes_journaled_sessions() {
 
     // Twin: the same commands against one uninterrupted in-process session.
     let shard_config = afap_config("conservative");
-    let mut twin = Session::new(
-        Shard::new(&shard_config, "night".into()).unwrap(),
-        "night".into(),
-    );
+    let mut twin = Session::create(&shard_config, "night".into(), None).unwrap();
     for cmd in first_half[1..].iter().chain(&second_half[1..3]) {
         line(&mut twin, cmd);
     }
@@ -402,6 +396,57 @@ fn server_restart_resumes_journaled_sessions() {
         !journal_file(&dir, "night").exists(),
         "drained session journal should be deleted"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal naming a 0-processor machine is poisoned at startup like any
+/// other unrecoverable journal: the server still starts, a good journal
+/// beside it resumes, and attaching to the bad name reports the failure.
+#[test]
+fn zero_processor_journal_is_poisoned_not_fatal() {
+    let dir = temp_dir("machine0");
+    std::fs::create_dir_all(dir.join("sessions")).unwrap();
+    let mut good = Session::create(
+        &afap_config("fcfs"),
+        "good".into(),
+        Some((&journal_file(&dir, "good"), FsyncPolicy::Always)),
+    )
+    .unwrap();
+    line(&mut good, "submit id=1 submit=0 runtime=10 procs=4");
+    drop(good);
+    std::fs::write(
+        journal_file(&dir, "broken"),
+        "open proto=1 scheduler=fcfs machine=0 mode=afap\n",
+    )
+    .unwrap();
+
+    let config = ServeConfig {
+        state_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = serve("127.0.0.1:0", config).expect("server starts beside a bad journal");
+    assert_eq!(server.poisoned_sessions(), 1);
+    let good = psbench_serve::run_script(
+        server.addr(),
+        &["hello psbench-serve/1 session=good", "bye"],
+    )
+    .expect("good session attaches");
+    assert!(
+        good.replies[0].contains("session=good seq=1 resumed=true"),
+        "{}",
+        good.replies[0]
+    );
+    let bad = psbench_serve::run_script(
+        server.addr(),
+        &["hello psbench-serve/1 session=broken", "bye"],
+    )
+    .expect("bad session answers");
+    assert!(
+        bad.replies[0].starts_with("err session broken failed recovery: "),
+        "{}",
+        bad.replies[0]
+    );
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

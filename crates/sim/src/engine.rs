@@ -317,27 +317,6 @@ impl std::fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
-/// One mutating operation of an online session, in replayable form.
-///
-/// This is the deterministic replay surface for durability layers: a service
-/// that journals the *resolved* operations it applied (exact frontier
-/// instants, fully-built jobs) can rebuild the engine after a crash by
-/// feeding the same ops back through [`Simulation::apply`] in order — the
-/// engine walks the identical event sequence and lands in the identical
-/// state, bit for bit. Wall-clock policy (what instant a request resolved to)
-/// stays in the caller; the op carries only its outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OnlineOp {
-    /// Release the timeline up to this frontier
-    /// ([`Simulation::advance_released`]).
-    Advance(f64),
-    /// Submit this job ([`Simulation::submit`]). The caller is responsible
-    /// for any accompanying frontier advance, exactly as on the live path.
-    Submit(SimJob),
-    /// Cancel this job ([`Simulation::cancel`]).
-    Cancel(u64),
-}
-
 /// Where one job currently is in its life cycle, as reported by
 /// [`Simulation::job_state`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -485,6 +464,10 @@ impl Simulation {
     ///
     /// Outage logs and closed-loop feedback are offline-only features; the
     /// configuration must not request them.
+    ///
+    /// Services drive online sessions through `psbench_sched::LiveSim`,
+    /// which builds one of these together with its live policy and routes
+    /// every call through that policy.
     pub fn new_online(config: SimConfig) -> Self {
         assert!(
             config.outages.is_none(),
@@ -1192,30 +1175,6 @@ impl Simulation {
         }
     }
 
-    /// Apply one [`OnlineOp`] — the single entry point deterministic replay
-    /// goes through. Dispatches to [`Simulation::advance_released`],
-    /// [`Simulation::submit`] or [`Simulation::cancel`]; errors are the same
-    /// deterministic [`OnlineError`]s the live call sites produce, so a
-    /// journaled op that failed when first applied fails identically when
-    /// replayed.
-    pub fn apply(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        op: OnlineOp,
-    ) -> Result<(), OnlineError> {
-        if !self.online {
-            return Err(OnlineError::NotOnline);
-        }
-        match op {
-            OnlineOp::Advance(frontier) => {
-                self.advance_released(scheduler, frontier);
-                Ok(())
-            }
-            OnlineOp::Submit(job) => self.submit(job),
-            OnlineOp::Cancel(job_id) => self.cancel(scheduler, job_id),
-        }
-    }
-
     /// Run the remaining timeline to completion and return the results — the
     /// online session's equivalent of the tail of [`Simulation::run`].
     pub fn finish(mut self, scheduler: &mut dyn Scheduler) -> SimulationResult {
@@ -1242,21 +1201,14 @@ impl Simulation {
         self.released
     }
 
-    /// The next instant anything can happen, if any event or completion is
-    /// outstanding. Needs `&mut` to discard stale calendar entries.
-    pub fn peek_next_instant(&mut self) -> Option<f64> {
-        let t = self.next_instant();
-        t.is_finite().then_some(t)
-    }
-
     /// Number of jobs waiting in the queue.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
-    /// The wait queue itself, exposing the backlog index's O(1)/O(widths)
-    /// aggregates ([`JobQueue::demanded_procs`], [`JobQueue::width_histogram`])
-    /// that load-adaptive metaschedulers route by.
+    /// The wait queue itself, exposing the backlog index's O(1)
+    /// [`JobQueue::demanded_procs`] aggregate that load-adaptive
+    /// metaschedulers route by.
     pub fn queue(&self) -> &crate::queue::JobQueue {
         &self.queue
     }

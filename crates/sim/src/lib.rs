@@ -27,10 +27,10 @@ pub mod scheduler;
 pub mod prelude {
     pub use crate::cluster::{Cluster, Reservation};
     pub use crate::engine::{
-        EngineKind, Fork, JobState, OnlineError, OnlineOp, OutagePolicy, SimConfig, Simulation,
+        EngineKind, Fork, JobState, OnlineError, OutagePolicy, SimConfig, Simulation,
     };
     pub use crate::job::{FinishedJob, QueuedJob, RunningJob, SimJob};
-    pub use crate::queue::{BackfillScan, Candidates, JobQueue, QueueKey, StaircaseScan};
+    pub use crate::queue::{BackfillScan, JobQueue, QueueKey, StaircaseScan};
     pub use crate::result::SimulationResult;
     pub use crate::scheduler::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
 }

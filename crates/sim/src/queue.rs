@@ -56,12 +56,13 @@
 //! estimate fits a budget" is a single O(log n) descent — the estimate-
 //! unfitting entries in between are pruned wholesale, never visited.
 //!
-//! [`JobQueue::candidates_fitting`] consults the index to enumerate, **in
-//! arrival order**, exactly the queued jobs that can possibly fit a
-//! capacity/estimate budget, and [`JobQueue::backfill_scan`] streams the same
-//! candidates lazily with mid-scan bound tightening, so a replan's cost
+//! [`JobQueue::backfill_scan`] consults the index to stream, **in arrival
+//! order**, exactly the queued jobs that can possibly fit a capacity/estimate
+//! budget, lazily and with mid-scan bound tightening, so a replan's cost
 //! scales with the *viable candidates actually reached* — O(widths × log
 //! backlog) plus the yields — instead of the backlog depth.
+//! [`JobQueue::staircase_scan`] does the same under a per-width estimate
+//! staircase.
 //!
 //! ## Index invariants
 //!
@@ -340,7 +341,8 @@ impl Arena {
     }
 
     /// In-order traversal of the entries after `after` with estimate bits at
-    /// most `bound`, appending to `out`.
+    /// most `bound`, appending to `out` (debug helper; O(n)).
+    #[cfg(debug_assertions)]
     fn gather(&self, t: u32, after: Option<(u64, u64)>, bound: u64, out: &mut Vec<IndexEntry>) {
         if t == NIL || self.nodes[t as usize].min_est > bound {
             return;
@@ -391,33 +393,6 @@ impl Arena {
     }
 }
 
-/// Arrival-ordered candidate keys gathered from the backlog index by
-/// [`JobQueue::candidates_fitting`] / [`JobQueue::candidates_fitting_either`].
-///
-/// The iterator owns its (already sorted) candidate set, so consumers may
-/// mutate nothing and still re-test each key against whatever *dynamic* bounds
-/// they maintain while starting jobs — the index guarantees only that no key
-/// satisfying the bounds given at query time is missing. For the hot loops
-/// that stop early, prefer the lazy [`JobQueue::backfill_scan`].
-#[derive(Debug)]
-pub struct Candidates {
-    items: std::vec::IntoIter<QueueKey>,
-}
-
-impl Iterator for Candidates {
-    type Item = QueueKey;
-
-    fn next(&mut self) -> Option<QueueKey> {
-        self.items.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.items.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Candidates {}
-
 /// The lazy arrival-ordered backlog scan behind [`JobQueue::backfill_scan`].
 ///
 /// A k-way merge with one cursor per `procs` bucket, where a cursor step is a
@@ -463,10 +438,13 @@ impl BackfillScan<'_> {
             self.est_bound.unwrap_or(u64::MAX)
         }
     }
+}
+
+impl Iterator for BackfillScan<'_> {
+    type Item = QueueKey;
 
     /// The next candidate under the current bounds, in arrival order.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<QueueKey> {
+    fn next(&mut self) -> Option<QueueKey> {
         while let Some(std::cmp::Reverse((arr, id, est, procs, si))) = self.heap.pop() {
             if procs > self.wide && procs > self.narrow {
                 // The whole bucket is out of both bounds now; bounds only
@@ -489,7 +467,6 @@ impl BackfillScan<'_> {
             if est > self.bound_for(procs) {
                 continue;
             }
-            let _ = arr;
             return Some(QueueKey {
                 id,
                 estimate: unorder_bits(est),
@@ -561,10 +538,13 @@ impl StaircaseScan<'_> {
             }
         }
     }
+}
+
+impl Iterator for StaircaseScan<'_> {
+    type Item = QueueKey;
 
     /// The next candidate under the current staircase, in arrival order.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<QueueKey> {
+    fn next(&mut self) -> Option<QueueKey> {
         while let Some(std::cmp::Reverse((arr, id, est, procs, si))) = self.heap.pop() {
             // Between rebinds the staircase is constant, so in-hand entries
             // always satisfy their bucket's bound; the guards are belt and
@@ -645,9 +625,6 @@ pub struct JobQueue {
     /// Total processors demanded by all live queued jobs — the O(1)
     /// aggregate behind load-adaptive cross-site dispatch.
     demanded: u64,
-    /// Live-job count per requested width (`procs → count`), maintained
-    /// alongside the bucket treaps; iterating it is O(distinct widths).
-    widths: BTreeMap<u32, u32>,
     /// First slot that may be live (everything before it is dead).
     head: usize,
     /// Largest key ever appended; new keys above it take the O(1) tail path,
@@ -741,98 +718,18 @@ impl JobQueue {
         self.demanded
     }
 
-    /// The live width histogram — `(procs, live job count)` in ascending
-    /// width order, O(distinct widths) to iterate. One entry per non-empty
-    /// backlog-index bucket.
-    pub fn width_histogram(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.widths.iter().map(|(&p, &c)| (p, c))
-    }
-
-    /// The queued jobs that *can possibly fit* a capacity/estimate budget:
-    /// every key with `procs <= max_procs` whose estimate is at most
-    /// `max_estimate` (by total order; pass `f64::INFINITY` for "any
-    /// estimate"), in the same `(queued_at, id)` arrival order as
-    /// [`Self::iter`].
-    ///
-    /// Consulting the backlog index costs O(buckets ≤ `max_procs`) to gather
-    /// plus O(c log c) to restore arrival order over the `c` candidates —
-    /// independent of the backlog depth, which is what keeps backfilling
-    /// replans sub-linear under saturation.
-    pub fn candidates_fitting(&self, max_procs: u32, max_estimate: f64) -> Candidates {
-        self.gather_candidates(max_procs, max_estimate, 0, None)
-    }
-
-    /// The union of two candidate budgets, in arrival order: keys with
-    /// `procs <= narrow_procs` (any estimate) together with keys with
-    /// `procs <= wide_procs` and estimate at most `wide_max_estimate`. Keys at
-    /// or before the exclusive `(queued_at, id)` position `after` are skipped
-    /// — the "rest of the queue behind the blocked head" shape of an EASY
-    /// replan, where short jobs may use all free processors but long ones only
-    /// the `narrow` share left over at the head's reservation.
-    pub fn candidates_fitting_either(
-        &self,
-        wide_procs: u32,
-        wide_max_estimate: f64,
-        narrow_procs: u32,
-        after: Option<(f64, u64)>,
-    ) -> Candidates {
-        self.gather_candidates(wide_procs, wide_max_estimate, narrow_procs, after)
-    }
-
-    fn gather_candidates(
-        &self,
-        wide_procs: u32,
-        wide_max_estimate: f64,
-        narrow_procs: u32,
-        after: Option<(f64, u64)>,
-    ) -> Candidates {
-        let after_key = after.map(|(t, id)| (order_bits(t), id));
-        // `total_cmp(est, bound) <= 0` as a bit comparison; a +inf (or NaN)
-        // bound means "everything", including NaN estimates that sort above
-        // +inf in total order.
-        let est_bound = wide_max_estimate
-            .is_finite()
-            .then(|| order_bits(wide_max_estimate));
-        let mut items: Vec<(u64, u64, QueueKey)> = Vec::new();
-        let mut entries = Vec::new();
-        for (&procs, &root) in self.by_procs.range(..=wide_procs.max(narrow_procs)) {
-            // A narrow bucket (or any bucket under an unbounded estimate)
-            // contributes whole; a wide-only bucket contributes only its
-            // estimate-budget members.
-            let bound = match est_bound {
-                Some(b) if procs > narrow_procs => b,
-                _ => u64::MAX,
-            };
-            entries.clear();
-            self.arena.gather(root, after_key, bound, &mut entries);
-            for &(arr, id, est) in &entries {
-                let key = QueueKey {
-                    id,
-                    estimate: unorder_bits(est),
-                    procs,
-                };
-                items.push((arr, id, key));
-            }
-        }
-        items.sort_unstable_by_key(|&(arr, id, _)| (arr, id));
-        let keys: Vec<QueueKey> = items.into_iter().map(|(_, _, k)| k).collect();
-        Candidates {
-            items: keys.into_iter(),
-        }
-    }
-
     /// A **lazy** arrival-ordered merge over the backlog index's bucket
     /// streams, for the backfilling hot loop: candidates with
     /// `procs <= narrow` (any estimate) or `procs <= wide` and estimate at
     /// most `wide_max_estimate` (by total order), after the exclusive
     /// `(queued_at, id)` position `after`.
     ///
-    /// Unlike [`Self::candidates_fitting_either`], nothing is collected up
-    /// front: the consumer pulls candidates one at a time and may tighten the
-    /// capacity bounds with [`BackfillScan::shrink`] as it commits
-    /// processors, which drops the bucket streams that can no longer produce
-    /// a viable job. A saturated replan that starts only a few jobs therefore
-    /// touches only a few index entries per width, not the whole backlog.
+    /// Nothing is collected up front: the consumer pulls candidates one at a
+    /// time (the scan is an [`Iterator`]) and may tighten the capacity bounds
+    /// with [`BackfillScan::shrink`] as it commits processors, which drops
+    /// the bucket streams that can no longer produce a viable job. A
+    /// saturated replan that starts only a few jobs therefore touches only a
+    /// few index entries per width, not the whole backlog.
     pub fn backfill_scan(
         &self,
         wide_procs: u32,
@@ -911,7 +808,6 @@ impl JobQueue {
     pub(crate) fn push(&mut self, q: QueuedJob) {
         let procs = q.job.procs;
         self.demanded += procs as u64;
-        *self.widths.entry(procs).or_insert(0) += 1;
         let root = self.by_procs.get(&procs).copied().unwrap_or(NIL);
         let root = self.arena.insert(root, index_entry(&q));
         self.by_procs.insert(procs, root);
@@ -949,12 +845,6 @@ impl JobQueue {
         if let Some(job) = &q {
             let procs = job.job.procs;
             self.demanded -= procs as u64;
-            if let Some(count) = self.widths.get_mut(&procs) {
-                *count -= 1;
-                if *count == 0 {
-                    self.widths.remove(&procs);
-                }
-            }
             if let Some(&root) = self.by_procs.get(&procs) {
                 let (arr, jid, _) = index_entry(job);
                 let root = self.arena.remove(root, (arr, jid));
@@ -1076,11 +966,6 @@ impl JobQueue {
             self.demanded, live_demand,
             "demanded-procs aggregate drifted"
         );
-        let mut live_widths: BTreeMap<u32, u32> = BTreeMap::new();
-        for q in &live {
-            *live_widths.entry(q.job.procs).or_insert(0) += 1;
-        }
-        debug_assert_eq!(self.widths, live_widths, "width histogram drifted");
         debug_assert!(
             self.by_procs.values().all(|&root| root != NIL),
             "empty backlog-index bucket retained"
@@ -1138,7 +1023,6 @@ mod tests {
     fn demand_aggregates_track_push_and_remove() {
         let mut q = JobQueue::new();
         assert_eq!(q.demanded_procs(), 0);
-        assert_eq!(q.width_histogram().count(), 0);
         let widths = [4u32, 16, 4, 1, 16, 16, 64];
         for (i, &w) in widths.iter().enumerate() {
             let t = i as f64;
@@ -1150,24 +1034,18 @@ mod tests {
             });
         }
         assert_eq!(q.demanded_procs(), 4 + 16 + 4 + 1 + 16 + 16 + 64);
-        let hist: Vec<(u32, u32)> = q.width_histogram().collect();
-        assert_eq!(hist, vec![(1, 1), (4, 2), (16, 3), (64, 1)]);
         q.check_invariants();
-        // Removals (including a double-remove no-op) keep the aggregates exact
-        // and drop emptied histogram entries.
+        // Removals (including a double-remove no-op) keep the aggregate exact.
         assert!(q.remove(7).is_some()); // the 64-wide job
         assert!(q.remove(7).is_none());
         assert!(q.remove(4).is_some()); // the 1-wide job
         assert_eq!(q.demanded_procs(), 4 + 16 + 4 + 16 + 16);
-        let hist: Vec<(u32, u32)> = q.width_histogram().collect();
-        assert_eq!(hist, vec![(4, 2), (16, 3)]);
         q.check_invariants();
         // Drain completely: back to zero.
         for id in [1u64, 2, 3, 5, 6] {
             assert!(q.remove(id).is_some());
         }
         assert_eq!(q.demanded_procs(), 0);
-        assert_eq!(q.width_histogram().count(), 0);
         q.check_invariants();
     }
 
@@ -1260,8 +1138,21 @@ mod tests {
         }
     }
 
+    /// Ids of a backfill scan that never tightens its bounds.
+    fn scan_ids(
+        q: &JobQueue,
+        wide: u32,
+        est: f64,
+        narrow: u32,
+        after: Option<(f64, u64)>,
+    ) -> Vec<u64> {
+        q.backfill_scan(wide, est, narrow, after)
+            .map(|k| k.id)
+            .collect()
+    }
+
     #[test]
-    fn candidates_fitting_prunes_by_procs_and_estimate() {
+    fn backfill_scan_prunes_by_procs_and_estimate() {
         let mut q = JobQueue::new();
         q.push(queued_with(1, 0.0, 4, 50.0));
         q.push(queued_with(2, 1.0, 16, 10.0));
@@ -1269,38 +1160,25 @@ mod tests {
         q.push(queued_with(4, 3.0, 32, 10.0));
         q.push(queued_with(5, 4.0, 1, 1000.0));
         // Capacity only: everything at or under 16 procs, arrival order.
-        let got: Vec<u64> = q
-            .candidates_fitting(16, f64::INFINITY)
-            .map(|k| k.id)
-            .collect();
-        assert_eq!(got, vec![1, 2, 3, 5]);
+        assert_eq!(scan_ids(&q, 16, f64::INFINITY, 0, None), vec![1, 2, 3, 5]);
         // Capacity + estimate budget.
-        let got: Vec<u64> = q.candidates_fitting(16, 50.0).map(|k| k.id).collect();
-        assert_eq!(got, vec![1, 2]);
+        assert_eq!(scan_ids(&q, 16, 50.0, 0, None), vec![1, 2]);
         // Keys carry the exact estimate and procs back out of the index.
-        let keys: Vec<QueueKey> = q.candidates_fitting(4, f64::INFINITY).collect();
+        let keys: Vec<QueueKey> = q.backfill_scan(4, f64::INFINITY, 0, None).collect();
         assert_eq!(keys[0].estimate, 50.0);
         assert_eq!(keys[2].procs, 1);
     }
 
     #[test]
-    fn candidates_fitting_either_unions_and_skips_prefix() {
+    fn backfill_scan_unions_and_skips_prefix() {
         let mut q = JobQueue::new();
         q.push(queued_with(1, 0.0, 2, 999.0)); // narrow, long
         q.push(queued_with(2, 1.0, 8, 20.0)); // wide, short
         q.push(queued_with(3, 2.0, 8, 999.0)); // wide, long: excluded
         q.push(queued_with(4, 3.0, 2, 5.0)); // narrow and short
-        let got: Vec<u64> = q
-            .candidates_fitting_either(8, 50.0, 2, None)
-            .map(|k| k.id)
-            .collect();
-        assert_eq!(got, vec![1, 2, 4]);
+        assert_eq!(scan_ids(&q, 8, 50.0, 2, None), vec![1, 2, 4]);
         // Skip everything at or before job 2's arrival position.
-        let got: Vec<u64> = q
-            .candidates_fitting_either(8, 50.0, 2, Some((1.0, 2)))
-            .map(|k| k.id)
-            .collect();
-        assert_eq!(got, vec![4]);
+        assert_eq!(scan_ids(&q, 8, 50.0, 2, Some((1.0, 2))), vec![4]);
     }
 
     /// The model the index must agree with: a plain filtered scan of the
@@ -1331,8 +1209,8 @@ mod tests {
         /// tombstoning removal, requeue (a re-push at an old queued_at, which
         /// lands in the late set) and the compactions they trigger — many of
         /// which absorb a non-empty late set — `iter`, `iter_keys` and `get`
-        /// agree with a sorted-map model, and every candidates query equals
-        /// the filtered arrival-order scan.
+        /// agree with a sorted-map model, and every backfill scan (without
+        /// tightening) yields exactly the filtered arrival-order scan.
         #[test]
         fn candidates_match_filtered_scan_under_churn(
             ops in proptest::collection::vec(
@@ -1397,25 +1275,16 @@ mod tests {
                 };
                 let after = q.iter().next().map(|j| (j.queued_at, j.job.id));
                 for after in [None, after] {
-                    let got: Vec<u64> = q
-                        .candidates_fitting_either(wide, wide_est, narrow, after)
-                        .map(|k| k.id)
-                        .collect();
-                    let want = filtered_scan(&q, wide, wide_est, narrow, after);
-                    proptest::prop_assert_eq!(&got, &want);
-                    // The lazy scan (without tightening) yields the same
-                    // sequence as the eager gather.
-                    let mut scan = q.backfill_scan(wide, wide_est, narrow, after);
-                    let mut lazy = Vec::new();
-                    while let Some(k) = scan.next() {
-                        lazy.push(k.id);
-                    }
-                    proptest::prop_assert_eq!(&lazy, &want);
+                    proptest::prop_assert_eq!(
+                        scan_ids(&q, wide, wide_est, narrow, after),
+                        filtered_scan(&q, wide, wide_est, narrow, after)
+                    );
                 }
                 // The single-budget query is the narrow = 0 special case.
-                let got: Vec<u64> = q.candidates_fitting(wide, wide_est).map(|k| k.id).collect();
-                let want = filtered_scan(&q, wide, wide_est, 0, None);
-                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(
+                    scan_ids(&q, wide, wide_est, 0, None),
+                    filtered_scan(&q, wide, wide_est, 0, None)
+                );
             }
         }
     }

@@ -7,7 +7,7 @@
 //! constraint before applying it, so a buggy policy cannot oversubscribe the
 //! machine — it just gets its decision rejected (and counted).
 
-use crate::cluster::{Cluster, Reservation};
+use crate::cluster::Cluster;
 use crate::job::RunningJob;
 use crate::queue::JobQueue;
 use serde::{Deserialize, Serialize};
@@ -137,12 +137,11 @@ impl Decision {
 /// requeued jobs back at their original position — maintained structurally by
 /// the engine, so policies never sort it; head-of-queue policies can stop
 /// iterating at the first job that does not fit. Deep-queue policies should
-/// consult the queue's **backlog index**
-/// ([`JobQueue::candidates_fitting`] /
-/// [`JobQueue::candidates_fitting_either`]) instead of scanning: it
-/// enumerates, still in arrival order, only the jobs that can possibly fit a
-/// capacity/estimate budget, so replans stay sub-linear in the backlog depth
-/// even under saturation. The `running` slice, by contrast, is in **no
+/// consult the queue's **backlog index** ([`JobQueue::backfill_scan`],
+/// [`JobQueue::staircase_scan`]) instead of scanning: it enumerates, still in
+/// arrival order, only the jobs that can possibly fit a capacity/estimate
+/// budget, so replans stay sub-linear in the backlog depth even under
+/// saturation. The `running` slice, by contrast, is in **no
 /// meaningful order** (the engine uses swap-removal): policies that emit
 /// per-running-job decisions should order them by job id so results stay
 /// independent of the engine's internal layout.
@@ -175,17 +174,6 @@ impl SchedulerContext<'_> {
         self.cluster.available_procs() as f64
             - self.used_capacity()
             - self.cluster.reserved_at(self.now) as f64
-    }
-
-    /// Free capacity ignoring reservations (for policies that handle reservations
-    /// themselves).
-    pub fn free_capacity_ignoring_reservations(&self) -> f64 {
-        self.cluster.available_procs() as f64 - self.used_capacity()
-    }
-
-    /// The reservations currently outstanding.
-    pub fn reservations(&self) -> &[Reservation] {
-        &self.cluster.reservations
     }
 
     /// Estimated completions of all running jobs as `(id, time, proc_share)`
@@ -236,16 +224,6 @@ impl SchedulerContext<'_> {
             .collect();
         v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         v
-    }
-
-    /// Estimated completion times (id, time) of all running jobs at their current
-    /// rates, sorted soonest first (ties by id). Backfilling policies that also
-    /// need the released capacity should use [`Self::completion_profile`].
-    pub fn estimated_completions(&self) -> Vec<(u64, f64)> {
-        self.completion_profile()
-            .into_iter()
-            .map(|(id, end, _)| (id, end))
-            .collect()
     }
 }
 
@@ -308,8 +286,6 @@ mod tests {
         let ctx = ctx_over(10.0, &cluster, &queue, &running);
         assert_eq!(ctx.used_capacity(), 32.0);
         assert_eq!(ctx.free_capacity(), 64.0 - 32.0 - 8.0);
-        assert_eq!(ctx.free_capacity_ignoring_reservations(), 32.0);
-        assert_eq!(ctx.reservations().len(), 1);
     }
 
     #[test]
@@ -324,11 +300,8 @@ mod tests {
         let running = vec![a, b];
         let queue = JobQueue::new();
         let ctx = ctx_over(100.0, &cluster, &queue, &running);
-        let comps = ctx.estimated_completions();
-        // b: estimate 100, elapsed 50 -> completes at 150; a: estimate 1000, elapsed 100 -> 1000
-        assert_eq!(comps[0], (2, 150.0));
-        assert_eq!(comps[1], (1, 1000.0));
-        // The profile carries the proc·share each completion releases.
+        // b: estimate 100, elapsed 50 -> completes at 150; a: estimate 1000,
+        // elapsed 100 -> 1000. Each entry carries the proc·share it releases.
         let profile = ctx.completion_profile();
         assert_eq!(profile[0], (2, 150.0, 8.0));
         assert_eq!(profile[1], (1, 1000.0, 8.0));
@@ -343,7 +316,7 @@ mod tests {
         let running = vec![a];
         let queue = JobQueue::new();
         let ctx = ctx_over(100.0, &cluster, &queue, &running);
-        assert_eq!(ctx.estimated_completions()[0].1, 100.0);
+        assert_eq!(ctx.completion_profile()[0].1, 100.0);
     }
 
     #[test]
