@@ -7,25 +7,30 @@
 //! count.
 //!
 //! Least-pressure dispatch is the load-adaptive policy built on the backlog
-//! index's O(1) aggregates: it keeps a lazy min-heap of `(pressure, site)`
-//! keys, re-validating entries on pop against the shard's current pressure
-//! and reinserting stale ones — O(log sites) amortized per dispatch instead
-//! of an O(sites) argmin scan per job, which is the difference between 10⁹
-//! and ~10⁷ comparisons at 1,000 sites × 1M jobs.
+//! index's O(1) aggregates. The dispatcher owns its pressure state:
+//! [`Dispatcher::begin_epoch`] reads each site's queued-plus-running demand
+//! and delivery rate once, and [`Dispatcher::pick`] adds every routed job's
+//! processors to its site's routed demand and updates that site's key in a
+//! min-heap of `(pressure, site)` — O(log sites) per dispatch instead of an
+//! O(sites) argmin scan per job, which is the difference between 10⁹ and
+//! ~10⁷ comparisons at 1,000 sites × 1M jobs. No `pick` reads or writes a
+//! shard's engine, so the epoch loop can hand each shard its routed jobs
+//! later, as one batch; there is no step that reports a submission back.
 
 use crate::shard::Shard;
 use psbench_sim::SimJob;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// How the metascheduler routes each arriving job to a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DispatchPolicy {
     /// Cycle over the up sites (the naive baseline).
     RoundRobin,
-    /// Route to the site with the least demanded-work pressure, read from the
-    /// backlog index's O(1) aggregates through a lazy min-heap.
+    /// Route to the site with the least demanded-work pressure: queued,
+    /// running and routed processors per unit of delivery rate, from the
+    /// backlog index's O(1) aggregates through a min-heap.
     LeastPressure,
     /// Pin each user's jobs to a home site by hash (data-affinity: inputs
     /// staged where the user's previous jobs ran), falling over to the next
@@ -82,13 +87,40 @@ fn splitmix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
+/// One site's load as least-pressure dispatch sees it during an epoch.
+#[derive(Debug, Clone, Copy)]
+struct SiteLoad {
+    /// Queued plus running processor demand at the epoch boundary:
+    /// `demanded_procs as f64 + used capacity`.
+    base: f64,
+    /// Processors routed to the site since the boundary (each job's request
+    /// clamped to the machine). They reach the engine only when the shard
+    /// advances, so the engine's own aggregates cannot count them.
+    routed: u64,
+    /// Delivery rate: `procs as f64 * speed.max(1e-9)`.
+    rate: f64,
+    /// Machine size, for clamping routed requests.
+    procs: u32,
+}
+
+impl SiteLoad {
+    /// The pressure heap key: `(base + routed) / rate` as total-order bits
+    /// (pressure is never negative, so the IEEE bit pattern orders).
+    fn key(&self) -> u64 {
+        ((self.base + self.routed as f64) / self.rate).to_bits()
+    }
+}
+
 /// The metascheduler's routing state: one dispatcher drives one fleet.
 #[derive(Debug)]
 pub struct Dispatcher {
     policy: DispatchPolicy,
     rr: usize,
-    /// Lazy min-heap of `(pressure bits, site)` for [`DispatchPolicy::LeastPressure`];
-    /// entries are validated on pop and reinserted when stale.
+    /// Per-site load for [`DispatchPolicy::LeastPressure`], refreshed by
+    /// [`Dispatcher::begin_epoch`] and charged by [`Dispatcher::pick`].
+    load: Vec<SiteLoad>,
+    /// Min-heap of `(pressure key, site)` with exactly one entry per up site,
+    /// kept current by [`Dispatcher::pick`].
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
@@ -98,6 +130,7 @@ impl Dispatcher {
         Dispatcher {
             policy,
             rr: 0,
+            load: Vec::new(),
             heap: BinaryHeap::new(),
         }
     }
@@ -107,26 +140,36 @@ impl Dispatcher {
         self.policy
     }
 
-    /// Refresh per-epoch routing state after the fleet advanced: rebuild the
-    /// pressure heap from the shards' current aggregates. Call at every epoch
-    /// boundary before dispatching.
+    /// Refresh per-epoch routing state after the fleet advanced: read every
+    /// site's queued-plus-running demand and delivery rate, clear the routed
+    /// demand, and rebuild the pressure heap over the up sites. Call at every
+    /// epoch boundary before dispatching; the shards' queues and running
+    /// sets must not change again until the epoch's last pick.
     pub fn begin_epoch(&mut self, shards: &[Shard], down: &[bool]) {
         if self.policy == DispatchPolicy::LeastPressure {
+            self.load.clear();
+            self.load.extend(shards.iter().map(|shard| SiteLoad {
+                base: shard.queue().demanded_procs() as f64 + shard.used_capacity(),
+                routed: 0,
+                rate: shard.spec.procs as f64 * shard.spec.speed.max(1e-9),
+                procs: shard.spec.procs,
+            }));
             self.heap.clear();
-            for (i, shard) in shards.iter().enumerate() {
+            for (i, load) in self.load.iter().enumerate() {
                 if !down[i] {
-                    self.heap.push(Reverse((shard.pressure_bits(), i as u32)));
+                    self.heap.push(Reverse((load.key(), i as u32)));
                 }
             }
         }
     }
 
-    /// Route one job: pick an up site, book any advisory reservation, and
-    /// return the chosen shard index — or `None` when every site is down
-    /// (the caller parks the job until a site comes back).
+    /// Route one job: pick an up site, record the routing (least-pressure
+    /// charges the job's processors to the site; reserve books an advisory
+    /// window), and return the chosen shard index — or `None` when every
+    /// site is down (the caller parks the job until a site comes back).
     ///
-    /// The caller must submit the job to the returned shard and then call
-    /// [`Dispatcher::note_submitted`] so pressure-tracking state stays exact.
+    /// Routing never touches a shard's engine: the caller submits the job to
+    /// the returned shard whenever it likes before that shard advances.
     pub fn pick(
         &mut self,
         shards: &mut [Shard],
@@ -149,25 +192,23 @@ impl Dispatcher {
                 }
                 None
             }
-            DispatchPolicy::LeastPressure => {
-                while let Some(Reverse((bits, site))) = self.heap.pop() {
-                    let i = site as usize;
-                    if down[i] {
-                        continue;
-                    }
-                    let current = shards[i].pressure_bits();
-                    if current == bits {
-                        return Some(i);
-                    }
-                    // Stale entry: reinsert with the fresh key and retry.
-                    self.heap.push(Reverse((current, site)));
+            DispatchPolicy::LeastPressure => loop {
+                let mut top = self
+                    .heap
+                    .peek_mut()
+                    .expect("least-pressure picks follow begin_epoch at their boundary");
+                let i = top.0 .1 as usize;
+                if down[i] {
+                    // Went down since the boundary: drop it until the next.
+                    PeekMut::pop(top);
+                    continue;
                 }
-                // Heap exhausted (e.g. sites came up since begin_epoch):
-                // fall back to a scan of the up sites.
-                (0..n)
-                    .filter(|&i| !down[i])
-                    .min_by_key(|&i| (shards[i].pressure_bits(), i))
-            }
+                // Charge the job and sift the site's new key into place.
+                let load = &mut self.load[i];
+                load.routed += job.procs.min(load.procs).max(1) as u64;
+                top.0 .0 = load.key();
+                return Some(i);
+            },
             DispatchPolicy::Affinity => {
                 let key = job.user.map(|u| u as u64 + 1).unwrap_or(job.id << 1);
                 let home = (splitmix64(key) % n as u64) as usize;
@@ -201,15 +242,6 @@ impl Dispatcher {
                 }
                 Some(chosen)
             }
-        }
-    }
-
-    /// Record that a job was submitted to shard `i`, keeping the pressure
-    /// heap in sync with the shard's now-larger inflight demand.
-    pub fn note_submitted(&mut self, shards: &[Shard], i: usize) {
-        if self.policy == DispatchPolicy::LeastPressure {
-            self.heap
-                .push(Reverse((shards[i].pressure_bits(), i as u32)));
         }
     }
 }
@@ -275,7 +307,7 @@ fn earliest_window(shard: &Shard, from: f64, dur: f64, procs: u32) -> Option<f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{standard_shard_fleet, Shard};
+    use crate::shard::{standard_shard_fleet, Shard, ShardSpec};
 
     fn fleet(n: usize) -> Vec<Shard> {
         standard_shard_fleet(n, "fcfs")
@@ -309,37 +341,74 @@ mod tests {
     fn least_pressure_prefers_the_emptiest_site() {
         let mut shards = fleet(3);
         let down = vec![false; 3];
-        // Load site 0 heavily.
+        // Load site 0 heavily: the jobs arrive, two run and the rest queue.
         for i in 0..20u64 {
             let job = SimJob::rigid(1000 + i, 0.0, 1e5, 64);
             shards[0].submit(&job, 1000 + i, 0.0).unwrap();
         }
+        shards[0].advance_to(1.0);
         let mut d = Dispatcher::new(DispatchPolicy::LeastPressure);
         d.begin_epoch(&shards, &down);
         let job = SimJob::rigid(1, 0.0, 10.0, 8);
         let pick = d.pick(&mut shards, &down, &job, 0.0).unwrap();
         assert_ne!(pick, 0, "loaded site must lose");
-        // Submitting through the protocol keeps the heap exact.
-        shards[pick].submit(&job, 1, 0.0).unwrap();
-        d.note_submitted(&shards, pick);
+    }
+
+    /// The pressure a least-pressure dispatcher holds for `site`.
+    fn pressure(d: &Dispatcher, site: usize) -> f64 {
+        f64::from_bits(d.load[site].key())
+    }
+
+    #[test]
+    fn pressure_tracks_queue_running_and_routed_demand() {
+        let mut shards = vec![Shard::new(ShardSpec::new(0, 100, "fcfs")).unwrap()];
+        let down = [false];
+        let mut d = Dispatcher::new(DispatchPolicy::LeastPressure);
+        d.begin_epoch(&shards, &down);
+        assert_eq!(pressure(&d, 0), 0.0);
+        // Routed this epoch: charged as routed demand, whether or not the
+        // shard has been handed the job yet.
+        for id in [1, 2] {
+            let job = SimJob::rigid(id, 10.0, 1000.0, 60);
+            assert_eq!(d.pick(&mut shards, &down, &job, 0.0), Some(0));
+            shards[0].submit(&job, id, 10.0).unwrap();
+        }
+        assert!((pressure(&d, 0) - 1.2).abs() < 1e-9, "routed demand");
+        // After the advance both arrived: one runs (used capacity), one
+        // queues (backlog demanded procs), and the next boundary clears the
+        // routed demand.
+        shards[0].advance_to(20.0);
+        assert_eq!(shards[0].running_len(), 1);
+        assert_eq!(shards[0].queue_len(), 1);
+        d.begin_epoch(&shards, &down);
+        assert_eq!(d.load[0].routed, 0);
+        assert!((pressure(&d, 0) - 1.2).abs() < 1e-9, "arrived demand");
+        assert_eq!(shards[0].queue().demanded_procs(), 60);
+        // A request wider than the machine is charged at the machine size.
+        let wide = SimJob::rigid(3, 20.0, 10.0, 500);
+        assert_eq!(d.pick(&mut shards, &down, &wide, 20.0), Some(0));
+        assert!((pressure(&d, 0) - 2.2).abs() < 1e-9, "clamped demand");
     }
 
     #[test]
     fn least_pressure_heap_converges_under_staleness() {
         let mut shards = fleet(5);
-        let down = vec![false; 5];
+        let mut down = vec![false; 5];
         let mut d = Dispatcher::new(DispatchPolicy::LeastPressure);
         d.begin_epoch(&shards, &down);
-        // Mutate pressures behind the heap's back, then dispatch many jobs:
-        // every pick must still return a valid up site.
+        // Dispatch many jobs, taking a site down behind the heap's back
+        // halfway: every pick must still return an up site, and the routed
+        // demand must account for every job.
         for i in 0..50u64 {
+            if i == 25 {
+                down[2] = true;
+            }
             let job = SimJob::rigid(i + 1, 0.0, 100.0, 32);
             let pick = d.pick(&mut shards, &down, &job, 0.0).unwrap();
-            shards[pick].submit(&job, i + 1, 0.0).unwrap();
-            d.note_submitted(&shards, pick);
+            assert!(!down[pick], "job {} routed to a down site", i + 1);
         }
-        let dispatched: u64 = shards.iter().map(|s| s.inflight).sum();
-        assert_eq!(dispatched, 50 * 32);
+        let routed: u64 = d.load.iter().map(|l| l.routed).sum();
+        assert_eq!(routed, 50 * 32);
     }
 
     #[test]
@@ -368,7 +437,6 @@ mod tests {
             let job = SimJob::rigid(i + 1, 0.0, 5000.0, 64);
             let pick = d.pick(&mut shards, &down, &job, 0.0).unwrap();
             shards[pick].submit(&job, i + 1, 0.0).unwrap();
-            d.note_submitted(&shards, pick);
         }
         let booked: usize = shards.iter().map(|s| s.calendar.reservations.len()).sum();
         assert!(booked > 0, "reserve policy must book windows");

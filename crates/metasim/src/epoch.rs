@@ -11,15 +11,33 @@
 //!    back up; sites whose outage started go down — their queued jobs are
 //!    cancelled and handed back to the metascheduler as migrations. Running
 //!    jobs ride out the outage (the site drains but accepts nothing new).
-//! 2. **Dispatch** (driving thread): parked and migrated jobs are re-routed
+//! 2. **Routing** (driving thread): parked and migrated jobs are re-routed
 //!    at `t0`, then every arrival with submit time in `[t0, t1)` is routed
-//!    under the configured [`DispatchPolicy`] and submitted with its original
-//!    submit time.
-//! 3. **Advance** (parallel): every shard advances its engine to `t1`
-//!    independently — shards share nothing mid-epoch, so this fans out over
-//!    [`parallel_map_mut`] with zero synchronization beyond the barrier.
+//!    under the configured [`DispatchPolicy`]. Routing only decides: each
+//!    job is appended to its shard's batch with its engine id and the submit
+//!    time the engine will see (`t0` for a re-routed job, the original
+//!    submit time for an arrival). No engine is touched.
+//! 3. **Submit and advance** (parallel): every shard submits its batch in
+//!    order, then advances its engine to `t1` — shards share nothing
+//!    mid-epoch, so this fans out over [`parallel_map_mut`] with zero
+//!    synchronization beyond the barrier.
 //! 4. **Merge** (driving thread): completions are harvested in ascending
 //!    site-id order and appended to the global stream.
+//!
+//! The loop stops after the routing phase of the last epoch that routes
+//! anything; the final drain then submits those batches and runs every
+//! shard dry.
+//!
+//! # Engine ids
+//!
+//! Jobs are sorted by id once. A job's engine id is its *rank* in that order
+//! plus `attempt · MIGRATION_BAND`, so the harvest finds a completion's job
+//! and migration count with vector reads. Ranks are an order-preserving
+//! image of the ids, and an engine breaks ties by id wherever it orders
+//! jobs (the wait queue orders by `(queued_at, id)`, and clamped negative
+//! submits, arrivals within one engine batch and boundary re-dispatches all
+//! share instants), so every tie-break comes out as it would under the
+//! original ids. Ids only need to be unique.
 //!
 //! # Determinism invariants
 //!
@@ -28,6 +46,9 @@
 //! * every routing decision happens on the driving thread against quiescent
 //!   shard state — the parallel phase never influences *which* site a job
 //!   lands on within an epoch;
+//! * each shard's submits reach its engine in routing order, after the
+//!   boundary's cancellations and before its advance — only calls to
+//!   *different* shards are reordered, and shards share nothing;
 //! * shard advances are pure per-shard functions of the shard's own inputs;
 //! * the merge order is `(epoch, site id, engine completion order)` — fixed
 //!   by the harvest loop, not by thread scheduling;
@@ -36,7 +57,9 @@
 //!
 //! The serial twin (`threads == 1`) runs the very same code path with the
 //! parallel section degraded to a `for` loop; the proptests in
-//! `tests/proptest_epoch.rs` enforce equality against it.
+//! `tests/proptest_epoch.rs` enforce equality against it, and
+//! `tests/epoch_oracle.rs` checks the loop against a reference copy that
+//! submits every job the moment it is routed.
 //!
 //! # Epoch-boundary semantics
 //!
@@ -55,16 +78,29 @@ use psbench_sched::UnknownScheduler;
 use psbench_sim::{FinishedJob, SimJob, SimulationResult};
 use psbench_store::{result_fingerprint, Fnv128, MetaSummary};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Version of the epoch loop's observable semantics. Folded into store keys
 /// so cached metasystem results are invalidated when the loop changes.
 pub const META_VERSION: u32 = 1;
 
-/// Engine ids encode the migration attempt in a high band:
-/// `engine_id = original_id + attempt · MIGRATION_BAND`, so a job re-entering
-/// a site it already visited never collides with its cancelled first attempt.
+/// Engine ids are id ranks with the migration attempt in a high band:
+/// `engine_id = rank + attempt · MIGRATION_BAND`, where `rank` is the job's
+/// position among the stream's ids in ascending order. A job re-entering a
+/// site it already visited never collides with its cancelled first attempt,
+/// and the harvest maps an engine id back to its job and attempt with two
+/// vector reads.
 const MIGRATION_BAND: u64 = 1 << 40;
+
+/// One job routed to a shard this epoch, waiting in the shard's batch.
+#[derive(Debug, Clone, Copy)]
+struct Routed {
+    /// Index of the job in the arrival stream.
+    job: u32,
+    /// The id the shard's engine knows the job by.
+    engine_id: u64,
+    /// The submit time the engine sees.
+    at: f64,
+}
 
 /// A scheduled outage of one site, in metasystem time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -264,10 +300,15 @@ impl MetaResult {
 
 /// Run a metasystem of `specs` over the global arrival stream `jobs` under
 /// `cfg`. Jobs are routed by `(submit, id)` order; every job id must be
-/// unique and below 2⁴⁰ (the migration band).
+/// unique.
 ///
 /// See the [module docs](self) for the loop structure and the determinism
 /// invariants the result satisfies.
+///
+/// # Panics
+///
+/// If `cfg.epoch_len` is not positive, `specs` is empty, or two jobs share
+/// an id.
 pub fn run_metasystem(
     specs: &[ShardSpec],
     jobs: &[SimJob],
@@ -283,11 +324,30 @@ pub fn run_metasystem(
     let n = shards.len();
     let threads = cfg.threads.max(1);
 
-    // Global arrival order: (submit, id).
+    // Id ranks: `by_rank[r]` is the index of the job with the r-th smallest
+    // id. Engine ids are ranks (plus the attempt band), an order-preserving
+    // image of the original ids, so every engine tie-break on ids is kept.
+    let mut by_rank: Vec<u32> = (0..jobs.len() as u32).collect();
+    by_rank.sort_unstable_by_key(|&i| jobs[i as usize].id);
+    if let Some(w) = by_rank
+        .windows(2)
+        .find(|w| jobs[w[0] as usize].id == jobs[w[1] as usize].id)
+    {
+        panic!(
+            "job id {} appears more than once in the arrival stream",
+            jobs[w[0] as usize].id
+        );
+    }
+    // The stream index of the job a rank or an engine id names.
+    let index_of = |engine_id: u64| by_rank[(engine_id % MIGRATION_BAND) as usize];
+    // Global arrival order (submit, id), as ranks.
     let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (ja, jb) = (&jobs[a as usize], &jobs[b as usize]);
-        ja.submit.total_cmp(&jb.submit).then(ja.id.cmp(&jb.id))
+    order.sort_unstable_by(|&a, &b| {
+        let (ja, jb) = (
+            &jobs[index_of(a as u64) as usize],
+            &jobs[index_of(b as u64) as usize],
+        );
+        ja.submit.total_cmp(&jb.submit).then(a.cmp(&b))
     });
 
     // Outage transition schedules, each consumed by a cursor at boundaries.
@@ -300,36 +360,44 @@ pub fn run_metasystem(
     let mut down = vec![false; n];
 
     let mut dispatcher = Dispatcher::new(cfg.dispatch);
-    // original id → (index into `jobs`, migrations so far).
-    let mut origin: HashMap<u64, (u32, u32)> = HashMap::with_capacity(jobs.len());
+    // Each shard's routed jobs this epoch, in routing order.
+    let mut batches: Vec<Vec<Routed>> = vec![Vec::new(); n];
     let mut cursor = 0usize;
+    // Engine ids of the last attempt of jobs waiting for an up site.
     let mut parked: Vec<u64> = Vec::new();
-    let mut merged: Vec<FinishedJob> = Vec::new();
+    let mut merged: Vec<FinishedJob> = Vec::with_capacity(jobs.len());
     let mut epochs = 0u64;
     let mut dispatched = 0u64;
     let mut migrations = 0u64;
     let mut k = 0u64;
 
-    let harvest_into = |shards: &mut Vec<Shard>,
-                        merged: &mut Vec<FinishedJob>,
-                        origin: &HashMap<u64, (u32, u32)>| {
-        for shard in shards.iter_mut() {
-            for f in shard.harvest() {
-                let orig = f.id % MIGRATION_BAND;
-                let &(idx, migs) = origin.get(&orig).expect("finished job has an origin");
-                merged.push(FinishedJob {
-                    id: orig,
-                    submit: jobs[idx as usize].submit.max(0.0),
-                    start: f.start,
-                    first_start: f.first_start,
-                    end: f.end,
-                    procs: f.procs,
-                    restarts: f.restarts + migs,
-                    user: f.user,
-                });
+    // Phase 3: each shard submits its batch, then advances — shard-local,
+    // zero cross-talk.
+    let advance = |shards: &mut [Shard], batches: &[Vec<Routed>], frontier: f64| {
+        parallel_map_mut(shards, threads, |i, s| {
+            for r in &batches[i] {
+                s.submit(&jobs[r.job as usize], r.engine_id, r.at)
+                    .expect("routed jobs are never in the released past");
             }
-        }
+            s.advance_to(frontier)
+        });
     };
+    // Phase 4: deterministic merge in site-id order; empties the batches.
+    let harvest_into =
+        |shards: &mut [Shard], batches: &mut [Vec<Routed>], merged: &mut Vec<FinishedJob>| {
+            for (shard, batch) in shards.iter_mut().zip(batches.iter_mut()) {
+                batch.clear();
+                for f in shard.harvest() {
+                    let job = &jobs[index_of(f.id) as usize];
+                    merged.push(FinishedJob {
+                        id: job.id,
+                        submit: job.submit.max(0.0),
+                        restarts: f.restarts + (f.id / MIGRATION_BAND) as u32,
+                        ..*f
+                    });
+                }
+            }
+        };
 
     loop {
         let t0 = k as f64 * cfg.epoch_len;
@@ -365,7 +433,7 @@ pub fn run_metasystem(
                 // such jobs ride out the outage like any running job.
                 for engine_id in shards[site].queued_engine_ids() {
                     match shards[site].cancel(engine_id) {
-                        Ok(()) => freshly_migrated.push(engine_id % MIGRATION_BAND),
+                        Ok(()) => freshly_migrated.push(engine_id),
                         Err(psbench_sim::OnlineError::JobRunning(_)) => {}
                         Err(e) => panic!("withdrawing queued job {engine_id}: {e:?}"),
                     }
@@ -373,53 +441,47 @@ pub fn run_metasystem(
             }
         }
 
-        // Phase 2: dispatch. Routing state reflects the quiescent fleet at t0.
+        // Phase 2: routing. Routing state reflects the quiescent fleet at
+        // t0; the routed jobs reach their shards in phase 3.
         dispatcher.begin_epoch(&shards, &down);
         let mut redispatch = std::mem::take(&mut parked);
         redispatch.extend(freshly_migrated);
-        for orig in redispatch {
-            let entry = origin.get_mut(&orig).expect("migrated job has an origin");
-            let job = &jobs[entry.0 as usize];
-            match dispatcher.pick(&mut shards, &down, job, t0) {
+        for last in redispatch {
+            let idx = index_of(last);
+            match dispatcher.pick(&mut shards, &down, &jobs[idx as usize], t0) {
                 Some(i) => {
-                    entry.1 += 1;
                     migrations += 1;
-                    let engine_id = orig + entry.1 as u64 * MIGRATION_BAND;
-                    shards[i]
-                        .submit(job, engine_id, t0)
-                        .expect("boundary submit is never in the released past");
-                    dispatcher.note_submitted(&shards, i);
+                    batches[i].push(Routed {
+                        job: idx,
+                        engine_id: last + MIGRATION_BAND,
+                        at: t0,
+                    });
                 }
-                None => parked.push(orig),
+                None => parked.push(last),
             }
         }
         while cursor < order.len() {
-            let idx = order[cursor] as usize;
-            let job = &jobs[idx];
+            let rank = order[cursor];
+            let idx = index_of(rank as u64);
+            let job = &jobs[idx as usize];
             let at = job.submit.max(0.0);
             if at >= t1 {
                 break;
             }
             cursor += 1;
-            let orig = job.id;
-            assert!(
-                orig < MIGRATION_BAND,
-                "job id {orig} exceeds the migration band"
-            );
-            origin.insert(orig, (idx as u32, 0));
             dispatched += 1;
             match dispatcher.pick(&mut shards, &down, job, t0) {
-                Some(i) => {
-                    shards[i]
-                        .submit(job, orig, at)
-                        .expect("epoch arrivals are never in the released past");
-                    dispatcher.note_submitted(&shards, i);
-                }
-                None => parked.push(orig),
+                Some(i) => batches[i].push(Routed {
+                    job: idx,
+                    engine_id: rank as u64,
+                    at,
+                }),
+                None => parked.push(rank as u64),
             }
         }
 
         // Phase 2½: stop once no dispatch decision can ever be needed again.
+        // The final drain below submits this epoch's batches.
         if cursor >= order.len() && si >= starts.len() {
             if parked.is_empty() {
                 break;
@@ -430,11 +492,8 @@ pub fn run_metasystem(
             }
         }
 
-        // Phase 3: the parallel advance — shard-local, zero cross-talk.
-        parallel_map_mut(&mut shards, threads, |_, s| s.advance_to(t1));
-
-        // Phase 4: deterministic merge in site-id order.
-        harvest_into(&mut shards, &mut merged, &origin);
+        advance(&mut shards, &batches, t1);
+        harvest_into(&mut shards, &mut batches, &mut merged);
         for shard in shards.iter_mut() {
             shard.calendar.expire_reservations(t1);
         }
@@ -444,7 +503,11 @@ pub fn run_metasystem(
         k += 1;
         let mut next_due = f64::INFINITY;
         if cursor < order.len() {
-            next_due = next_due.min(jobs[order[cursor] as usize].submit.max(0.0));
+            next_due = next_due.min(
+                jobs[index_of(order[cursor] as u64) as usize]
+                    .submit
+                    .max(0.0),
+            );
         }
         if si < starts.len() {
             next_due = next_due.min(starts[si].0);
@@ -458,9 +521,10 @@ pub fn run_metasystem(
         }
     }
 
-    // Final drain: all dispatch decisions are made; run every shard dry.
-    parallel_map_mut(&mut shards, threads, |_, s| s.advance_to(f64::INFINITY));
-    harvest_into(&mut shards, &mut merged, &origin);
+    // Final drain: all routing decisions are made; submit the last batches
+    // and run every shard dry.
+    advance(&mut shards, &batches, f64::INFINITY);
+    harvest_into(&mut shards, &mut batches, &mut merged);
 
     let mut result = SimulationResult {
         scheduler: format!("metasim/{}", cfg.dispatch.name()),
@@ -681,6 +745,30 @@ mod tests {
             .render_report()
             .contains(&format!("{:016x}", a.fingerprint())));
         assert!(a.render_report().contains("dispatch: affinity"));
+    }
+
+    /// Two jobs sharing id 7: submits 0 and 50, 100 s each, 4 processors.
+    fn duplicate_id_stream() -> Vec<SimJob> {
+        vec![
+            SimJob::rigid(7, 0.0, 100.0, 4),
+            SimJob::rigid(7, 50.0, 100.0, 4),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "job id 7 appears more than once")]
+    fn duplicate_ids_panic_across_sites() {
+        let specs = standard_shard_fleet(2, "fcfs");
+        let cfg = MetaConfig::new(DispatchPolicy::RoundRobin);
+        let _ = run_metasystem(&specs, &duplicate_id_stream(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "job id 7 appears more than once")]
+    fn duplicate_ids_panic_on_one_site() {
+        let specs = standard_shard_fleet(1, "fcfs");
+        let cfg = MetaConfig::new(DispatchPolicy::RoundRobin);
+        let _ = run_metasystem(&specs, &duplicate_id_stream(), &cfg);
     }
 
     #[test]

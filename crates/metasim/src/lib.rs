@@ -23,13 +23,16 @@
 //! parallel by a bulk-synchronous epoch loop with deterministic cross-site
 //! dispatch.
 //!
-//! * [`shard`] — one site as an online engine + zoo policy + pressure
-//!   aggregates.
+//! * [`shard`] — one site as an online engine + zoo policy + advisory
+//!   calendar; it exposes its engine's raw load and carries no routing
+//!   state.
 //! * [`dispatch`] — the pluggable cross-site [`dispatch::DispatchPolicy`]s
 //!   (round-robin, least-pressure over the backlog index's O(1) aggregates,
-//!   data-affinity, reservation-based co-allocation).
-//! * [`epoch`] — the epoch loop itself: parallel shard advance, outage
-//!   migration, and a merge that is bit-identical for any thread count.
+//!   data-affinity, reservation-based co-allocation); the dispatcher owns
+//!   the pressure state, including the demand routed since the boundary.
+//! * [`epoch`] — the epoch loop itself: routing into per-shard batches,
+//!   parallel submit-and-advance, outage migration, and a merge that is
+//!   bit-identical for any thread count.
 
 #![warn(missing_docs)]
 

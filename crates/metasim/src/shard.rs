@@ -8,6 +8,10 @@
 //! and real completions. Shards never interact mid-epoch — every cross-shard
 //! decision happens at epoch boundaries on the driving thread (see
 //! [`crate::epoch`]) — which is what makes the fleet embarrassingly parallel.
+//!
+//! A shard carries no routing state: it exposes its engine's raw load (the
+//! backlog's demanded processors and the capacity in use), and the
+//! [`crate::dispatch::Dispatcher`] alone turns that into pressure.
 
 use psbench_sched::{LiveSim, UnknownScheduler};
 use psbench_sim::{Cluster, FinishedJob, JobQueue, OnlineError, SimJob, SimulationResult};
@@ -56,7 +60,8 @@ pub fn standard_shard_fleet(n: usize, scheduler: &str) -> Vec<ShardSpec> {
 }
 
 /// One site of the sharded metasystem: an online engine under its local
-/// policy, and the bookkeeping the epoch loop needs.
+/// policy, its advisory calendar, and the harvest cursor the epoch loop
+/// needs.
 pub struct Shard {
     /// The static description of this shard.
     pub spec: ShardSpec,
@@ -66,11 +71,6 @@ pub struct Shard {
     /// machine); bookings model the negotiation of Section 3.1 and steer
     /// [`crate::dispatch::DispatchPolicy::Reserve`] away from booked sites.
     pub calendar: Cluster,
-    /// Processors demanded by jobs dispatched this epoch whose arrival events
-    /// have not fired yet — they are in the engine but not in its queue, so
-    /// queue aggregates alone would undercount pressure mid-dispatch. Reset
-    /// by [`Shard::advance_to`].
-    pub inflight: u64,
     harvested: usize,
 }
 
@@ -81,7 +81,6 @@ impl Shard {
         Ok(Shard {
             calendar: Cluster::new(spec.procs.max(1)),
             live: LiveSim::new(&spec.scheduler, spec.procs)?,
-            inflight: 0,
             harvested: 0,
             spec,
         })
@@ -109,9 +108,7 @@ impl Shard {
             think_time: 0.0,
             speedup: None,
         };
-        self.live.submit(scaled)?;
-        self.inflight += procs as u64;
-        Ok(())
+        self.live.submit(scaled)
     }
 
     /// Advance the shard's engine to the epoch boundary `frontier`,
@@ -119,7 +116,6 @@ impl Shard {
     /// this is the call the epoch loop fans out across threads.
     pub fn advance_to(&mut self, frontier: f64) {
         self.live.advance(frontier);
-        self.inflight = 0;
     }
 
     /// The completions this shard produced since the last harvest, in the
@@ -143,22 +139,10 @@ impl Shard {
         self.queue().iter().map(|q| q.job.id).collect()
     }
 
-    /// The shard's load pressure: demanded-but-unserved processor work
-    /// relative to the machine's delivery rate. Combines the backlog index's
-    /// O(1) demanded-procs aggregate, the capacity in use, and the demand
-    /// dispatched this epoch but not yet arrived — all O(1) reads, which is
-    /// what lets least-pressure dispatch consult a thousand shards per epoch.
-    pub fn pressure(&self) -> f64 {
-        let demanded = self.queue().demanded_procs() as f64
-            + self.live.sim().used_capacity()
-            + self.inflight as f64;
-        demanded / (self.spec.procs as f64 * self.spec.speed.max(1e-9))
-    }
-
-    /// [`Shard::pressure`] as total-order bits, for heap keys. Pressure is
-    /// never negative, so the IEEE bit pattern orders correctly.
-    pub fn pressure_bits(&self) -> u64 {
-        self.pressure().to_bits()
+    /// Processor·share capacity in use by the shard's running jobs (an O(1)
+    /// read of the engine's ledger).
+    pub fn used_capacity(&self) -> f64 {
+        self.live.sim().used_capacity()
     }
 
     /// The wait queue of the underlying engine (backlog aggregates included).
@@ -189,7 +173,6 @@ impl std::fmt::Debug for Shard {
             .field("spec", &self.spec)
             .field("queued", &self.queue_len())
             .field("running", &self.running_len())
-            .field("inflight", &self.inflight)
             .finish()
     }
 }
@@ -226,28 +209,6 @@ mod tests {
         let result = fast.finish();
         assert_eq!(result.finished.len(), 1);
         assert!((result.finished[0].end - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pressure_tracks_queue_running_and_inflight_demand() {
-        let mut shard = Shard::new(ShardSpec::new(0, 100, "fcfs")).unwrap();
-        assert_eq!(shard.pressure(), 0.0);
-        // Dispatched but not yet arrived: counted as inflight.
-        shard
-            .submit(&SimJob::rigid(1, 10.0, 1000.0, 60), 1, 10.0)
-            .unwrap();
-        shard
-            .submit(&SimJob::rigid(2, 10.0, 1000.0, 60), 2, 10.0)
-            .unwrap();
-        assert!((shard.pressure() - 1.2).abs() < 1e-9, "inflight demand");
-        // After the advance both arrived: one runs (used capacity), one queues
-        // (backlog demanded procs); inflight resets.
-        shard.advance_to(20.0);
-        assert_eq!(shard.inflight, 0);
-        assert_eq!(shard.running_len(), 1);
-        assert_eq!(shard.queue_len(), 1);
-        assert!((shard.pressure() - 1.2).abs() < 1e-9, "arrived demand");
-        assert_eq!(shard.queue().demanded_procs(), 60);
     }
 
     #[test]

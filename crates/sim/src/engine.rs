@@ -31,14 +31,17 @@
 //! ## Invariants the calendar relies on
 //!
 //! * **Lazy invalidation.** Calendar entries are never deleted in place. Every
-//!   entry records the `(job id, start_seq, epoch)` of the dispatch and rate epoch
-//!   that produced it; a rate change bumps the job's epoch and pushes a fresh
-//!   entry, a completion/kill/preemption removes the job from the running index.
-//!   An entry is *stale* — and silently discarded when it reaches the top of the
-//!   heap — unless the id still maps to a running job whose `start_seq` **and**
-//!   `epoch` both match. Consequently every running job has exactly one live
-//!   entry, and the heap top (after discarding stale entries) is exactly
-//!   `min(predicted_end)` over the running set.
+//!   entry records the `(slot, start_seq, epoch)` of the dispatch and rate epoch
+//!   that produced it. A dispatch holds its *slot* (a reusable index into the
+//!   engine's dispatch metadata) from start to removal; a rate change bumps the
+//!   slot's epoch and pushes a fresh entry, and a completion/kill/preemption
+//!   clears the slot. An entry is *stale* — and silently discarded when it
+//!   reaches the top of the heap — unless its slot still holds a dispatch whose
+//!   `start_seq` **and** `epoch` both match. A reused slot holds a later
+//!   `start_seq`, so it never revives an old entry. Consequently every running
+//!   job has exactly one live entry, and the heap top (after discarding stale
+//!   entries) is exactly `min(predicted_end)` over the running set; checking an
+//!   entry is one vector read, with no hashing.
 //! * **The clock never passes an entry.** `predicted_end` is clamped to the push
 //!   instant, and the main loop advances to `min(next external event, calendar
 //!   top)`, so a live entry's time is never in the past: the due set at any
@@ -52,7 +55,8 @@
 //! Capacity accounting is incremental for the same reason: the engine maintains
 //! `used_procs` (Σ procs·share over running jobs) as a ledger updated at
 //! start/completion/share changes, plus an id→index map for the running set, so
-//! validating and applying a decision is O(1) instead of a linear rescan.
+//! validating and applying a decision (which names its job by id) is O(1)
+//! instead of a linear rescan.
 //! Integrals (busy, idle-while-queued, lost node-seconds) are advanced from the
 //! ledger in O(1) per event. The wait queue is a [`JobQueue`]: structurally
 //! ordered by `(queued_at, id)` with O(log n) insert/remove and a secondary
@@ -191,14 +195,15 @@ impl Ord for Event {
     }
 }
 
-/// A completion-calendar entry: "the dispatch identified by `(job_id, start_seq)`
-/// completes at `eta`, assuming its rate epoch is still `epoch`".
+/// A completion-calendar entry: "the dispatch `start_seq`, held in metadata
+/// slot `slot`, completes at `eta`, assuming its rate epoch is still `epoch`".
+/// The entry is live only while `slot` still records that dispatch and epoch.
 #[derive(Debug, Clone, Copy)]
 struct CalEntry {
     eta: f64,
     start_seq: u64,
-    job_id: u64,
     epoch: u64,
+    slot: u32,
 }
 
 impl PartialEq for CalEntry {
@@ -222,15 +227,27 @@ impl Ord for CalEntry {
     }
 }
 
-/// Engine-private per-dispatch metadata, kept parallel to the running vector.
+/// Engine-private per-dispatch metadata, held in a slot that stays put while
+/// the job runs (the running vector itself is reordered by swap-removal).
+/// Calendar entries name their dispatch by slot; a slot is taken from a free
+/// list at start and cleared at removal, so the slots in use never outnumber
+/// the running set's high-water mark.
 #[derive(Debug, Clone, Copy)]
 struct RunMeta {
     /// Monotonic dispatch counter: the deterministic tie-break for simultaneous
-    /// completions and outage-kill victim selection.
+    /// completions and outage-kill victim selection. [`RunMeta::FREE`] in a
+    /// cleared slot, which no calendar entry carries.
     start_seq: u64,
     /// Rate-epoch counter; bumped whenever the job is re-anchored, invalidating
     /// all previously pushed calendar entries for this dispatch.
     epoch: u64,
+    /// The dispatch's current index in the running vector.
+    idx: usize,
+}
+
+impl RunMeta {
+    /// The `start_seq` of a cleared slot.
+    const FREE: u64 = u64::MAX;
 }
 
 /// Capacity slack used when validating decisions against the machine size.
@@ -366,7 +383,12 @@ pub struct Simulation {
     queue: JobQueue,
     running: Vec<RunningJob>,
     running_index: HashMap<u64, usize>,
+    /// The metadata slot of each running job, parallel to `running`.
+    running_slot: Vec<u32>,
+    /// Dispatch metadata by slot; see [`RunMeta`].
     rmeta: Vec<RunMeta>,
+    /// Cleared slots, reused before `rmeta` grows.
+    free_slots: Vec<u32>,
     calendar: BinaryHeap<CalEntry>,
     next_start_seq: u64,
     /// Incremental ledger: Σ procs·share over the running set.
@@ -424,7 +446,9 @@ impl Simulation {
             queue: JobQueue::new(),
             running: Vec::new(),
             running_index: HashMap::new(),
+            running_slot: Vec::new(),
             rmeta: Vec::new(),
+            free_slots: Vec::new(),
             calendar: BinaryHeap::new(),
             next_start_seq: 0,
             used_procs: 0.0,
@@ -546,13 +570,8 @@ impl Simulation {
 
     /// Is this calendar entry still the live entry of a running dispatch?
     fn entry_live(&self, e: &CalEntry) -> bool {
-        match self.running_index.get(&e.job_id) {
-            Some(&idx) => {
-                let m = &self.rmeta[idx];
-                m.start_seq == e.start_seq && m.epoch == e.epoch
-            }
-            None => false,
-        }
+        let m = &self.rmeta[e.slot as usize];
+        m.start_seq == e.start_seq && m.epoch == e.epoch
     }
 
     /// Earliest completion time over the running set. Calendar: amortized
@@ -595,14 +614,17 @@ impl Simulation {
     }
 
     /// Remove the running job at `idx` (swap-removal; O(1)), keeping the index
-    /// map and the used-capacity ledger consistent. Calendar entries for the
-    /// removed dispatch become stale implicitly.
+    /// map, the slots and the used-capacity ledger consistent. Clearing the
+    /// removed dispatch's slot makes its calendar entries stale.
     fn remove_running(&mut self, idx: usize) -> RunningJob {
         let r = self.running.swap_remove(idx);
-        self.rmeta.swap_remove(idx);
+        let slot = self.running_slot.swap_remove(idx);
+        self.rmeta[slot as usize].start_seq = RunMeta::FREE;
+        self.free_slots.push(slot);
         self.running_index.remove(&r.job.id);
         if idx < self.running.len() {
             self.running_index.insert(self.running[idx].job.id, idx);
+            self.rmeta[self.running_slot[idx] as usize].idx = idx;
         }
         self.used_procs -= r.proc_share();
         if self.running.is_empty() {
@@ -630,19 +652,31 @@ impl Simulation {
         r.predicted_end = eta_for(self.now, r.remaining_work, r.progress_rate());
         let start_seq = self.next_start_seq;
         self.next_start_seq += 1;
+        let meta = RunMeta {
+            start_seq,
+            epoch: 0,
+            idx: self.running.len(),
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.rmeta[slot as usize] = meta;
+                slot
+            }
+            None => {
+                self.rmeta.push(meta);
+                (self.rmeta.len() - 1) as u32
+            }
+        };
         let entry = CalEntry {
             eta: r.predicted_end,
             start_seq,
-            job_id: r.job.id,
             epoch: 0,
+            slot,
         };
         self.used_procs += r.proc_share();
         self.running_index.insert(r.job.id, self.running.len());
         self.running.push(r);
-        self.rmeta.push(RunMeta {
-            start_seq,
-            epoch: 0,
-        });
+        self.running_slot.push(slot);
         if self.kind == EngineKind::Calendar {
             self.calendar.push(entry);
         }
@@ -660,13 +694,14 @@ impl Simulation {
         r.share = share;
         self.used_procs += r.proc_share();
         r.predicted_end = eta_for(now, r.remaining_work, r.progress_rate());
-        let m = &mut self.rmeta[idx];
+        let slot = self.running_slot[idx];
+        let m = &mut self.rmeta[slot as usize];
         m.epoch += 1;
         let entry = CalEntry {
             eta: self.running[idx].predicted_end,
-            start_seq: self.rmeta[idx].start_seq,
-            job_id: self.running[idx].job.id,
-            epoch: self.rmeta[idx].epoch,
+            start_seq: m.start_seq,
+            epoch: m.epoch,
+            slot,
         };
         if self.kind == EngineKind::Calendar {
             self.calendar.push(entry);
@@ -687,7 +722,13 @@ impl Simulation {
             user: r.job.user,
         };
         completed.push(r.job.id);
-        if let Some(deps) = self.dependents.remove(&r.job.id) {
+        // Open-loop and online runs never have dependents: skip the hash.
+        let deps = if self.dependents.is_empty() {
+            None
+        } else {
+            self.dependents.remove(&r.job.id)
+        };
+        if let Some(deps) = deps {
             for idx in deps {
                 let think = self.jobs[idx].think_time.max(0.0);
                 self.push_event(self.now + think, EventKind::Arrival(idx));
@@ -713,17 +754,14 @@ impl Simulation {
                         break;
                     }
                     let e = self.calendar.pop().unwrap();
-                    let idx = self.running_index[&e.job_id];
+                    let idx = self.rmeta[e.slot as usize].idx;
                     self.finish_running(idx, &mut completed);
                 }
             }
             EngineKind::Reference => {
-                let mut due: Vec<(u64, u64)> = self
-                    .running
-                    .iter()
-                    .zip(self.rmeta.iter())
-                    .filter(|(r, _)| r.predicted_end <= self.now)
-                    .map(|(r, m)| (m.start_seq, r.job.id))
+                let mut due: Vec<(u64, u64)> = (0..self.running.len())
+                    .filter(|&i| self.running[i].predicted_end <= self.now)
+                    .map(|i| (self.start_seq(i), self.running[i].job.id))
                     .collect();
                 due.sort_unstable();
                 for (_, id) in due {
@@ -734,6 +772,11 @@ impl Simulation {
         }
         self.events_processed += completed.len() as u64;
         completed
+    }
+
+    /// The dispatch counter of the running job at `idx`.
+    fn start_seq(&self, idx: usize) -> u64 {
+        self.rmeta[self.running_slot[idx] as usize].start_seq
     }
 
     /// Kill running jobs (most recently started first; ties by start order)
@@ -748,7 +791,7 @@ impl Simulation {
                 self.running[a]
                     .started_at
                     .total_cmp(&self.running[b].started_at)
-                    .then(self.rmeta[a].start_seq.cmp(&self.rmeta[b].start_seq))
+                    .then(self.start_seq(a).cmp(&self.start_seq(b)))
             });
             match victim_idx {
                 Some(i) => {
@@ -886,8 +929,13 @@ impl Simulation {
     /// linear recomputation. Kept cheap enough to run inside the test suite.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
-        debug_assert_eq!(self.running.len(), self.rmeta.len());
+        debug_assert_eq!(self.running.len(), self.running_slot.len());
         debug_assert_eq!(self.running.len(), self.running_index.len());
+        debug_assert_eq!(
+            self.running.len() + self.free_slots.len(),
+            self.rmeta.len(),
+            "every slot is either held by a running job or free"
+        );
         if self.running.len() + self.queue.len() <= 512 {
             self.queue.check_invariants();
             let scan: f64 = self.running.iter().map(|r| r.proc_share()).sum();
@@ -899,6 +947,11 @@ impl Simulation {
             );
             for (i, r) in self.running.iter().enumerate() {
                 debug_assert_eq!(self.running_index[&r.job.id], i);
+                let slot = self.running_slot[i] as usize;
+                debug_assert_eq!(self.rmeta[slot].idx, i, "slot points astray");
+            }
+            for &slot in &self.free_slots {
+                debug_assert_eq!(self.rmeta[slot as usize].start_seq, RunMeta::FREE);
             }
         }
     }
@@ -1297,7 +1350,7 @@ impl Simulation {
     /// Copy the live state into a [`Fork`] for a what-if probe.
     ///
     /// The fork copies what stepping reads: the queue, the running set with
-    /// its index and dispatch metadata, the event heap, the completion
+    /// its index and dispatch slots, the event heap, the completion
     /// calendar, the cluster, the pending wakeups, the unreleased
     /// dependents, the cancelled set and the counters. It shares the
     /// append-only job vector and leaves out the finished and discarded
@@ -1318,7 +1371,9 @@ impl Simulation {
             queue: self.queue.clone(),
             running: self.running.clone(),
             running_index: self.running_index.clone(),
+            running_slot: self.running_slot.clone(),
             rmeta: self.rmeta.clone(),
+            free_slots: self.free_slots.clone(),
             calendar: self.calendar.clone(),
             next_start_seq: self.next_start_seq,
             used_procs: self.used_procs,

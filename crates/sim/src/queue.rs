@@ -342,7 +342,7 @@ impl Arena {
 
     /// In-order traversal of the entries after `after` with estimate bits at
     /// most `bound`, appending to `out` (debug helper; O(n)).
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn gather(&self, t: u32, after: Option<(u64, u64)>, bound: u64, out: &mut Vec<IndexEntry>) {
         if t == NIL || self.nodes[t as usize].min_est > bound {
             return;
@@ -359,7 +359,7 @@ impl Arena {
     }
 
     /// Number of nodes in the subtree (debug helper; O(n)).
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn count(&self, t: u32) -> usize {
         if t == NIL {
             return 0;
@@ -370,7 +370,7 @@ impl Arena {
 
     /// Verify every node's `min_est` equals the true subtree minimum and the
     /// heap property holds (debug helper; O(n)).
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     fn check_min_est(&self, t: u32) -> u64 {
         if t == NIL {
             return u64::MAX;
@@ -378,7 +378,7 @@ impl Arena {
         let n = &self.nodes[t as usize];
         for c in [n.left, n.right] {
             if c != NIL {
-                debug_assert!(
+                assert!(
                     self.nodes[c as usize].prio <= n.prio,
                     "treap heap property violated"
                 );
@@ -388,7 +388,7 @@ impl Arena {
             .est
             .min(self.check_min_est(n.left))
             .min(self.check_min_est(n.right));
-        debug_assert_eq!(n.min_est, want, "min_est pull-up drifted");
+        assert_eq!(n.min_est, want, "min_est pull-up drifted");
         want
     }
 }
@@ -907,17 +907,17 @@ impl JobQueue {
         }
     }
 
-    #[cfg(debug_assertions)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
-        debug_assert!(self.slots[..self.head].iter().all(Option::is_none));
-        debug_assert_eq!(self.slots.len(), self.keys.len());
+        assert!(self.slots[..self.head].iter().all(Option::is_none));
+        assert_eq!(self.slots.len(), self.keys.len());
         let live: Vec<&QueuedJob> = self.iter().collect();
-        debug_assert_eq!(live.len(), self.index.len());
+        assert_eq!(live.len(), self.index.len());
         for w in live.windows(2) {
-            debug_assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
+            assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
         }
         let live_slots = self.slots.iter().flatten().count();
-        debug_assert_eq!(
+        assert_eq!(
             live_slots + self.late.len(),
             self.index.len(),
             "late set and slots overlap or drifted from the index"
@@ -927,26 +927,26 @@ impl JobQueue {
                 LATE => self.late.get(&(self.late_at[id], *id)).map(|(_, q)| q),
                 i => self.slots[i].as_ref(),
             };
-            debug_assert_eq!(home.map(|q| q.job.id), Some(*id), "index points astray");
+            assert_eq!(home.map(|q| q.job.id), Some(*id), "index points astray");
         }
         // Late-set invariants: sorted by each entry's own key, below the
         // high-water key, and every late job indexed as late.
-        debug_assert_eq!(self.late_at.len(), self.late.len(), "stale late keys");
+        assert_eq!(self.late_at.len(), self.late.len(), "stale late keys");
         for (&key, (k, q)) in &self.late {
-            debug_assert_eq!(key, key_of(q), "late entry filed under a foreign key");
-            debug_assert_eq!(*k, QueueKey::of(q), "late key out of sync with its job");
-            debug_assert!(
+            assert_eq!(key, key_of(q), "late entry filed under a foreign key");
+            assert_eq!(*k, QueueKey::of(q), "late key out of sync with its job");
+            assert!(
                 self.max_key.is_some_and(|m| key <= m),
                 "late key above the high-water key"
             );
-            debug_assert_eq!(
+            assert_eq!(
                 (self.index.get(&q.job.id), self.late_at.get(&q.job.id)),
                 (Some(&LATE), Some(&key.0)),
                 "late job not indexed as late"
             );
         }
         for (s, k) in self.slots.iter().zip(self.keys.iter()) {
-            debug_assert_eq!(
+            assert_eq!(
                 s.as_ref().map(QueueKey::of).unwrap_or(QueueKey::TOMBSTONE),
                 *k,
                 "keys out of sync with slots"
@@ -960,27 +960,27 @@ impl JobQueue {
             .values()
             .map(|&root| self.arena.count(root))
             .sum();
-        debug_assert_eq!(indexed, self.index.len(), "backlog index size drifted");
+        assert_eq!(indexed, self.index.len(), "backlog index size drifted");
         let live_demand: u64 = live.iter().map(|q| q.job.procs as u64).sum();
-        debug_assert_eq!(
+        assert_eq!(
             self.demanded, live_demand,
             "demanded-procs aggregate drifted"
         );
-        debug_assert!(
+        assert!(
             self.by_procs.values().all(|&root| root != NIL),
             "empty backlog-index bucket retained"
         );
         for (&procs, &root) in &self.by_procs {
             let mut entries = Vec::new();
             self.arena.gather(root, None, u64::MAX, &mut entries);
-            debug_assert!(
+            assert!(
                 entries
                     .windows(2)
                     .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
                 "bucket {procs} treap out of arrival order"
             );
             let min = entries.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
-            debug_assert_eq!(
+            assert_eq!(
                 self.arena.nodes[root as usize].min_est, min,
                 "bucket {procs} min_est drifted"
             );
@@ -988,7 +988,7 @@ impl JobQueue {
         }
         for q in self.iter() {
             let (arr, jid, est) = index_entry(q);
-            debug_assert!(
+            assert!(
                 self.by_procs.get(&q.job.procs).is_some_and(|&root| {
                     let mut hits = Vec::new();
                     self.arena.gather(root, None, u64::MAX, &mut hits);
