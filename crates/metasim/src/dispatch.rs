@@ -18,6 +18,8 @@
 //! later, as one batch; there is no step that reports a submission back.
 
 use crate::shard::Shard;
+use crate::site::book;
+use psbench_sched::StepFn;
 use psbench_sim::SimJob;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -36,9 +38,10 @@ pub enum DispatchPolicy {
     /// staged where the user's previous jobs ran), falling over to the next
     /// up site only during outages.
     Affinity,
-    /// Reservation-based co-allocation: probe a deterministic power-of-k
-    /// choice of candidate sites' advisory calendars via `try_reserve` and
-    /// book the earliest feasible window.
+    /// Reservation-based co-allocation: search a deterministic power-of-k
+    /// choice of candidate sites' advance-reservation books (each a
+    /// `StepVec` of free processors) for the earliest window that holds the
+    /// job, and book it on the site that offers the earliest one.
     Reserve,
 }
 
@@ -75,9 +78,9 @@ impl DispatchPolicy {
 /// How many candidate sites [`DispatchPolicy::Reserve`] probes per job.
 const RESERVE_CHOICES: usize = 4;
 
-/// How far ahead a reservation probe searches before giving up and treating
-/// the candidate as unavailable (two weeks, matching the analytic sites'
-/// search horizon).
+/// How far after the dispatch instant a reserve window may start before the
+/// candidate counts as unavailable (two weeks, the span of the analytic
+/// co-allocation's hourly search).
 const RESERVE_HORIZON: f64 = 14.0 * 24.0 * 3600.0;
 
 fn splitmix64(mut h: u64) -> u64 {
@@ -236,9 +239,15 @@ impl Dispatcher {
                 let dur = shard.scaled_runtime(job.estimate.max(job.work)).max(1.0);
                 let start = f64::from_bits(start_bits);
                 if start < f64::MAX {
-                    // Advisory booking; a full calendar just means the site
+                    // Advisory booking; a refused one just means the site
                     // absorbs the job through its queue like any other.
-                    let _ = shard.calendar.try_reserve(start, start + dur, procs);
+                    book(
+                        &mut shard.calendar,
+                        shard.spec.procs,
+                        start,
+                        start + dur,
+                        procs,
+                    );
                 }
                 Some(chosen)
             }
@@ -246,62 +255,14 @@ impl Dispatcher {
     }
 }
 
-/// The earliest window at or after `from` where the shard's advisory
-/// calendar can hold `procs` processors for `dur` seconds, or `None` when
-/// nothing fits within [`RESERVE_HORIZON`].
-///
-/// One O(R log R) sweep over the calendar's breakpoints: the reserved count
-/// is a step function, so a window is feasible iff every breakpoint interval
-/// it covers is — the sweep tracks the earliest still-open candidate start
-/// and restarts it past any overloaded interval. (The naive alternative —
-/// stepping a probe time and re-scanning the reservation list per step — is
-/// O(steps · R²) per job and dominated fleet runs.)
+/// The earliest window at or after `from` where the shard's advance-
+/// reservation book can hold `procs` processors for `dur` seconds, or `None`
+/// when it would start more than [`RESERVE_HORIZON`] after `from`. The search
+/// is the book's own [`StepFn::earliest_start`], so the booking's
+/// [`fits`](psbench_sched::StepVec::fits) test accepts every window it offers.
 fn earliest_window(shard: &Shard, from: f64, dur: f64, procs: u32) -> Option<f64> {
-    let cap = shard.spec.procs;
-    if procs > cap {
-        return None;
-    }
-    // Breakpoints of the reserved-count step function at or after `from`.
-    let mut events: Vec<(f64, i64)> = Vec::new();
-    for r in &shard.calendar.reservations {
-        if r.end <= from {
-            continue;
-        }
-        events.push((r.start.max(from), r.procs as i64));
-        events.push((r.end, -(r.procs as i64)));
-    }
-    if events.is_empty() {
-        return Some(from);
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut load = 0i64;
-    let mut candidate = from;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
-        // A feasible run long enough to hold the whole window ends the search.
-        if t - candidate >= dur {
-            return Some(candidate);
-        }
-        while i < events.len() && events[i].0 == t {
-            load += events[i].1;
-            i += 1;
-        }
-        if load + procs as i64 > cap as i64 {
-            // Overloaded from t until the next breakpoint: any window
-            // overlapping it is infeasible, so the candidate restarts at the
-            // next load change.
-            candidate = match events.get(i) {
-                Some(&(next, _)) => next,
-                None => return None, // overloaded with no later release: corrupt calendar
-            };
-            if candidate - from > RESERVE_HORIZON {
-                return None;
-            }
-        }
-    }
-    // Past the last breakpoint the calendar is empty.
-    Some(candidate)
+    let start = shard.calendar.earliest_start(from, procs as f64, dur);
+    (start - from <= RESERVE_HORIZON).then_some(start)
 }
 
 #[cfg(test)]
@@ -438,60 +399,110 @@ mod tests {
             let pick = d.pick(&mut shards, &down, &job, 0.0).unwrap();
             shards[pick].submit(&job, i + 1, 0.0).unwrap();
         }
-        let booked: usize = shards.iter().map(|s| s.calendar.reservations.len()).sum();
-        assert!(booked > 0, "reserve policy must book windows");
+        assert!(
+            shards
+                .iter()
+                .any(|s| s.calendar.capacity_at(0.0) < s.spec.procs as f64),
+            "reserve policy must book windows"
+        );
+    }
+
+    #[test]
+    fn reserve_accepts_a_window_ending_exactly_on_a_booked_breakpoint() {
+        // `c + d == b` in floating point although `b - c < d`: the window
+        // `[c, c + d)` ends exactly where the next full-machine booking
+        // starts, so the booking accepts it. The search must offer it too,
+        // not skip past the booking to `b + 3600`.
+        let (c, d, b) = (159728.88888888888, 422.22222222222223, 160151.1111111111);
+        assert_eq!(c + d, b);
+        assert!(b - c < d);
+        let mut shards = fleet(1);
+        let cap = shards[0].spec.procs;
+        let c0 = c - 1000.0;
+        assert!(book(&mut shards[0].calendar, cap, c0, c, cap));
+        assert!(book(&mut shards[0].calendar, cap, b, b + 3600.0, cap));
+        assert_eq!(earliest_window(&shards[0], c0, d, 1), Some(c));
+        let mut dispatcher = Dispatcher::new(DispatchPolicy::Reserve);
+        let job = SimJob::rigid(1, c0, d, 1);
+        assert_eq!(dispatcher.pick(&mut shards, &[false], &job, c0), Some(0));
+        let booked = &shards[0].calendar;
+        assert_eq!(booked.capacity_at(c), (cap - 1) as f64, "booked at c");
+        assert_eq!(booked.capacity_at(b), 0.0);
+    }
+
+    /// The most processors a brute-force list of `(start, end, procs)`
+    /// bookings holds at one instant of `[from, to)`: the load at `from` and
+    /// at every booking edge inside the window.
+    fn max_booked(booked: &[(f64, f64, u32)], from: f64, to: f64) -> u32 {
+        let load = |t: f64| -> u32 {
+            booked
+                .iter()
+                .filter(|b| b.0 <= t && t < b.1)
+                .map(|b| b.2)
+                .sum()
+        };
+        let edges = booked.iter().flat_map(|b| [b.0, b.1]);
+        std::iter::once(from)
+            .chain(edges.filter(|&t| from < t && t < to))
+            .map(load)
+            .max()
+            .unwrap_or(0)
     }
 
     #[test]
     fn earliest_window_sweep_matches_the_calendar_oracle() {
-        // Differential check: the O(R log R) sweep must agree with the
-        // cluster's own max_reserved_during at every breakpoint-derived
-        // candidate start, on a deterministic pseudo-random calendar.
+        // Differential check against a brute-force list of booked intervals
+        // on a deterministic pseudo-random book: every booking is accepted
+        // exactly when the list has room, every search answer has room and
+        // no earlier candidate start does, and expiries (the epoch loop's
+        // `advance_to`) drop the list's finished bookings in between.
         let mut shard = fleet(1).pop().unwrap();
         let cap = shard.spec.procs;
+        let mut booked: Vec<(f64, f64, u32)> = Vec::new();
+        let mut now = 0.0;
         let mut h = 12345u64;
-        for _ in 0..60 {
+        for _ in 0..300 {
             h = splitmix64(h);
-            let start = (h % 100_000) as f64;
-            let dur = 600.0 + (h % 7) as f64 * 3600.0;
-            let procs = 1 + (h % (cap as u64 / 2)) as u32;
-            shard.calendar.try_reserve(start, start + dur, procs);
-        }
-        for probe in 0..40u64 {
-            let from = (probe * 2_500) as f64;
-            let dur = 1_800.0 + (probe % 5) as f64 * 3_600.0;
-            let procs = 1 + (splitmix64(probe) % cap as u64) as u32;
-            let got = earliest_window(&shard, from, dur, procs);
-            if let Some(t) = got {
-                assert!(t >= from);
-                assert!(
-                    shard.calendar.max_reserved_during(t, t + dur) + procs <= cap,
-                    "window at {t} overbooks"
-                );
-                // Earliest: every breakpoint-derived start strictly before it
-                // must be infeasible (starts between breakpoints can only see
-                // equal or higher load than the breakpoint preceding them).
-                let mut earlier: Vec<f64> = shard
-                    .calendar
-                    .reservations
-                    .iter()
-                    .map(|r| r.end)
-                    .filter(|&e| e > from && e < t)
-                    .collect();
-                earlier.push(from);
-                for &s in earlier.iter().filter(|&&s| s < t) {
-                    assert!(
-                        shard.calendar.max_reserved_during(s, s + dur) + procs > cap,
-                        "earlier start {s} was feasible but sweep chose {t}"
-                    );
+            match h % 5 {
+                0 => {
+                    now += ((h >> 8) % 5_000) as f64;
+                    shard.calendar.advance_to(now);
+                    booked.retain(|b| b.1 > now);
                 }
-            } else {
-                assert!(
-                    shard.calendar.max_reserved_during(from, from + dur) + procs > cap,
-                    "sweep gave up but the window at {from} was free"
-                );
+                1 | 2 => {
+                    let start = now + ((h >> 8) % 100_000) as f64;
+                    let end = start + 600.0 + ((h >> 24) % 7) as f64 * 3600.0;
+                    let procs = 1 + ((h >> 32) % (cap as u64 / 2)) as u32;
+                    let room = max_booked(&booked, start, end) + procs <= cap;
+                    assert_eq!(book(&mut shard.calendar, cap, start, end, procs), room);
+                    if room {
+                        booked.push((start, end, procs));
+                    }
+                }
+                _ => {
+                    let from = now + ((h >> 8) % 100_000) as f64;
+                    let dur = 1_800.0 + ((h >> 24) % 5) as f64 * 3_600.0;
+                    let procs = 1 + ((h >> 32) % cap as u64) as u32;
+                    let t = earliest_window(&shard, from, dur, procs)
+                        .expect("every booking ends within the horizon");
+                    assert!(t >= from);
+                    assert!(
+                        max_booked(&booked, t, t + dur) + procs <= cap,
+                        "window at {t} overbooks"
+                    );
+                    // Earliest: every candidate start before it — `from` and
+                    // each booking end in between — is full.
+                    let ends = booked.iter().map(|b| b.1).filter(|&e| from < e);
+                    for s in std::iter::once(from).chain(ends).filter(|&s| s < t) {
+                        assert!(
+                            max_booked(&booked, s, s + dur) + procs > cap,
+                            "earlier start {s} was free but the search chose {t}"
+                        );
+                    }
+                }
             }
         }
+        assert!(booked.len() > 20, "the book must stay busy");
     }
 
     #[test]

@@ -74,14 +74,17 @@
 use crate::dispatch::{DispatchPolicy, Dispatcher};
 use crate::shard::{Shard, ShardSpec};
 use psbench_harness::parallel_map_mut;
-use psbench_sched::UnknownScheduler;
+use psbench_sched::{StepFn, UnknownScheduler};
 use psbench_sim::{FinishedJob, SimJob, SimulationResult};
 use psbench_store::{result_fingerprint, Fnv128, MetaSummary};
 use serde::{Deserialize, Serialize};
 
 /// Version of the epoch loop's observable semantics. Folded into store keys
 /// so cached metasystem results are invalidated when the loop changes.
-pub const META_VERSION: u32 = 1;
+/// Version 2: reserve dispatch's window search accepts a window whose
+/// floating-point end lands exactly on an overloaded breakpoint, as its
+/// booking always did.
+pub const META_VERSION: u32 = 2;
 
 /// Engine ids are id ranks with the migration attempt in a high band:
 /// `engine_id = rank + attempt · MIGRATION_BAND`, where `rank` is the job's
@@ -495,7 +498,7 @@ pub fn run_metasystem(
         advance(&mut shards, &batches, t1);
         harvest_into(&mut shards, &mut batches, &mut merged);
         for shard in shards.iter_mut() {
-            shard.calendar.expire_reservations(t1);
+            shard.calendar.advance_to(t1);
         }
         epochs += 1;
 

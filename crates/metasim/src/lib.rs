@@ -11,7 +11,10 @@
 //! reservation models for fast strategy studies.
 //!
 //! * [`site`] — sites (machine schedulers wrapped for the metasystem): size, speed,
-//!   background load, price, queue-wait model, wait predictions, reservations.
+//!   background load, price, queue-wait model, wait predictions, and an
+//!   advance-reservation book. Sites and engine shards book reservations
+//!   through one booking rule into the same step function,
+//!   [`psbench_sched::StepVec`].
 //! * [`appmodel`] — annotated application graphs, the three micro-benchmark classes
 //!   of Section 3.2, mixed-mode workloads, and the inter-site network model.
 //! * [`metasched`] — placement strategies, the application scheduler (list
@@ -24,8 +27,8 @@
 //! dispatch.
 //!
 //! * [`shard`] — one site as an online engine + zoo policy + advisory
-//!   calendar; it exposes its engine's raw load and carries no routing
-//!   state.
+//!   advance-reservation book; it exposes its engine's raw load and carries
+//!   no routing state.
 //! * [`dispatch`] — the pluggable cross-site [`dispatch::DispatchPolicy`]s
 //!   (round-robin, least-pressure over the backlog index's O(1) aggregates,
 //!   data-affinity, reservation-based co-allocation); the dispatcher owns

@@ -308,14 +308,16 @@ pub fn coallocate_via_reservations(
     let mut t = now + lead_time.max(0.0);
     for _ in 0..24 * 14 {
         let ok = chosen.iter().all(|&i| {
-            sites[i].calendar.max_reserved_during(t, t + req.duration) + req.procs
-                <= sites[i].spec.procs
+            sites[i]
+                .calendar
+                .fits(t, t + req.duration, req.procs as f64)
         });
         if ok {
             for &i in chosen {
-                sites[i]
-                    .try_reserve(t, req.duration, req.procs)
-                    .expect("joint slot was verified");
+                assert!(
+                    sites[i].try_reserve(t, req.duration, req.procs),
+                    "joint slot was verified"
+                );
             }
             return Some(CoallocationOutcome {
                 mechanism: "reservations".to_string(),
@@ -405,6 +407,7 @@ mod tests {
     use super::*;
     use crate::appmodel::MicroBenchmark;
     use crate::site::standard_metasystem;
+    use psbench_sched::StepFn;
 
     #[test]
     fn device_map_pins_devices_to_sites() {
@@ -508,7 +511,7 @@ mod tests {
         assert!(
             r_sites
                 .iter()
-                .filter(|s| !s.calendar.reservations.is_empty())
+                .filter(|s| s.calendar.capacity_at(via_res.start) < s.spec.procs as f64)
                 .count()
                 >= 3
         );

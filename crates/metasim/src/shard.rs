@@ -13,8 +13,8 @@
 //! backlog's demanded processors and the capacity in use), and the
 //! [`crate::dispatch::Dispatcher`] alone turns that into pressure.
 
-use psbench_sched::{LiveSim, UnknownScheduler};
-use psbench_sim::{Cluster, FinishedJob, JobQueue, OnlineError, SimJob, SimulationResult};
+use psbench_sched::{LiveSim, StepVec, UnknownScheduler};
+use psbench_sim::{FinishedJob, JobQueue, OnlineError, SimJob, SimulationResult};
 use serde::{Deserialize, Serialize};
 
 /// The static description of an engine shard: one site of the metasystem.
@@ -60,17 +60,18 @@ pub fn standard_shard_fleet(n: usize, scheduler: &str) -> Vec<ShardSpec> {
 }
 
 /// One site of the sharded metasystem: an online engine under its local
-/// policy, its advisory calendar, and the harvest cursor the epoch loop
-/// needs.
+/// policy, its advisory reservation book, and the harvest cursor the epoch
+/// loop needs.
 pub struct Shard {
     /// The static description of this shard.
     pub spec: ShardSpec,
     live: LiveSim,
-    /// Advisory reservation calendar for co-allocating dispatch policies.
-    /// Separate from the engine (local policies keep full control of their
-    /// machine); bookings model the negotiation of Section 3.1 and steer
+    /// Advisory advance-reservation book for co-allocating dispatch: free
+    /// processors over time, anchored at the last epoch boundary. Separate
+    /// from the engine (local policies keep full control of their machine);
+    /// bookings model the negotiation of Section 3.1 and steer
     /// [`crate::dispatch::DispatchPolicy::Reserve`] away from booked sites.
-    pub calendar: Cluster,
+    pub calendar: StepVec,
     harvested: usize,
 }
 
@@ -79,7 +80,7 @@ impl Shard {
     /// a newly constructed local policy.
     pub fn new(spec: ShardSpec) -> Result<Self, UnknownScheduler> {
         Ok(Shard {
-            calendar: Cluster::new(spec.procs.max(1)),
+            calendar: StepVec::anchored(0.0, spec.procs as f64),
             live: LiveSim::new(&spec.scheduler, spec.procs)?,
             harvested: 0,
             spec,

@@ -6,9 +6,9 @@
 //! applications submitted to it, the error of wait time predictions, when
 //! reservations can be made, etc." A [`Site`] therefore models a parallel machine
 //! by its size, its background load, a queue-wait model, a wait-time predictor with
-//! a configurable error, an advance-reservation calendar, and a price.
+//! a configurable error, an advance-reservation book, and a price.
 
-use psbench_sim::Cluster;
+use psbench_sched::{StepFn, StepVec};
 use psbench_workload::dist::exponential;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,13 +54,14 @@ impl SiteSpec {
     }
 }
 
-/// A site: the spec plus mutable state (reservation calendar, queue backlog, RNG).
+/// A site: the spec plus mutable state (reservation book, queue backlog, RNG).
 #[derive(Debug, Clone)]
 pub struct Site {
     /// The static description of the site.
     pub spec: SiteSpec,
-    /// The reservation calendar (shared machinery with the local simulator).
-    pub calendar: Cluster,
+    /// The advance-reservation book: free processors over time, the same
+    /// step function the engine shards book into.
+    pub calendar: StepVec,
     /// Earliest time at which the site's queue is expected to drain for a
     /// full-machine request (advances as meta-jobs are accepted).
     backlog_until: f64,
@@ -88,7 +89,7 @@ impl Site {
     /// Create a site from its spec with a deterministic per-site RNG.
     pub fn new(spec: SiteSpec, seed: u64) -> Self {
         Site {
-            calendar: Cluster::new(spec.procs.max(1)),
+            calendar: StepVec::anchored(0.0, spec.procs as f64),
             backlog_until: 0.0,
             rng: StdRng::seed_from_u64(seed ^ (spec.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             spec,
@@ -165,13 +166,19 @@ impl Site {
     }
 
     /// Try to book an advance reservation for `procs` processors during
-    /// `[start, start+duration)`. Fails if the site does not support reservations or
-    /// the calendar is full.
-    pub fn try_reserve(&mut self, start: f64, duration: f64, procs: u32) -> Option<u64> {
-        if !self.spec.supports_reservations {
-            return None;
-        }
-        self.calendar.try_reserve(start, start + duration, procs)
+    /// `[start, start+duration)`; returns whether it was booked. Fails if the
+    /// site does not support reservations, the request is malformed
+    /// (`duration ≤ 0`, `procs` outside `1..=spec.procs`), or the window does
+    /// not [`fit`](StepVec::fits) the book.
+    pub fn try_reserve(&mut self, start: f64, duration: f64, procs: u32) -> bool {
+        self.spec.supports_reservations
+            && book(
+                &mut self.calendar,
+                self.spec.procs,
+                start,
+                start + duration,
+                procs,
+            )
     }
 
     /// Run a request inside a previously booked reservation: it starts exactly at
@@ -193,22 +200,21 @@ impl Site {
             cost: work_proc_seconds / self.spec.speed * self.spec.cost_per_proc_second,
         }
     }
+}
 
-    /// The earliest time ≥ `from` at which a reservation of `procs` processors for
-    /// `duration` seconds could be booked (searching the calendar in hourly steps).
-    pub fn earliest_reservation(&self, from: f64, duration: f64, procs: u32) -> Option<f64> {
-        if !self.spec.supports_reservations || procs > self.spec.procs {
-            return None;
-        }
-        let mut t = from;
-        for _ in 0..24 * 14 {
-            if self.calendar.max_reserved_during(t, t + duration) + procs <= self.spec.procs {
-                return Some(t);
-            }
-            t += 3600.0;
-        }
-        None
+/// Book `procs` processors over `[start, end)` in the advance-reservation book
+/// of a `machine`-processor site — the one booking rule behind
+/// [`Site::try_reserve`] and reserve dispatch. The promise is made against
+/// nominal capacity (outages are not predictable): it is booked when the
+/// request is well formed (`end > start`, `1 ≤ procs ≤ machine`) and the
+/// book [`fits`](StepVec::fits) it. Returns whether it was booked.
+pub(crate) fn book(calendar: &mut StepVec, machine: u32, start: f64, end: f64, procs: u32) -> bool {
+    let ok =
+        end > start && (1..=machine).contains(&procs) && calendar.fits(start, end, procs as f64);
+    if ok {
+        calendar.add_range(start, end, -(procs as f64));
     }
+    ok
 }
 
 /// Build a heterogeneous metasystem of `n` sites with varied sizes, speeds, loads
@@ -330,22 +336,28 @@ mod tests {
     #[test]
     fn reservations_start_on_time_and_respect_capacity() {
         let mut site = Site::new(SiteSpec::new(1, 64), 11);
-        let id = site.try_reserve(1000.0, 3600.0, 48).unwrap();
-        assert!(id > 0);
-        // A second overlapping reservation that exceeds the machine fails.
-        assert!(site.try_reserve(1500.0, 3600.0, 32).is_none());
+        assert!(site.try_reserve(1000.0, 3600.0, 48));
+        // A second overlapping reservation that exceeds the machine fails...
+        assert!(!site.try_reserve(1500.0, 3600.0, 32));
+        // ...but one that fits beside it, or starts as it ends, succeeds.
+        assert!(site.try_reserve(1500.0, 3600.0, 16));
+        assert!(site.try_reserve(4600.0, 3600.0, 48));
+        assert_eq!(site.calendar.capacity_at(1500.0), 0.0);
+        assert_eq!(site.calendar.capacity_at(4600.0), 0.0);
+        assert_eq!(site.calendar.capacity_at(5100.0), 16.0);
         let placement = site.run_reserved(1000.0, 48.0 * 100.0, 48);
         assert_eq!(placement.start, 1000.0);
         assert_eq!(placement.end, 1100.0);
-        // earliest_reservation skips past the booked window for large requests
-        let t = site.earliest_reservation(0.0, 3600.0, 32).unwrap();
-        assert!(t >= 4600.0 - 3600.0, "found {t}");
+        // Malformed requests are refused.
+        assert!(!site.try_reserve(0.0, 0.0, 8));
+        assert!(!site.try_reserve(100.0, -50.0, 8));
+        assert!(!site.try_reserve(0.0, 100.0, 0));
+        assert!(!site.try_reserve(0.0, 100.0, 65));
         // a site without reservation support refuses
         let mut no_res_spec = SiteSpec::new(2, 64);
         no_res_spec.supports_reservations = false;
         let mut no_res = Site::new(no_res_spec, 1);
-        assert!(no_res.try_reserve(0.0, 10.0, 1).is_none());
-        assert!(no_res.earliest_reservation(0.0, 10.0, 1).is_none());
+        assert!(!no_res.try_reserve(0.0, 10.0, 1));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use psbench_metasim::{
     run_metasystem, DispatchPolicy, Dispatcher, MetaConfig, MetaResult, Shard, ShardSpec,
     SiteOutage,
 };
+use psbench_sched::StepFn;
 use psbench_sim::{FinishedJob, OnlineError, SimJob, SimulationResult};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -234,7 +235,7 @@ fn reference_metasystem(specs: &[ShardSpec], jobs: &[SimJob], cfg: &MetaConfig) 
         parallel_map_mut(&mut shards, threads, |_, s| s.advance_to(t1));
         harvest(&mut shards, &mut merged, &origin);
         for shard in shards.iter_mut() {
-            shard.calendar.expire_reservations(t1);
+            shard.calendar.advance_to(t1);
         }
         epochs += 1;
 

@@ -130,12 +130,15 @@ pub(crate) fn eps_lt(a: f64, b: f64) -> bool {
     a < b && !eps_eq(a, b)
 }
 
-/// The operations a free-capacity step function needs to support conservative
-/// planning. Implemented by the exhaustive [`StepVec`] (flat, obviously
-/// correct) and the chunked [`Calendar`] (incremental, sublinear updates);
-/// the two must agree exactly, which the differential unit tests below and
-/// the scheduler-level proptest enforce.
-pub(crate) trait StepFn {
+/// A free-capacity step function: the one reservation step function of the
+/// workspace. Conservative planning books its promises in one, and so do the
+/// metasystem's advance-reservation books (`psbench_metasim`'s sites and
+/// engine shards). Implemented by the flat [`StepVec`] (linear updates,
+/// obviously correct) and the chunked `Calendar` behind
+/// [`ConservativeBackfill`] (incremental, sublinear updates); the two must
+/// agree exactly, which the differential unit tests below and the
+/// scheduler-level proptest enforce.
+pub trait StepFn {
     /// Free capacity at time `t` (the first step's capacity also applies to
     /// instants before it — it is the `now` anchor).
     fn capacity_at(&self, t: f64) -> f64;
@@ -144,10 +147,15 @@ pub(crate) trait StepFn {
     /// `f64::INFINITY` (a release that never ends). `from` is clipped to the
     /// anchor; an empty or inverted range is a no-op. Returns the minimum
     /// capacity over `[from, to)` *after* the update (`f64::INFINITY` for a
-    /// no-op) — consumers feed it to [`Park::note`]. The minimum is a
-    /// property of the updated function, so both implementations return the
-    /// same value bit for bit.
+    /// no-op) — the conservative planner feeds it to its parking bounds. The
+    /// minimum is a property of the updated function, so both
+    /// implementations return the same value bit for bit.
     fn add_range(&mut self, from: f64, to: f64, delta: f64) -> f64;
+
+    /// Move the anchor to `now`: drop the steps strictly before `now` and
+    /// make the first step exactly `(now, capacity_at(now))`. The function
+    /// on `[now, ∞)` is unchanged.
+    fn advance_to(&mut self, now: f64);
 
     /// Earliest time ≥ `from` at which `procs` processors are continuously
     /// free for `duration` seconds, or `f64::INFINITY` when no such time
@@ -156,10 +164,9 @@ pub(crate) trait StepFn {
     /// `capacity_at(c) ≥ procs` and no breakpoint in `(c, c + duration)`
     /// dips below `procs`. All comparisons exact.
     ///
-    /// Production placement goes through [`Self::earliest_start_capped`];
-    /// this unbudgeted form is the executable spec the equivalence tests
-    /// exercise directly on both implementations.
-    #[allow(dead_code)]
+    /// Conservative placement goes through [`Self::earliest_start_capped`];
+    /// the metasystem's reserve dispatch searches its books with this
+    /// unbudgeted form.
     fn earliest_start(&self, from: f64, procs: f64, duration: f64) -> f64;
 
     /// The **dip profile** at `from`: for each integer width `p` in
@@ -182,13 +189,13 @@ pub(crate) trait StepFn {
 
     /// [`StepFn::earliest_start`] with a probe budget: test at most `budget`
     /// candidate windows and return `None` when all of them failed (the
-    /// caller parks the job instead — see [`Park`]). Candidates are `from`
-    /// (when wide enough) followed by the successive *rise* points — the
-    /// first breakpoint at or above `procs` after each failing window's
-    /// first dip. Rises and dips are properties of the step function (a
-    /// redundant step can never be the first breakpoint crossing a level),
-    /// so both implementations probe the identical candidate sequence and
-    /// give up after the identical amount of work.
+    /// conservative planner then parks the job at its width's tail bound).
+    /// Candidates are `from` (when wide enough) followed by the successive
+    /// *rise* points — the first breakpoint at or above `procs` after each
+    /// failing window's first dip. Rises and dips are properties of the step
+    /// function (a redundant step can never be the first breakpoint crossing
+    /// a level), so both implementations probe the identical candidate
+    /// sequence and give up after the identical amount of work.
     fn earliest_start_capped(
         &self,
         from: f64,
@@ -279,35 +286,52 @@ fn record_dip(dips: &mut [f64], runmin: &mut f64, t: f64, cap: f64) {
     *runmin = cap;
 }
 
-/// A flat, exhaustively recomputing step function: the reference
-/// implementation of [`StepFn`], kept deliberately naive (linear scans
-/// everywhere) so it is easy to audit. [`ConservativeOracle`] rebuilds one of
-/// these from scratch every react.
+/// A flat step function of free processors over time: one sorted vector of
+/// `(time, free_procs)` steps, updated in place by linear moves. It is the
+/// advance-reservation book of the metasystem's sites and shards, and the
+/// profile [`ConservativeOracle`] rebuilds from scratch every react — kept
+/// naive enough to audit, which is what makes it the reference the chunked
+/// `Calendar` is tested against.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StepVec {
+pub struct StepVec {
     /// `(time, free_procs)`, strictly increasing times.
     steps: Vec<(f64, f64)>,
 }
 
 impl StepVec {
-    pub(crate) fn anchored(now: f64, free: f64) -> Self {
+    /// A step function that is `free` from `now` on (and, by the anchor rule,
+    /// before it).
+    pub fn anchored(now: f64, free: f64) -> Self {
         StepVec {
             steps: vec![(now, free)],
         }
+    }
+
+    /// Can `procs` processors be promised over `[from, to)`? True when the
+    /// capacity at `from` and at every breakpoint in `(from, to)` is at least
+    /// `procs`. A breakpoint at exactly `to` does not count: with
+    /// `to = c + duration` this is the rule [`StepFn::earliest_start`] tests
+    /// its candidates `c` by, so a window the search offers always fits.
+    pub fn fits(&self, from: f64, to: f64, procs: f64) -> bool {
+        self.capacity_at(from) >= procs
+            && self.steps[self.after(from)..]
+                .iter()
+                .take_while(|s| s.0 < to)
+                .all(|s| s.1 >= procs)
+    }
+
+    /// Index of the first step strictly after `t`.
+    fn after(&self, t: f64) -> usize {
+        self.steps.partition_point(|s| s.0 <= t)
     }
 }
 
 impl StepFn for StepVec {
     fn capacity_at(&self, t: f64) -> f64 {
-        let mut cap = self.steps.first().map(|s| s.1).unwrap_or(0.0);
-        for &(time, c) in &self.steps {
-            if time <= t {
-                cap = c;
-            } else {
-                break;
-            }
+        match self.after(t) {
+            0 => self.steps.first().map(|s| s.1).unwrap_or(0.0),
+            i => self.steps[i - 1].1,
         }
-        cap
     }
 
     fn add_range(&mut self, from: f64, to: f64, delta: f64) -> f64 {
@@ -333,6 +357,15 @@ impl StepFn for StepVec {
         win_min
     }
 
+    fn advance_to(&mut self, now: f64) {
+        let cap = self.capacity_at(now);
+        let keep = self.steps.partition_point(|s| s.0 < now);
+        self.steps.drain(..keep);
+        if self.steps.first().is_none_or(|s| s.0 != now) {
+            self.steps.insert(0, (now, cap));
+        }
+    }
+
     fn earliest_start(&self, from: f64, procs: f64, duration: f64) -> f64 {
         self.earliest_start_capped(from, procs, duration, usize::MAX)
             .expect("unbounded search cannot exhaust its budget")
@@ -346,15 +379,15 @@ impl StepFn for StepVec {
         budget: usize,
     ) -> Option<f64> {
         let first_bad_after = |t: f64| -> Option<f64> {
-            self.steps
+            self.steps[self.after(t)..]
                 .iter()
-                .find(|s| s.0 > t && s.1 < procs)
+                .find(|s| s.1 < procs)
                 .map(|s| s.0)
         };
         let first_good_after = |t: f64| -> Option<f64> {
-            self.steps
+            self.steps[self.after(t)..]
                 .iter()
-                .find(|s| s.0 > t && s.1 >= procs)
+                .find(|s| s.1 >= procs)
                 .map(|s| s.0)
         };
         let mut candidate = if self.capacity_at(from) >= procs {
@@ -475,26 +508,6 @@ impl Calendar {
     fn chunk_at(&self, t: f64) -> usize {
         let ci = self.chunks.partition_point(|c| c.first_time() <= t);
         ci.saturating_sub(1)
-    }
-
-    /// Advance the anchor to `now`: drop steps strictly before `now` and make
-    /// the first step exactly `(now, capacity_at(now))`. The function on
-    /// `[now, ∞)` is unchanged.
-    pub(crate) fn advance_to(&mut self, now: f64) {
-        if self.chunks.is_empty() {
-            self.reset(now, 0.0);
-            return;
-        }
-        let cap = self.capacity_at(now);
-        let ci = self.chunk_at(now);
-        self.chunks.drain(..ci);
-        let c = &mut self.chunks[0];
-        let keep = c.steps.partition_point(|s| s.0 < now);
-        c.steps.drain(..keep);
-        if c.steps.first().map(|s| s.0 != now).unwrap_or(true) {
-            c.steps.insert(0, (now, cap - c.off));
-        }
-        c.refresh();
     }
 
     /// Drop interior steps whose capacity equals their predecessor's
@@ -651,6 +664,23 @@ impl StepFn for Calendar {
             c.refresh();
         }
         win_min
+    }
+
+    fn advance_to(&mut self, now: f64) {
+        if self.chunks.is_empty() {
+            self.reset(now, 0.0);
+            return;
+        }
+        let cap = self.capacity_at(now);
+        let ci = self.chunk_at(now);
+        self.chunks.drain(..ci);
+        let c = &mut self.chunks[0];
+        let keep = c.steps.partition_point(|s| s.0 < now);
+        c.steps.drain(..keep);
+        if c.steps.first().map(|s| s.0 != now).unwrap_or(true) {
+            c.steps.insert(0, (now, cap - c.off));
+        }
+        c.refresh();
     }
 
     fn earliest_start(&self, from: f64, procs: f64, duration: f64) -> f64 {
@@ -812,10 +842,9 @@ struct Slot {
 }
 
 /// Does this react invalidate a committed plan outright? Shared by both
-/// conservative implementations: a plan never anchored, the start, kills,
-/// outages and external reservation changes all force a rebuild, and so does
-/// a running job past its estimated end (`min_running_end < now`), whose end
-/// then drifts with the clock.
+/// conservative implementations: a plan never anchored, the start, kills and
+/// outages all force a rebuild, and so does a running job past its estimated
+/// end (`min_running_end < now`), whose end then drifts with the clock.
 fn needs_rebuild(
     anchored: bool,
     min_running_end: f64,
@@ -830,8 +859,7 @@ fn needs_rebuild(
         | SchedulerEvent::JobsKilled { .. }
         | SchedulerEvent::OutageAnnounced { .. }
         | SchedulerEvent::OutageStarted { .. }
-        | SchedulerEvent::OutageEnded { .. }
-        | SchedulerEvent::ReservationsChanged => true,
+        | SchedulerEvent::OutageEnded { .. } => true,
         _ => min_running_end < ctx.now,
     }
 }
@@ -1438,15 +1466,20 @@ mod tests {
         assert_eq!(p.earliest_start(0.0, 8.0, 11.0), 50.0);
         assert_eq!(p.earliest_start(0.0, 64.0, 5.0), 100.0);
         assert_eq!(p.earliest_start(0.0, 65.0, 5.0), f64::INFINITY);
+        // A breakpoint at exactly the window's end does not count.
+        assert!(p.fits(0.0, 10.0, 8.0));
+        assert!(!p.fits(0.0, 10.5, 8.0));
+        assert!(!p.fits(10.0, 20.0, 1.0));
     }
 
     #[test]
     fn calendar_matches_stepvec_on_random_ops() {
         // Differential test: the chunked calendar and the flat reference must
         // agree exactly on capacities, earliest-start searches and dip
-        // profiles (whole and clamped to a horizon) across a deterministic
-        // pseudo-random op mix dense enough to force chunk splits, offsets
-        // and partial-range updates.
+        // profiles (whole and clamped to a horizon) across a
+        // deterministic pseudo-random op mix dense enough to force chunk
+        // splits, offsets and partial-range updates, with both anchors
+        // advanced at random non-decreasing instants along the way.
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -1458,14 +1491,15 @@ mod tests {
         cal.reset(0.0, 64.0);
         let mut reference = StepVec::anchored(0.0, 64.0);
         let mut occupied: Vec<(f64, f64, f64)> = Vec::new();
+        let mut now = 0.0;
         for round in 0..4000 {
             let r = rng();
-            match r % 5 {
+            match r % 6 {
                 0 | 1 => {
                     // Occupy a random feasible window.
                     let procs = (r / 7 % 16 + 1) as f64;
                     let dur = (r / 11 % 500 + 1) as f64;
-                    let from = (r / 13 % 2000) as f64;
+                    let from = now + (r / 13 % 2000) as f64;
                     let s_cal = cal.earliest_start(from, procs, dur);
                     let s_ref = reference.earliest_start(from, procs, dur);
                     assert_eq!(s_cal, s_ref, "round {round} search");
@@ -1485,7 +1519,7 @@ mod tests {
                     }
                 }
                 3 => {
-                    let t = (r / 17 % 3000) as f64;
+                    let t = now + (r / 17 % 3000) as f64;
                     assert_eq!(
                         cal.capacity_at(t),
                         reference.capacity_at(t),
@@ -1505,16 +1539,51 @@ mod tests {
                         clamped,
                         "round {round} dips up to {horizon}"
                     );
+                    // The window test answers whether a search from `t`
+                    // answers `t`.
+                    let procs = (r / 7 % 64 + 1) as f64;
+                    let dur = (r / 11 % 900 + 1) as f64;
+                    assert_eq!(
+                        reference.fits(t, t + dur, procs),
+                        reference.earliest_start_capped(t, procs, dur, 1) == Some(t),
+                        "round {round} fits vs search"
+                    );
                 }
-                _ => {
+                4 => {
                     if r % 97 == 0 {
                         cal.compact();
                     }
                     let procs = (r / 7 % 64 + 1) as f64;
                     let dur = (r / 11 % 900 + 1) as f64;
-                    let s_cal = cal.earliest_start(0.0, procs, dur);
-                    let s_ref = reference.earliest_start(0.0, procs, dur);
+                    let s_cal = cal.earliest_start(now, procs, dur);
+                    let s_ref = reference.earliest_start(now, procs, dur);
                     assert_eq!(s_cal, s_ref, "round {round} wide search");
+                }
+                _ => {
+                    // Advance both anchors, then compare the functions at and
+                    // after the new anchor.
+                    now += (r / 23 % 8) as f64;
+                    cal.advance_to(now);
+                    reference.advance_to(now);
+                    let procs = (r / 7 % 64 + 1) as f64;
+                    let dur = (r / 11 % 900 + 1) as f64;
+                    for t in [now, now + (r / 29 % 600) as f64] {
+                        assert_eq!(
+                            cal.capacity_at(t),
+                            reference.capacity_at(t),
+                            "round {round} cap after advancing to {now}"
+                        );
+                        assert_eq!(
+                            cal.earliest_start(t, procs, dur),
+                            reference.earliest_start(t, procs, dur),
+                            "round {round} search after advancing to {now}"
+                        );
+                        assert_eq!(
+                            cal.dip_times(t),
+                            reference.dip_times(t),
+                            "round {round} dips after advancing to {now}"
+                        );
+                    }
                 }
             }
         }

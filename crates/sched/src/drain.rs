@@ -1,12 +1,11 @@
-//! Outage- and reservation-aware scheduling.
+//! Outage-aware scheduling.
 //!
 //! Section 2.2 argues that outage information "is often available to the job
 //! scheduler so that jobs can be scheduled around the outages, or such that the
-//! system is drained up to the outage"; Section 3.1 asks local schedulers to honour
-//! advance reservations so meta-schedulers can co-allocate. This policy wraps EASY
-//! backfilling with both behaviours: it refuses to start jobs whose estimated
-//! completion would collide with an announced capacity loss (outage or reservation)
-//! unless enough capacity remains during the overlap.
+//! system is drained up to the outage". This policy wraps EASY backfilling with
+//! that behaviour: it refuses to start jobs whose estimated completion would
+//! collide with an announced outage unless enough capacity remains during the
+//! overlap.
 
 use crate::backfill::EasyBackfill;
 use psbench_sim::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
@@ -19,8 +18,7 @@ struct CapacityDrop {
     procs: u32,
 }
 
-/// EASY backfilling that drains before announced outages and schedules around
-/// advance reservations.
+/// EASY backfilling that drains before announced outages.
 #[derive(Debug, Clone, Default)]
 pub struct DrainingEasy {
     announced: Vec<CapacityDrop>,
@@ -33,16 +31,15 @@ impl DrainingEasy {
         DrainingEasy::default()
     }
 
-    /// Capacity that is promised away (to outages or reservations) during
+    /// Capacity that is promised away to announced outages during
     /// `[from, to)`, at its worst instant.
     ///
-    /// Outage drops and reservations are both step functions of time, so
-    /// their combined worst instant is found by evaluating the *sum* at every
-    /// edge inside the window — not by adding the separate maxima, which
-    /// overstates the loss whenever the outage and the reservation windows
-    /// never coincide (and made this policy refuse backfills that were
-    /// perfectly safe).
-    fn promised_away(&self, ctx: &SchedulerContext<'_>, from: f64, to: f64) -> f64 {
+    /// Outage drops are step functions of time, so their combined worst
+    /// instant is found by evaluating the *sum* at every edge inside the
+    /// window — not by adding the separate maxima, which overstates the loss
+    /// whenever the drops never coincide (and made this policy refuse
+    /// backfills that were perfectly safe).
+    fn promised_away(&self, from: f64, to: f64) -> f64 {
         let mut points: Vec<f64> = vec![from];
         for d in &self.announced {
             if d.start < to && from < d.end {
@@ -54,16 +51,6 @@ impl DrainingEasy {
                 }
             }
         }
-        for r in &ctx.cluster.reservations {
-            if r.overlaps(from, to) {
-                if r.start > from {
-                    points.push(r.start);
-                }
-                if r.end < to {
-                    points.push(r.end);
-                }
-            }
-        }
         let mut worst = 0u32;
         for &t in &points {
             let outage: u32 = self
@@ -72,7 +59,7 @@ impl DrainingEasy {
                 .filter(|d| t >= d.start && t < d.end)
                 .map(|d| d.procs)
                 .sum();
-            worst = worst.max(outage + ctx.cluster.reserved_at(t));
+            worst = worst.max(outage);
         }
         worst as f64
     }
@@ -83,7 +70,7 @@ impl DrainingEasy {
     fn collides(&self, ctx: &SchedulerContext<'_>, procs: f64, duration: f64) -> bool {
         let from = ctx.now;
         let to = ctx.now + duration;
-        let promised = self.promised_away(ctx, from, to);
+        let promised = self.promised_away(from, to);
         if promised <= 0.0 {
             return false;
         }
@@ -112,9 +99,9 @@ impl Scheduler for DrainingEasy {
             _ => {}
         }
         // Ask EASY what it would do, then veto starts that collide with an announced
-        // capacity drop or an advance reservation. The inner planner consults
-        // the backlog index (and handles batched completion consults), so the
-        // wrapper's own cost is O(proposed decisions).
+        // capacity drop. The inner planner consults the backlog index (and handles
+        // batched completion consults), so the wrapper's own cost is O(proposed
+        // decisions).
         let proposed = self.inner.react(ctx, event);
         let mut out = Vec::new();
         let mut vetoed = false;
@@ -221,49 +208,20 @@ mod tests {
     }
 
     #[test]
-    fn respects_advance_reservations_in_the_calendar() {
-        // A reservation for the whole machine at t in [100, 200): a long job must not
-        // start before it, a short one may.
-        let long = SimJob::rigid(1, 0.0, 500.0, 64);
-        let short = SimJob::rigid(2, 0.0, 50.0, 64);
-        // The reservation is placed via the cluster by the engine's owner in metasim;
-        // here we emulate it by checking the collide logic directly.
-        let cluster = {
-            let mut c = psbench_sim::Cluster::new(64);
-            c.try_reserve(100.0, 200.0, 64).unwrap();
-            c
-        };
-        let d = DrainingEasy::new();
-        let queue = psbench_sim::JobQueue::new();
-        let ctx = SchedulerContext {
-            now: 0.0,
-            cluster: &cluster,
-            queue: &queue,
-            running: &[],
-            used_procs: 0.0,
-        };
-        assert!(d.collides(&ctx, long.procs as f64, long.estimate));
-        assert!(!d.collides(&ctx, short.procs as f64, short.estimate));
-    }
-
-    #[test]
     fn disjoint_outage_and_reservation_do_not_stack() {
-        // An announced 40-proc outage in [100, 200) and a 40-proc reservation
-        // in [300, 400) never coincide, so the worst instant of a job window
-        // spanning both is 40 promised-away processors — not 80. Adding the
-        // separate maxima (the old computation) vetoed this perfectly safe
-        // 16-proc start.
-        let cluster = {
-            let mut c = psbench_sim::Cluster::new(64);
-            c.try_reserve(300.0, 400.0, 40).unwrap();
-            c
-        };
+        // Two announced 40-proc capacity drops, in [100, 200) and [300, 400),
+        // never coincide, so the worst instant of a job window spanning both
+        // is 40 promised-away processors — not 80. Adding the separate maxima
+        // vetoed this perfectly safe 16-proc start.
+        let cluster = psbench_sim::Cluster::new(64);
         let mut d = DrainingEasy::new();
-        d.announced.push(CapacityDrop {
-            start: 100.0,
-            end: 200.0,
-            procs: 40,
-        });
+        for (start, end) in [(100.0, 200.0), (300.0, 400.0)] {
+            d.announced.push(CapacityDrop {
+                start,
+                end,
+                procs: 40,
+            });
+        }
         let queue = psbench_sim::JobQueue::new();
         let ctx = SchedulerContext {
             now: 0.0,
@@ -272,19 +230,19 @@ mod tests {
             running: &[],
             used_procs: 0.0,
         };
-        assert_eq!(d.promised_away(&ctx, 0.0, 350.0), 40.0);
+        assert_eq!(d.promised_away(0.0, 350.0), 40.0);
         assert!(
             !d.collides(&ctx, 16.0, 350.0),
             "disjoint windows must not stack; 16 + 40 fits a 64-proc machine"
         );
         // Overlapping windows still stack to their true combined worst
-        // instant: add an outage coinciding with the reservation.
+        // instant: add an outage coinciding with the second one.
         d.announced.push(CapacityDrop {
             start: 320.0,
             end: 380.0,
             procs: 20,
         });
-        assert_eq!(d.promised_away(&ctx, 0.0, 350.0), 60.0);
+        assert_eq!(d.promised_away(0.0, 350.0), 60.0);
         assert!(d.collides(&ctx, 16.0, 350.0));
     }
 

@@ -7,12 +7,13 @@
 //! * [`backfill`] — EASY (aggressive) backfilling and the replan-per-react
 //!   conservative variant, driven by the user estimates carried in SWF field 9.
 //! * [`calendar`] — conservative backfilling on a persistent cross-react
-//!   reservation calendar (the default `conservative` policy), plus the
-//!   exhaustive oracle it is verified against.
+//!   reservation calendar (the default `conservative` policy), the exhaustive
+//!   oracle it is verified against, and the free-capacity step function
+//!   ([`StepFn`], [`StepVec`]) that both plan on and the metasystem books its
+//!   advance reservations in.
 //! * [`gang`] — Ousterhout-matrix gang scheduling (time slicing with coscheduling).
 //! * [`adaptive`] — adaptive equipartitioning for moldable (flexible) jobs.
-//! * [`drain`] — outage- and reservation-aware EASY (drains before announced
-//!   outages, schedules around advance reservations).
+//! * [`drain`] — outage-aware EASY (drains before announced outages).
 //! * [`probe`] — [`LiveSim`], an online engine that owns its live policy,
 //!   and predicted-start queries against a fork of its state (the `whatif`
 //!   surface of `psbench serve`).
@@ -40,7 +41,7 @@ pub mod queue_order;
 pub mod prelude {
     pub use crate::adaptive::AdaptivePartition;
     pub use crate::backfill::{EasyBackfill, ReplanConservative};
-    pub use crate::calendar::{ConservativeBackfill, ConservativeOracle};
+    pub use crate::calendar::{ConservativeBackfill, StepFn, StepVec};
     pub use crate::drain::DrainingEasy;
     pub use crate::gang::{GangScheduler, Packing};
     pub use crate::probe::{probe_start, LiveSim, Prediction, ProbeError};

@@ -8,6 +8,7 @@
 //! seed-style reference engine's `SimulationResult` bit for bit.
 
 use proptest::prelude::*;
+use psbench_sched::calendar::ConservativeOracle;
 use psbench_sched::prelude::*;
 use psbench_sim::{Scheduler, SimConfig, SimJob, Simulation};
 use psbench_workload::feedback::{infer_dependencies, InferenceParams};

@@ -844,9 +844,7 @@ impl Simulation {
                     let ok = match self.queue.get(job_id) {
                         Some(q) => {
                             let procs = procs.unwrap_or(q.job.procs).max(1);
-                            let free = self.cluster.available_procs() as f64
-                                - self.used_procs
-                                - self.cluster.reserved_at(self.now) as f64;
+                            let free = self.cluster.available_procs() as f64 - self.used_procs;
                             let fits = share > 0.0 && procs as f64 * share <= free + EPS;
                             fits.then_some(procs)
                         }

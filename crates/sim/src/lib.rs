@@ -5,7 +5,7 @@
 //! needs a simulator. This crate provides it:
 //!
 //! * [`job`] — job descriptions (rigid and moldable), queue / running / finished state.
-//! * [`cluster`] — machine capacity, outages, and the advance-reservation calendar.
+//! * [`cluster`] — machine capacity and outages.
 //! * [`scheduler`] — the policy interface: the simulator asks, the policy decides.
 //! * [`engine`] — the event loop, with rate-based execution (space *and* time
 //!   sharing), closed-loop feedback submission, and outage handling.
@@ -25,7 +25,7 @@ pub mod scheduler;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::cluster::{Cluster, Reservation};
+    pub use crate::cluster::Cluster;
     pub use crate::engine::{
         EngineKind, Fork, JobState, OnlineError, OutagePolicy, SimConfig, Simulation,
     };

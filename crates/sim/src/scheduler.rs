@@ -2,7 +2,7 @@
 //!
 //! The simulator owns the queue, the running set and the cluster; a [`Scheduler`]
 //! is consulted whenever the state changes (arrival, completion, outage,
-//! reservation change, or a timer it asked for) and answers with a list of
+//! cancellation, or a timer it asked for) and answers with a list of
 //! [`Decision`]s. The simulator validates every decision against the capacity
 //! constraint before applying it, so a buggy policy cannot oversubscribe the
 //! machine — it just gets its decision rejected (and counted).
@@ -71,8 +71,6 @@ pub enum SchedulerEvent {
         /// Id of the cancelled job.
         job_id: u64,
     },
-    /// A reservation was added or removed by an external agent (meta-scheduler).
-    ReservationsChanged,
     /// A timer previously requested via [`Decision::Wakeup`] fired.
     Timer,
 }
@@ -149,7 +147,7 @@ impl Decision {
 pub struct SchedulerContext<'a> {
     /// Current simulation time, seconds.
     pub now: f64,
-    /// The cluster (capacity, outages, reservations).
+    /// The cluster (capacity and outages).
     pub cluster: &'a Cluster,
     /// Jobs waiting in the queue, iterated in `(queued_at, id)` order.
     pub queue: &'a JobQueue,
@@ -168,12 +166,9 @@ impl SchedulerContext<'_> {
         self.used_procs
     }
 
-    /// Free capacity right now: available processors minus what running jobs use,
-    /// minus processors promised to reservations active at this instant.
+    /// Free capacity right now: available processors minus what running jobs use.
     pub fn free_capacity(&self) -> f64 {
-        self.cluster.available_procs() as f64
-            - self.used_capacity()
-            - self.cluster.reserved_at(self.now) as f64
+        self.cluster.available_procs() as f64 - self.used_capacity()
     }
 
     /// Estimated completions of all running jobs as `(id, time, proc_share)`
@@ -279,13 +274,12 @@ mod tests {
 
     #[test]
     fn context_capacity_accounting() {
-        let mut cluster = Cluster::new(64);
-        cluster.try_reserve(0.0, 100.0, 8).unwrap();
+        let cluster = Cluster::new(64);
         let running = vec![running(1, 16, 1.0), running(2, 32, 0.5)];
         let queue = JobQueue::new();
         let ctx = ctx_over(10.0, &cluster, &queue, &running);
         assert_eq!(ctx.used_capacity(), 32.0);
-        assert_eq!(ctx.free_capacity(), 64.0 - 32.0 - 8.0);
+        assert_eq!(ctx.free_capacity(), 64.0 - 32.0);
     }
 
     #[test]
