@@ -42,7 +42,7 @@
 //!   2. **Starter pass** — a queued job can start *right now* iff its width
 //!      `p` stays continuously free for its whole duration, i.e. `now + d ≤
 //!      dip(p)`, the calendar's first future dip below `p` (see
-//!      `StepFn::dip_times`). The dip staircase is handed to the backlog
+//!      [`StepVec::dip_times`]). The dip staircase is handed to the backlog
 //!      index ([`psbench_sim::JobQueue::staircase_scan`]), which streams
 //!      exactly the plausible candidates in arrival order; each is re-tested
 //!      against the fresh dips, and each start (which consumes capacity at
@@ -63,6 +63,32 @@
 //!   committed base fall back to a full rebuild that re-reserves every queued
 //!   job in arrival order (and rebases the parking bounds exactly from the
 //!   running set).
+//!
+//! # What one react costs
+//!
+//! A react costs what changed since the last one, not what the calendar or
+//! the machine holds:
+//!
+//! * **completions** — the engine hands over the ids that completed at this
+//!   consult ([`SchedulerContext::completed`]), so each is released with one
+//!   calendar update, and the tracked running set is checked against the
+//!   engine's by its size;
+//! * **anchor** — advancing drops only the steps the clock passed (the step
+//!   in force moves forward when it passed none), and each chunk keeps its
+//!   cached minimum, maximum and end up to date from the steps an update
+//!   touches, recounting its steps only when a touched or dropped step held
+//!   the extreme it moved away from;
+//! * **arrival** — one probe-budgeted search plus one update; the parking
+//!   note stops at the first width already bounded past the window's end;
+//! * **walk** — the due pass visits only due reservations (the by-start
+//!   index), and each (re)bind of the starter pass scans the calendar once,
+//!   keeping only the drops of the running minimum capacity: the staircase
+//!   is built from those drops and each candidate's dip is a binary search
+//!   over them, in buffers the policy keeps across reacts, where a
+//!   per-width dip array would cost the free width on every bind.
+//!
+//! Only the rebuild (outages, kills, overdue estimates) re-places the whole
+//! backlog.
 //!
 //! # Calendar invariants
 //!
@@ -169,24 +195,6 @@ pub trait StepFn {
     /// unbudgeted form.
     fn earliest_start(&self, from: f64, procs: f64, duration: f64) -> f64;
 
-    /// The **dip profile** at `from`: for each integer width `p` in
-    /// `1..=⌊capacity_at(from)⌋`, `dips[p-1]` is the time of the first
-    /// breakpoint after `from` whose capacity drops below `p`
-    /// (`f64::INFINITY` when capacity never does). Empty when even one
-    /// processor is busy at `from`.
-    ///
-    /// This encodes the immediate-start test in closed form: a job of width
-    /// `p` and duration `d` satisfies `earliest_start(from, p, d) == from`
-    /// exactly when `p ≤ dips.len()` and `from + d ≤ dips[p-1]` (the same
-    /// float expression `from + d` the search compares breakpoints against,
-    /// so the two agree bit for bit). Dips are non-increasing in `p`, and
-    /// a single forward scan that tracks the running minimum capacity —
-    /// stopping as soon as it drops below 1 — yields every level at once.
-    /// Because dips are a property of the step *function*, redundant steps
-    /// (equal capacity to their predecessor) never register, and the
-    /// incremental and exhaustive implementations agree exactly.
-    fn dip_times(&self, from: f64) -> Vec<f64>;
-
     /// [`StepFn::earliest_start`] with a probe budget: test at most `budget`
     /// candidate windows and return `None` when all of them failed (the
     /// conservative planner then parks the job at its width's tail bound).
@@ -219,7 +227,9 @@ pub(crate) const PLACEMENT_PROBES: usize = 32;
 /// profile on rebuild; every consume afterwards widens the affected levels
 /// to the consumed window's end via [`Park::note`]. Releases are ignored —
 /// they only move the true bound earlier, so the stored bound stays valid
-/// (merely conservative) until the next rebase.
+/// (merely conservative) until the next rebase. The bounds never decrease
+/// with width (a wider job is scarce whenever a narrower one is), which is
+/// what lets `note` stop early.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Park {
     t: Vec<f64>,
@@ -229,9 +239,12 @@ impl Park {
     /// Exact bounds for the rebuild base: `free` processors at `now`, plus
     /// each canonical completion's release. Capacity is non-decreasing here,
     /// so level `p` is last below-`p` right before the release that lifts
-    /// the running total past it.
+    /// the running total past it. The widths covered are those the running
+    /// total reaches, summed in release order: a total summed in another
+    /// order can round past it (fractional shares) and leave the top width
+    /// at `now`, below its neighbours.
     fn rebase(&mut self, now: f64, free: f64, completions: &[(u64, f64, f64)]) {
-        let total = free + completions.iter().map(|c| c.2).sum::<f64>();
+        let total = completions.iter().fold(free, |cap, c| cap + c.2);
         let n = total.floor().max(0.0) as usize;
         self.t = vec![now; n];
         let mut cap = free;
@@ -243,10 +256,14 @@ impl Park {
                 self.t[p - 1] = end;
             }
         }
+        self.debug_check();
     }
 
     /// A consume left minimum capacity `win_min` inside a window ending at
     /// `to`: every width above that minimum may now stay scarce until `to`.
+    /// The widths that rise are a run starting just above `win_min`: since
+    /// the bounds never decrease with width, the run ends at the first
+    /// width already bounded at or past `to`, and every wider one is too.
     fn note(&mut self, to: f64, win_min: f64) {
         if !to.is_finite() {
             return;
@@ -256,11 +273,22 @@ impl Park {
         } else {
             (win_min.floor() as usize + 1).max(1)
         };
-        for p in lo..=self.t.len() {
-            if self.t[p - 1] < to {
-                self.t[p - 1] = to;
+        for t in self.t.iter_mut().skip(lo - 1) {
+            if *t >= to {
+                break;
             }
+            *t = to;
         }
+        self.debug_check();
+    }
+
+    /// Debug builds: the bounds never decrease with width.
+    fn debug_check(&self) {
+        debug_assert!(
+            self.t.windows(2).all(|w| w[0] <= w[1]),
+            "parking bounds decrease with width: {:?}",
+            self.t
+        );
     }
 
     /// The parking bound for a width (`None` when the machine base never
@@ -323,6 +351,42 @@ impl StepVec {
     /// Index of the first step strictly after `t`.
     fn after(&self, t: f64) -> usize {
         self.steps.partition_point(|s| s.0 <= t)
+    }
+
+    /// The **dip profile** at `from`: for each integer width `p` in
+    /// `1..=⌊capacity_at(from)⌋`, `dips[p-1]` is the time of the first
+    /// breakpoint after `from` whose capacity drops below `p`
+    /// (`f64::INFINITY` when capacity never does). Empty when even one
+    /// processor is busy at `from`.
+    ///
+    /// This encodes the immediate-start test in closed form: a job of width
+    /// `p` and duration `d` satisfies `earliest_start(from, p, d) == from`
+    /// exactly when `p ≤ dips.len()` and `from + d ≤ dips[p-1]` (the same
+    /// float expression `from + d` the search compares breakpoints against,
+    /// so the two agree bit for bit). Dips are non-increasing in `p`, and
+    /// a single forward scan that tracks the running minimum capacity —
+    /// stopping as soon as it drops below 1 — yields every level at once.
+    /// Because dips are a property of the step *function*, redundant steps
+    /// (equal capacity to their predecessor) never register, so the
+    /// chunked calendar's drop-built profile agrees with this one exactly.
+    pub fn dip_times(&self, from: f64) -> Vec<f64> {
+        let mut runmin = self.capacity_at(from);
+        if runmin < 1.0 {
+            return Vec::new();
+        }
+        let mut dips = vec![f64::INFINITY; runmin.floor() as usize];
+        for &(t, cap) in &self.steps {
+            if t <= from {
+                continue;
+            }
+            if cap < runmin {
+                record_dip(&mut dips, &mut runmin, t, cap);
+                if runmin < 1.0 {
+                    break;
+                }
+            }
+        }
+        dips
     }
 }
 
@@ -407,26 +471,6 @@ impl StepFn for StepVec {
             }
         }
         Some(f64::INFINITY)
-    }
-
-    fn dip_times(&self, from: f64) -> Vec<f64> {
-        let mut runmin = self.capacity_at(from);
-        if runmin < 1.0 {
-            return Vec::new();
-        }
-        let mut dips = vec![f64::INFINITY; runmin.floor() as usize];
-        for &(t, cap) in &self.steps {
-            if t <= from {
-                continue;
-            }
-            if cap < runmin {
-                record_dip(&mut dips, &mut runmin, t, cap);
-                if runmin < 1.0 {
-                    break;
-                }
-            }
-        }
-        dips
     }
 }
 
@@ -571,26 +615,28 @@ impl Calendar {
 }
 
 impl Calendar {
-    /// [`StepFn::dip_times`] clamped to `horizon`: dips later than `horizon`
-    /// are reported as `f64::INFINITY` and the scan stops there. Safe
+    /// The dip profile at `from` (see [`StepVec::dip_times`]) clamped to
+    /// `horizon`, as the drops of the running minimum capacity: dips later
+    /// than `horizon` read as `f64::INFINITY` and the scan stops there. Safe
     /// whenever every duration subsequently tested against the profile is at
     /// most `horizon - from`: a true dip beyond the horizon and an infinite
     /// one then pass exactly the same `from + d ≤ dip` tests, so decisions
     /// are unchanged while the scan skips the (possibly long) quiet tail.
-    fn dip_times_upto(&self, from: f64, horizon: f64) -> Vec<f64> {
-        let mut runmin = self.capacity_at(from);
+    /// Chunks whose minimum stays at or above the running minimum are
+    /// skipped wholesale, and `out` is refilled in place.
+    fn drops_upto(&self, from: f64, horizon: f64, out: &mut Drops) {
+        out.at.clear();
+        out.free = self.capacity_at(from);
+        let mut runmin = out.free;
         if runmin < 1.0 || self.chunks.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut dips = vec![f64::INFINITY; runmin.floor() as usize];
         let mut ci = self.chunk_at(from);
         'scan: while ci < self.chunks.len() {
             let c = &self.chunks[ci];
             if c.first_time() > horizon {
                 break;
             }
-            // A chunk whose minimum stays at or above the running minimum
-            // records no dip at any level — skip it wholesale.
             if c.min + c.off < runmin {
                 for &(t, raw) in &c.steps {
                     if t <= from {
@@ -601,7 +647,8 @@ impl Calendar {
                     }
                     let cap = raw + c.off;
                     if cap < runmin {
-                        record_dip(&mut dips, &mut runmin, t, cap);
+                        out.at.push((t, cap));
+                        runmin = cap;
                         if runmin < 1.0 {
                             break 'scan;
                         }
@@ -610,7 +657,6 @@ impl Calendar {
             }
             ci += 1;
         }
-        dips
     }
 }
 
@@ -655,13 +701,23 @@ impl StepFn for Calendar {
                 win_min = win_min.min(c.min + c.off);
                 continue;
             }
-            for s in c.steps.iter_mut() {
-                if s.0 >= from && s.0 < to {
-                    s.1 += delta;
-                    win_min = win_min.min(s.1 + c.off);
-                }
+            // Partly covered: update the touched steps and fold them into
+            // the cached extremes. A touched step that held the extreme it
+            // moves away from (the minimum on a release, the maximum on a
+            // consume) may leave the cache too loose, so only then recount.
+            let lo = c.steps.partition_point(|s| s.0 < from);
+            let hi = c.steps.partition_point(|s| s.0 < to);
+            let mut stale = false;
+            for s in &mut c.steps[lo..hi] {
+                stale |= s.1 == if delta > 0.0 { c.min } else { c.max };
+                s.1 += delta;
+                c.min = c.min.min(s.1);
+                c.max = c.max.max(s.1);
+                win_min = win_min.min(s.1 + c.off);
             }
-            c.refresh();
+            if stale {
+                c.refresh();
+            }
         }
         win_min
     }
@@ -671,16 +727,36 @@ impl StepFn for Calendar {
             self.reset(now, 0.0);
             return;
         }
-        let cap = self.capacity_at(now);
         let ci = self.chunk_at(now);
         self.chunks.drain(..ci);
         let c = &mut self.chunks[0];
         let keep = c.steps.partition_point(|s| s.0 < now);
-        c.steps.drain(..keep);
-        if c.steps.first().map(|s| s.0 != now).unwrap_or(true) {
-            c.steps.insert(0, (now, cap - c.off));
+        // The new anchor is the step at `now` if there is one, else the step
+        // in force at `now` moved forward to it (so the common advance, which
+        // passes no breakpoint, moves no step), else — `now` before the
+        // chunk — a copy of its first step, by the anchor rule.
+        let dropped = if c.steps.get(keep).is_some_and(|s| s.0 == now) {
+            keep
+        } else if keep > 0 {
+            c.steps[keep - 1].0 = now;
+            keep - 1
+        } else {
+            c.steps.insert(0, (now, c.steps[0].1));
+            0
+        };
+        // Dropping a step that held the chunk's minimum or maximum can
+        // leave the cache too loose, unless the anchor holds it too.
+        let (mut stale_min, mut stale_max) = (false, false);
+        for s in c.steps.drain(..dropped) {
+            stale_min |= s.1 == c.min;
+            stale_max |= s.1 == c.max;
         }
-        c.refresh();
+        let anchor = c.steps[0].1;
+        if (stale_min && anchor > c.min) || (stale_max && anchor < c.max) {
+            c.refresh();
+        } else {
+            c.end = c.steps[c.steps.len() - 1].0;
+        }
     }
 
     fn earliest_start(&self, from: f64, procs: f64, duration: f64) -> f64 {
@@ -788,45 +864,90 @@ impl StepFn for Calendar {
             }
         }
     }
-
-    fn dip_times(&self, from: f64) -> Vec<f64> {
-        self.dip_times_upto(from, f64::INFINITY)
-    }
 }
 
-/// One ulp up (positive finite input): the margin unit for the staircase
-/// widening below.
-fn ulp_up(x: f64) -> f64 {
-    f64::from_bits(x.to_bits() + 1)
+/// A dip profile (see [`StepVec::dip_times`]) stored as the capacity drops
+/// that define it. Width `p`'s dip is the first drop below `p`, so the
+/// drops alone answer the starter pass's per-width test (a binary search)
+/// and give its staircase, in O(drops) where the per-width array costs
+/// O(free width) to fill and to walk.
+#[derive(Debug, Clone, Default)]
+struct Drops {
+    /// Capacity at the scan's start: widths above it cannot start at all.
+    free: f64,
+    /// `(time, capacity)` each time the running minimum capacity dropped, in
+    /// time order, so capacities strictly decrease; the scan stops once one
+    /// falls below one processor.
+    at: Vec<(f64, f64)>,
 }
 
-/// The backlog-index staircase for a dip profile: `(inclusive procs edge,
-/// max estimate)` stairs, ascending by procs, covering every width at which
-/// *some* job could still start (`now + 1 ≤ dip`, since every duration is at
-/// least 1s). The estimate bound is `dip - now` widened by a few ulps of the
-/// dip so the subtraction's rounding can never exclude a job the exact test
-/// `now + d ≤ dip` would accept — the stream must be a superset of the true
-/// starters (spurious candidates are dropped by the fresh re-test; a missing
-/// one would diverge from the oracle). Widths are grouped into stairs by
-/// equal bound.
-fn stairs_of(dips: &[f64], now: f64) -> Vec<(u32, f64)> {
-    let mut stairs: Vec<(u32, f64)> = Vec::new();
-    for (i, &dip) in dips.iter().enumerate() {
-        if now + 1.0 > dip {
-            break;
-        }
-        let bound = if dip.is_finite() {
-            ((dip - now) + 4.0 * (ulp_up(dip) - dip)).max(1.0)
+impl Drops {
+    /// The widest integer width free at the start (0 below one processor).
+    fn width(&self) -> usize {
+        if self.free < 1.0 {
+            0
         } else {
-            f64::INFINITY
-        };
-        let p = (i + 1) as u32;
-        match stairs.last_mut() {
-            Some(s) if s.1 == bound => s.0 = p,
-            _ => stairs.push((p, bound)),
+            self.free.floor() as usize
         }
     }
-    stairs
+
+    /// `dip_times(..)[p-1]`: the first drop below width `p`, `f64::INFINITY`
+    /// when none was met, `None` when `p` is not free at the start.
+    fn dip(&self, p: usize) -> Option<f64> {
+        if p == 0 || p > self.width() {
+            return None;
+        }
+        let k = self.at.partition_point(|&(_, cap)| cap >= p as f64);
+        Some(self.at.get(k).map_or(f64::INFINITY, |d| d.0))
+    }
+
+    /// The backlog-index staircase, refilled into `out`: `(inclusive procs
+    /// edge, max estimate)` stairs, ascending by procs, covering every width
+    /// at which *some* job could still start (`now + 1 ≤ dip`, since every
+    /// duration is at least 1s). The estimate bound is `dip - now` widened by
+    /// a few ulps of the dip so the subtraction's rounding can never exclude
+    /// a job the exact test `now + d ≤ dip` would accept — the stream must be
+    /// a superset of the true starters (spurious candidates are dropped by
+    /// the fresh re-test; a missing one would diverge from the oracle).
+    /// Widths are grouped into stairs by equal bound. Ascending width is
+    /// descending dip, so the drops are read latest first: a drop is the
+    /// dip of the widths above its capacity and at or below the previous
+    /// drop's, and the widths at or below the last drop's never dip.
+    fn stairs(&self, now: f64, out: &mut Vec<(u32, f64)>) {
+        out.clear();
+        let width = self.width();
+        let level = |cap: f64| (cap.floor() as usize).min(width);
+        let steady = self.at.last().map_or(width, |&(_, cap)| level(cap));
+        if steady > 0 {
+            out.push((steady as u32, f64::INFINITY));
+        }
+        for k in (0..self.at.len()).rev() {
+            let (dip, cap) = self.at[k];
+            let hi = if k == 0 {
+                width
+            } else {
+                level(self.at[k - 1].1)
+            };
+            if level(cap) >= hi {
+                continue;
+            }
+            if now + 1.0 > dip {
+                break;
+            }
+            let bound = stair_bound(dip, now);
+            match out.last_mut() {
+                Some(s) if s.1 == bound => s.0 = hi as u32,
+                _ => out.push((hi as u32, bound)),
+            }
+        }
+    }
+}
+
+/// The estimate bound of a stair whose widths dip at the finite `dip`:
+/// `dip - now` widened by four ulps of the dip (see [`Drops::stairs`]).
+fn stair_bound(dip: f64, now: f64) -> f64 {
+    let ulp = f64::from_bits(dip.to_bits() + 1) - dip;
+    ((dip - now) + 4.0 * ulp).max(1.0)
 }
 
 /// A committed reservation: the job will run on `procs` processors over
@@ -897,6 +1018,10 @@ pub struct ConservativeBackfill {
     dur_bound: f64,
     /// Whether the calendar reflects a committed state at all.
     anchored: bool,
+    /// The starter pass's dip profile and staircase, refilled in place on
+    /// every walk and rebind.
+    drops: Drops,
+    stairs: Vec<(u32, f64)>,
 }
 
 impl ConservativeBackfill {
@@ -997,35 +1122,40 @@ impl ConservativeBackfill {
         self.slots.remove(&id);
     }
 
-    /// Release tracked running jobs that are no longer in the context's
-    /// running set (they completed; the engine already freed their
-    /// processors). Returns `false` when the running set contains a job we
-    /// never tracked (state went inconsistent, rebuild).
+    /// Release the tracked running jobs the engine reports completed at
+    /// this consult (it already freed their processors), at a cost in what
+    /// completed rather than in what runs. Returns `false` when a completed
+    /// job was never tracked or the tracked running set no longer matches
+    /// the engine's (state went inconsistent, rebuild).
+    ///
+    /// The match is a count: between rebuilds the engine runs only jobs
+    /// this policy started (kills, outages and a first consult all
+    /// rebuild), so its running set is contained in the tracked one, and
+    /// equal sizes make them equal. A start the engine refused leaves the
+    /// tracked set one larger. Debug builds check the members as well.
     fn reconcile(&mut self, ctx: &SchedulerContext<'_>) -> bool {
-        if ctx.running.len() != self.running.len() {
-            let mut completed: Vec<u64> = self
-                .running
-                .keys()
-                .copied()
-                .filter(|id| !ctx.running.iter().any(|r| r.job.id == *id))
-                .collect();
-            completed.sort_unstable();
-            for id in completed {
-                let (end, procs) = self.running.remove(&id).expect("tracked");
-                self.cal.add_range(ctx.now, end, procs);
-                if end == self.min_running_end {
-                    self.min_running_end = self
-                        .running
-                        .values()
-                        .fold(f64::INFINITY, |m, &(e, _)| m.min(e));
-                }
+        for id in ctx.completed {
+            let Some((end, procs)) = self.running.remove(id) else {
+                return false;
+            };
+            self.cal.add_range(ctx.now, end, procs);
+            if end == self.min_running_end {
+                self.min_running_end = self
+                    .running
+                    .values()
+                    .fold(f64::INFINITY, |m, &(e, _)| m.min(e));
             }
         }
-        ctx.running.len() == self.running.len()
-            && ctx
-                .running
-                .iter()
-                .all(|r| self.running.contains_key(&r.job.id))
+        let matches = ctx.running.len() == self.running.len();
+        debug_assert!(
+            !matches
+                || ctx
+                    .running
+                    .iter()
+                    .all(|r| self.running.contains_key(&r.job.id)),
+            "the engine runs a job this policy never started"
+        );
+        matches
     }
 
     /// Start a reserved job at `now`: lift its far occupancy, occupy
@@ -1088,37 +1218,38 @@ impl ConservativeBackfill {
         // (consumes `[now, now+d)`, releases the far slot), so the scan is
         // rebound before the next candidate is pulled.
         let horizon = ctx.now + self.dur_bound;
-        let mut dips = self.cal.dip_times_upto(ctx.now, horizon);
-        let mut stairs = stairs_of(&dips, ctx.now);
-        if !stairs.is_empty() {
-            let mut scan = ctx.queue.staircase_scan(&stairs);
-            let mut dirty = false;
-            loop {
-                if dirty {
-                    dips = self.cal.dip_times_upto(ctx.now, horizon);
-                    stairs = stairs_of(&dips, ctx.now);
-                    if stairs.is_empty() {
-                        break;
-                    }
-                    scan.rebind(&stairs);
-                    dirty = false;
+        self.cal.drops_upto(ctx.now, horizon, &mut self.drops);
+        self.drops.stairs(ctx.now, &mut self.stairs);
+        if self.stairs.is_empty() {
+            return;
+        }
+        let mut scan = ctx.queue.staircase_scan(&self.stairs);
+        let mut dirty = false;
+        loop {
+            if dirty {
+                self.cal.drops_upto(ctx.now, horizon, &mut self.drops);
+                self.drops.stairs(ctx.now, &mut self.stairs);
+                if self.stairs.is_empty() {
+                    break;
                 }
-                let Some(q) = scan.next() else { break };
-                if self.running.contains_key(&q.id) {
-                    continue;
-                }
-                let Some(slot) = self.slots.get(&q.id).copied() else {
-                    continue;
-                };
-                let p = q.procs as usize;
-                let duration = q.estimate.max(1.0);
-                if p > dips.len() || ctx.now + duration > dips[p - 1] {
-                    continue;
-                }
-                self.uncommit(q.id, &slot);
-                self.start_reserved(ctx, q.id, &slot, duration, out);
-                dirty = true;
+                scan.rebind(&self.stairs);
+                dirty = false;
             }
+            let Some(q) = scan.next() else { break };
+            if self.running.contains_key(&q.id) {
+                continue;
+            }
+            let Some(slot) = self.slots.get(&q.id).copied() else {
+                continue;
+            };
+            let duration = q.estimate.max(1.0);
+            match self.drops.dip(q.procs as usize) {
+                Some(dip) if ctx.now + duration <= dip => {}
+                _ => continue,
+            }
+            self.uncommit(q.id, &slot);
+            self.start_reserved(ctx, q.id, &slot, duration, out);
+            dirty = true;
         }
     }
 
@@ -1152,10 +1283,12 @@ impl ConservativeBackfill {
         if needs_rebuild(self.anchored, self.min_running_end, ctx, event) {
             return self.rebuild(ctx);
         }
+        // Anchoring first lets each release start at the anchor instead of
+        // splitting a step there.
+        self.cal.advance_to(ctx.now);
         if !self.reconcile(ctx) {
             return self.rebuild(ctx);
         }
-        self.cal.advance_to(ctx.now);
         let mut out = Vec::new();
         if let SchedulerEvent::JobArrived { job_id } = event {
             // An arrival only ever consumes capacity: the new job is placed
@@ -1451,6 +1584,65 @@ mod tests {
             .collect()
     }
 
+    /// Every chunk's cached minimum, maximum and end equal a recount of its
+    /// steps.
+    fn check_caches(cal: &Calendar) {
+        for c in &cal.chunks {
+            assert!(!c.steps.is_empty(), "empty chunk");
+            let fresh = Chunk::of(c.steps.clone());
+            assert_eq!(
+                (c.min, c.max, c.end),
+                (fresh.min, fresh.max, fresh.end),
+                "stale chunk cache over {:?}",
+                c.steps
+            );
+        }
+    }
+
+    /// The drop-built profile of `cal` at `t`, clamped to `horizon`, answers
+    /// every width's dip as the per-width array `dips` does and gives the
+    /// staircase built from it width by width.
+    fn check_drops(cal: &Calendar, t: f64, horizon: f64, dips: &[f64], round: usize) {
+        let mut drops = Drops::default();
+        cal.drops_upto(t, horizon, &mut drops);
+        for p in 0..=dips.len() + 1 {
+            assert_eq!(
+                drops.dip(p),
+                p.checked_sub(1).and_then(|i| dips.get(i).copied()),
+                "round {round} dip of width {p} at {t} up to {horizon}"
+            );
+        }
+        let mut stairs = vec![(7, 7.0)];
+        drops.stairs(t, &mut stairs);
+        assert_eq!(
+            stairs,
+            stairs_of(dips, t),
+            "round {round} stairs at {t} up to {horizon}"
+        );
+    }
+
+    /// The staircase of a per-width dip array, built width by width: the
+    /// oracle [`Drops::stairs`] is tested against.
+    fn stairs_of(dips: &[f64], now: f64) -> Vec<(u32, f64)> {
+        let mut stairs: Vec<(u32, f64)> = Vec::new();
+        for (i, &dip) in dips.iter().enumerate() {
+            if now + 1.0 > dip {
+                break;
+            }
+            let bound = if dip.is_finite() {
+                stair_bound(dip, now)
+            } else {
+                f64::INFINITY
+            };
+            let p = (i + 1) as u32;
+            match stairs.last_mut() {
+                Some(s) if s.1 == bound => s.0 = p,
+                _ => stairs.push((p, bound)),
+            }
+        }
+        stairs
+    }
+
     #[test]
     fn stepvec_basics() {
         let mut p = StepVec::anchored(0.0, 16.0);
@@ -1525,20 +1717,17 @@ mod tests {
                         reference.capacity_at(t),
                         "round {round} cap"
                     );
+                    // The drop-built profile matches the reference's dips,
+                    // whole and clamped to a horizon (past which a dip reads
+                    // as never happening).
                     let dips = reference.dip_times(t);
-                    assert_eq!(cal.dip_times(t), dips, "round {round} dips");
-                    // The clamped scan reports every dip past the horizon as
-                    // never happening.
                     let horizon = t + (r / 19 % 1500) as f64;
                     let clamped: Vec<f64> = dips
                         .iter()
                         .map(|&d| if d > horizon { f64::INFINITY } else { d })
                         .collect();
-                    assert_eq!(
-                        cal.dip_times_upto(t, horizon),
-                        clamped,
-                        "round {round} dips up to {horizon}"
-                    );
+                    check_drops(&cal, t, horizon, &clamped, round);
+                    check_drops(&cal, t, f64::INFINITY, &dips, round);
                     // The window test answers whether a search from `t`
                     // answers `t`.
                     let procs = (r / 7 % 64 + 1) as f64;
@@ -1561,8 +1750,9 @@ mod tests {
                 }
                 _ => {
                     // Advance both anchors, then compare the functions at and
-                    // after the new anchor.
-                    now += (r / 23 % 8) as f64;
+                    // after the new anchor. Every seventh advance is long
+                    // enough to pass several breakpoints at once.
+                    now += (r / 23 % 8) as f64 * if r % 7 == 0 { 60.0 } else { 1.0 };
                     cal.advance_to(now);
                     reference.advance_to(now);
                     let procs = (r / 7 % 64 + 1) as f64;
@@ -1578,16 +1768,81 @@ mod tests {
                             reference.earliest_start(t, procs, dur),
                             "round {round} search after advancing to {now}"
                         );
-                        assert_eq!(
-                            cal.dip_times(t),
-                            reference.dip_times(t),
-                            "round {round} dips after advancing to {now}"
-                        );
+                        check_drops(&cal, t, f64::INFINITY, &reference.dip_times(t), round);
                     }
                 }
             }
+            check_caches(&cal);
         }
         assert!(cal.len() > 2 * CHUNK, "test must exercise chunk splits");
+    }
+
+    #[test]
+    fn drop_built_stairs_merge_widths_whose_bounds_round_together() {
+        // Two adjacent floating-point dips whose widened estimate bounds
+        // round to the same value: the staircase holds one stair for both,
+        // as the width-by-width build does.
+        let now = 29.41480931862592;
+        let (d1, d2) = (107.49722782555656, 107.49722782555658);
+        assert_eq!(stair_bound(d1, now), stair_bound(d2, now));
+        let drops = Drops {
+            free: 8.0,
+            at: vec![(d1, 4.0), (d2, 2.0)],
+        };
+        let mut stairs = Vec::new();
+        drops.stairs(now, &mut stairs);
+        let inf = f64::INFINITY;
+        assert_eq!(stairs, stairs_of(&[inf, inf, d2, d2, d1, d1, d1, d1], now));
+        assert_eq!(stairs, [(2, f64::INFINITY), (8, stair_bound(d1, now))]);
+    }
+
+    #[test]
+    fn park_note_stops_early_like_the_full_sweep() {
+        // The sweep over every width above the window minimum that the early
+        // stop replaces.
+        fn note_every_width(t: &mut [f64], to: f64, win_min: f64) {
+            if !to.is_finite() {
+                return;
+            }
+            let lo = if win_min < 0.0 {
+                1
+            } else {
+                (win_min.floor() as usize + 1).max(1)
+            };
+            for p in lo..=t.len() {
+                if t[p - 1] < to {
+                    t[p - 1] = to;
+                }
+            }
+        }
+        let mut seed = 0x2545f4914f6cdd1du64;
+        let mut rng = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..300 {
+            let now = (rng() % 100) as f64;
+            let free = (rng() % 24) as f64 - 4.0;
+            let mut completions: Vec<(u64, f64, f64)> = (0..rng() % 7)
+                .map(|id| (id, now + (rng() % 400) as f64, (rng() % 12 + 1) as f64))
+                .collect();
+            completions.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let mut park = Park::default();
+            park.rebase(now, free, &completions);
+            let mut swept = park.t.clone();
+            for step in 0..40 {
+                let to = match rng() % 10 {
+                    0 => f64::INFINITY,
+                    r => now + (r * (rng() % 200)) as f64,
+                };
+                let win_min = (rng() % 60) as f64 - 6.0;
+                park.note(to, win_min);
+                note_every_width(&mut swept, to, win_min);
+                assert_eq!(park.t, swept, "case {case} step {step}");
+            }
+        }
     }
 
     #[test]

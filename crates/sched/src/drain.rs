@@ -229,6 +229,7 @@ mod tests {
             queue: &queue,
             running: &[],
             used_procs: 0.0,
+            completed: &[],
         };
         assert_eq!(d.promised_away(0.0, 350.0), 40.0);
         assert!(

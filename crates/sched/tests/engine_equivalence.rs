@@ -10,7 +10,9 @@
 use proptest::prelude::*;
 use psbench_sched::calendar::ConservativeOracle;
 use psbench_sched::prelude::*;
-use psbench_sim::{Scheduler, SimConfig, SimJob, Simulation};
+use psbench_sim::{
+    Decision, Scheduler, SchedulerContext, SchedulerEvent, SimConfig, SimJob, Simulation,
+};
 use psbench_workload::feedback::{infer_dependencies, InferenceParams};
 use psbench_workload::outagegen::OutageGenerator;
 use psbench_workload::{Lublin99, WorkloadModel};
@@ -139,6 +141,86 @@ fn run_anonymized(
     let mut r = Simulation::new(config.clone(), jobs.to_vec()).run(sched);
     r.scheduler = String::new();
     r
+}
+
+/// Passes every consult through to `inner`, counting the completion
+/// consults (the engine's own tests check the ids each one carries).
+struct CountCompletions<S> {
+    inner: S,
+    batches: usize,
+    lone: usize,
+}
+
+impl<S> CountCompletions<S> {
+    fn new(inner: S) -> Self {
+        CountCompletions {
+            inner,
+            batches: 0,
+            lone: 0,
+        }
+    }
+}
+
+impl<S: Scheduler> Scheduler for CountCompletions<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn react(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
+        match event {
+            SchedulerEvent::CompletionBatch { .. } => self.batches += 1,
+            SchedulerEvent::JobCompleted { .. } => self.lone += 1,
+            _ => {}
+        }
+        self.inner.react(ctx, event)
+    }
+}
+
+#[test]
+fn same_instant_completions_batch_and_match_the_oracle() {
+    // Whole-minute submits, runtimes and estimates: completions pile up on
+    // the same instants, so many completion consults are batches, and early
+    // finishes (runtime below estimate) keep the compression walk busy.
+    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    let mut submit = 0.0;
+    let jobs: Vec<SimJob> = (1..=700)
+        .map(|id| {
+            submit += (rng() % 3 * 60) as f64;
+            let runtime = (rng() % 20 + 1) as f64 * 60.0;
+            let estimate = runtime + (rng() % 4) as f64 * 60.0;
+            let procs = [1, 2, 4, 8, 16, 32, 64, 100][(rng() % 8) as usize];
+            SimJob::rigid(id, submit, runtime, procs).with_estimate(estimate)
+        })
+        .collect();
+    let config = SimConfig::new(MACHINE);
+    let mut fast = CountCompletions::new(ConservativeBackfill::default());
+    let mut oracle = CountCompletions::new(ConservativeOracle::default());
+    let a = run_anonymized(&mut fast, &config, &jobs);
+    let b = run_anonymized(&mut oracle, &config, &jobs);
+    assert!(
+        fast.batches > 50 && fast.lone > 50,
+        "{} batches, {} lone completions",
+        fast.batches,
+        fast.lone
+    );
+    assert_eq!((fast.batches, fast.lone), (oracle.batches, oracle.lone));
+    assert_eq!(a.finished.len(), jobs.len());
+    assert_eq!(a, b);
+    // The reference engine hands over the same completions.
+    let mut reference = CountCompletions::new(ConservativeBackfill::default());
+    let mut c = Simulation::new_reference(config, jobs.to_vec()).run(&mut reference);
+    c.scheduler = String::new();
+    assert_eq!(
+        (reference.batches, reference.lone),
+        (fast.batches, fast.lone)
+    );
+    assert_eq!(a, c);
 }
 
 proptest! {

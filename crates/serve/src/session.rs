@@ -273,27 +273,28 @@ impl Session {
             .filter(|s| valid_session_name(s))
             .ok_or_else(|| bad(format!("bad session journal name {}", path.display())))?
             .to_string();
-        let mut index = 0usize;
+        // Each line is parsed once, here: the `open` line is kept whole (its
+        // fields are checked below, so a malformed header fails recovery
+        // rather than reading as a torn tail), and every record becomes its
+        // sequence number and command.
+        let mut open: Option<String> = None;
         let mut prev_seq = 0u64;
-        let (journal, lines) = Journal::recover(path, policy, |line| {
-            let ok = if index == 0 {
-                line.starts_with("open ")
-            } else {
-                match parse_record(line) {
-                    Some((seq, payload)) if seq > prev_seq => {
-                        prev_seq = seq;
-                        LoggedCommand::parse(&payload).is_some()
-                    }
-                    _ => false,
+        let (journal, records) = Journal::recover(path, policy, |line| {
+            if open.is_none() {
+                let header = line.starts_with("open ");
+                if header {
+                    open = Some(line.to_string());
                 }
-            };
-            index += 1;
-            ok
+                return header.then_some(None);
+            }
+            let (seq, payload) = parse_record(line).filter(|&(seq, _)| seq > prev_seq)?;
+            prev_seq = seq;
+            Some(Some((seq, LoggedCommand::parse(payload)?)))
         })?;
-        let Some(open) = lines.first() else {
+        let Some(open) = open else {
             return Err(bad(format!("journal {} has no open line", path.display())));
         };
-        let (scheduler, machine, mode) = parse_open_line(open).ok_or_else(|| {
+        let (scheduler, machine, mode) = parse_open_line(&open).ok_or_else(|| {
             bad(format!(
                 "journal {}: bad open line {open:?}",
                 path.display()
@@ -313,10 +314,7 @@ impl Session {
             last_seq: 0,
             last_reply: None,
         };
-        for line in &lines[1..] {
-            // The validator already vetted both layers; unwraps cannot fire.
-            let (seq, payload) = parse_record(line).expect("validated record");
-            let cmd = LoggedCommand::parse(&payload).expect("validated payload");
+        for (seq, cmd) in records.into_iter().flatten() {
             let reply = session.apply_logged(cmd);
             session.last_seq = seq;
             session.last_reply = Some(reply);
@@ -389,7 +387,7 @@ impl Session {
             },
             LoggedCommand::Drain => match self.shard.drain() {
                 Ok(drained) => {
-                    let body = psbench_store::encode_result(&drained.result).into_bytes();
+                    let body = drained.encoded.into_bytes();
                     let stored = drained
                         .stored
                         .map(|key| format!(" stored={key}"))
@@ -857,6 +855,33 @@ mod tests {
             Ok(_) => panic!("mid-file corruption must refuse recovery"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn drain_payload_is_the_stored_result_artifact() {
+        let dir = temp_dir("drainstore");
+        let config = ShardConfig {
+            store_dir: Some(dir.join("store")),
+            ..afap_config()
+        };
+        let mut session = Session::create(&config, "d".into(), None).unwrap();
+        line(&mut session, "submit id=1 submit=0 runtime=100 procs=48");
+        line(&mut session, "submit id=2 submit=5 runtime=30 procs=32");
+        let Reply::Payload { head, body } = session.handle_line("drain") else {
+            panic!("expected drain payload");
+        };
+        let key = head
+            .split(' ')
+            .find_map(|t| t.strip_prefix("stored="))
+            .and_then(psbench_store::parse_key_hex)
+            .unwrap_or_else(|| panic!("drain reply names no stored key: {head}"));
+        let store = psbench_store::ArtifactStore::open(dir.join("store")).unwrap();
+        let stored = std::fs::read(store.path(psbench_store::ArtifactKind::Result, key)).unwrap();
+        assert_eq!(
+            body, stored,
+            "drain payload differs from its stored artifact"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

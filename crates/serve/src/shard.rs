@@ -1,7 +1,7 @@
 //! Engine shards: one live simulation per client session.
 //!
 //! A [`Shard`] wraps a [`LiveSim`] (an online engine that owns its live
-//! policy) together with the session clock and the canonical SWF record of
+//! policy) together with the session clock and the canonical SWF log of
 //! everything submitted so far. All mutation goes through the shard, which
 //! maintains the invariants the online engine needs (monotone release
 //! frontier, integer submit instants so the exported trace round-trips
@@ -28,8 +28,8 @@ use std::path::PathBuf;
 use psbench_core::trace_cell_key;
 use psbench_sched::{probe_start, LiveSim, Prediction, ProbeError, UnknownScheduler};
 use psbench_sim::{JobState, SimJob, Simulation, SimulationResult};
-use psbench_store::{key_hex, ArtifactStore};
-use psbench_swf::{write_string, SwfHeader, SwfLog, SwfRecord, SwfRecordBuilder, FORMAT_VERSION};
+use psbench_store::{encode_result, key_hex, ArtifactStore};
+use psbench_swf::{write_string, SwfHeader, SwfLog, SwfRecordBuilder, FORMAT_VERSION};
 
 use crate::clock::{ClockMode, SessionClock};
 
@@ -64,7 +64,9 @@ pub struct Shard {
     scheduler_name: String,
     machine: u32,
     clock: SessionClock,
-    records: Vec<SwfRecord>,
+    /// The session trace: every submitted record, under a header naming the
+    /// machine. `trace` and the drain's ingest borrow it.
+    log: SwfLog,
     /// Largest submit/advance instant seen so far: the session's released
     /// frontier in integer seconds.
     session_time: i64,
@@ -72,11 +74,15 @@ pub struct Shard {
     session_name: String,
 }
 
-/// The outcome of draining a shard: the completed run plus, when a store was
-/// configured, the hex cell key the result was published under.
+/// The outcome of draining a shard: the completed run, its encoding, and,
+/// when a store was configured, the hex cell key the result was published
+/// under.
 pub struct Drained {
     /// The completed simulation result.
     pub result: SimulationResult,
+    /// `encode_result` of `result`, made once: the drain reply's payload and,
+    /// when publishing, the stored artifact's bytes.
+    pub encoded: String,
     /// Hex cell key in the artifact store, if publishing was configured.
     pub stored: Option<String>,
 }
@@ -89,7 +95,15 @@ impl Shard {
             scheduler_name: config.scheduler.clone(),
             machine: config.machine,
             clock: SessionClock::new(config.mode),
-            records: Vec::new(),
+            log: SwfLog {
+                header: SwfHeader {
+                    computer: Some("psbench-serve".into()),
+                    version: Some(FORMAT_VERSION),
+                    max_nodes: Some(config.machine),
+                    ..SwfHeader::default()
+                },
+                jobs: Vec::new(),
+            },
             session_time: 0,
             store_dir: config.store_dir.clone(),
             session_name,
@@ -233,7 +247,7 @@ impl Shard {
         let live = self.live_mut()?;
         live.advance(t as f64);
         live.submit(job).map_err(|e| e.to_string())?;
-        self.records.push(record);
+        self.log.jobs.push(record);
         self.session_time = t;
         Ok(t)
     }
@@ -296,33 +310,25 @@ impl Shard {
     /// The canonical SWF log of everything submitted so far. `MaxNodes` is
     /// set to the session machine size so an offline `psbench simulate` of
     /// this trace runs on the same machine.
-    pub fn log(&self) -> SwfLog {
-        let header = SwfHeader {
-            computer: Some("psbench-serve".into()),
-            version: Some(FORMAT_VERSION),
-            max_nodes: Some(self.machine),
-            ..SwfHeader::default()
-        };
-        SwfLog {
-            header,
-            jobs: self.records.clone(),
-        }
+    pub fn log(&self) -> &SwfLog {
+        &self.log
     }
 
     /// Canonical SWF text of [`Shard::log`].
     pub fn trace_text(&self) -> String {
-        write_string(&self.log())
+        write_string(&self.log)
     }
 
     /// Number of records submitted so far.
     pub fn record_count(&self) -> usize {
-        self.records.len()
+        self.log.jobs.len()
     }
 
-    /// Run the engine to completion and return the result. When a store was
-    /// configured, the session trace is ingested and the result published
-    /// under the same cell key the offline memoized path uses, so a later
-    /// `psbench simulate --store` of the exported trace is a cache hit.
+    /// Run the engine to completion and return the result with its
+    /// encoding. When a store was configured, the session trace is ingested
+    /// and the encoding published under the same cell key the offline
+    /// memoized path uses, so a later `psbench simulate --store` of the
+    /// exported trace is a cache hit.
     ///
     /// If publication fails the finished result is retained and the next
     /// `drain` retries the publish with the identical result — a flaky disk
@@ -333,8 +339,13 @@ impl Shard {
             Engine::Finished(result) => result,
             Engine::Drained => return Err("session already drained".into()),
         };
-        match self.publish(&result) {
-            Ok(stored) => Ok(Drained { result, stored }),
+        let encoded = encode_result(&result);
+        match self.publish(&encoded) {
+            Ok(stored) => Ok(Drained {
+                result,
+                encoded,
+                stored,
+            }),
             Err(msg) => {
                 self.engine = Engine::Finished(result);
                 Err(msg)
@@ -342,17 +353,17 @@ impl Shard {
         }
     }
 
-    fn publish(&self, result: &SimulationResult) -> Result<Option<String>, String> {
+    fn publish(&self, encoded: &str) -> Result<Option<String>, String> {
         let Some(dir) = &self.store_dir else {
             return Ok(None);
         };
         let store = ArtifactStore::open(dir).map_err(|e| format!("store: {e}"))?;
         let outcome = store
-            .ingest(self.log().as_source(self.session_name.clone()))
+            .ingest(self.log.as_source(self.session_name.clone()))
             .map_err(|e| format!("store ingest: {e}"))?;
         let key = trace_cell_key(outcome.key, &self.scheduler_name, self.machine, false);
         store
-            .put_result(key, result)
+            .put_encoded_result(key, encoded)
             .map_err(|e| format!("store publish: {e}"))?;
         Ok(Some(key_hex(key)))
     }

@@ -818,13 +818,14 @@ impl Simulation {
         killed
     }
 
-    fn context(&self) -> SchedulerContext<'_> {
+    fn context<'a>(&'a self, completed: &'a [u64]) -> SchedulerContext<'a> {
         SchedulerContext {
             now: self.now,
             cluster: &self.cluster,
             queue: &self.queue,
             running: &self.running,
             used_procs: self.used_procs,
+            completed,
         }
     }
 
@@ -919,7 +920,17 @@ impl Simulation {
     }
 
     fn consult(&mut self, scheduler: &mut dyn Scheduler, event: SchedulerEvent) {
-        let decisions = scheduler.react(&self.context(), event);
+        self.consult_completed(scheduler, event, &[]);
+    }
+
+    /// Consult with the ids of the jobs the event reports as completed.
+    fn consult_completed(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        event: SchedulerEvent,
+        completed: &[u64],
+    ) {
+        let decisions = scheduler.react(&self.context(completed), event);
         self.apply_decisions(decisions);
     }
 
@@ -994,15 +1005,16 @@ impl Simulation {
         // the scheduler sees any of them, so the consult is batched: one
         // `JobCompleted` for a lone completion, one `CompletionBatch` for
         // a simultaneous group — a mass completion under saturation costs
-        // a single replan instead of N.
+        // a single replan instead of N. The consult's context carries the
+        // completed ids either way.
         let completed = self.collect_completions();
-        match completed.as_slice() {
-            [] => {}
-            [job_id] => self.consult(scheduler, SchedulerEvent::JobCompleted { job_id: *job_id }),
-            batch => self.consult(
-                scheduler,
-                SchedulerEvent::CompletionBatch { count: batch.len() },
-            ),
+        let event = match completed.as_slice() {
+            [] => None,
+            [job_id] => Some(SchedulerEvent::JobCompleted { job_id: *job_id }),
+            batch => Some(SchedulerEvent::CompletionBatch { count: batch.len() }),
+        };
+        if let Some(event) = event {
+            self.consult_completed(scheduler, event, &completed);
         }
 
         // External events due now.
@@ -1453,6 +1465,71 @@ mod tests {
                 }
             }
             out
+        }
+    }
+
+    /// [`TestFcfs`] that checks every consult's completed ids against its
+    /// own record of what runs: the jobs it saw running or started last
+    /// time, less those running now, in start order.
+    #[derive(Default)]
+    struct CheckCompleted {
+        running: Vec<u64>,
+        batches: usize,
+    }
+    impl Scheduler for CheckCompleted {
+        fn name(&self) -> &str {
+            "check-completed"
+        }
+        fn react(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
+            let gone: Vec<u64> = self
+                .running
+                .iter()
+                .copied()
+                .filter(|id| ctx.running.iter().all(|r| r.job.id != *id))
+                .collect();
+            assert_eq!(ctx.completed, gone, "at {} on {event:?}", ctx.now);
+            match event {
+                SchedulerEvent::JobCompleted { job_id } => assert_eq!(gone, [job_id]),
+                SchedulerEvent::CompletionBatch { count } => {
+                    assert!(count >= 2 && gone.len() == count);
+                    self.batches += 1;
+                }
+                _ => {}
+            }
+            let out = TestFcfs.react(ctx, event);
+            self.running.retain(|id| !gone.contains(id));
+            for d in &out {
+                if let Decision::Start { job_id, .. } = d {
+                    self.running.push(*job_id);
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn consults_carry_exactly_the_completed_ids() {
+        // Equal runtimes on a coarse grid: many jobs finish together.
+        let jobs: Vec<SimJob> = (1..=300)
+            .map(|i| {
+                SimJob::rigid(
+                    i,
+                    (i / 4 * 10) as f64,
+                    (10 + i % 3 * 10) as f64,
+                    1 + (i % 5) as u32 * 4,
+                )
+            })
+            .collect();
+        for reference in [false, true] {
+            let mut policy = CheckCompleted::default();
+            let sim = if reference {
+                Simulation::new_reference(SimConfig::new(32), jobs.clone())
+            } else {
+                Simulation::new(SimConfig::new(32), jobs.clone())
+            };
+            let result = sim.run(&mut policy);
+            assert_eq!(result.finished.len(), jobs.len());
+            assert!(policy.batches > 10, "{} batches", policy.batches);
         }
     }
 

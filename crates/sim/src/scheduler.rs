@@ -32,9 +32,8 @@ pub enum SchedulerEvent {
     /// coalesces all same-instant completions into this single consult — all
     /// freed capacity is already reflected in the context — instead of one
     /// [`SchedulerEvent::JobCompleted`] react per job, so a mass completion
-    /// under saturation costs one replan, not N. Policies that track running
-    /// jobs by id (e.g. a gang matrix) should reconcile against the context's
-    /// running set and queue rather than expect per-id notifications.
+    /// under saturation costs one replan, not N. The completed ids travel in
+    /// [`SchedulerContext::completed`].
     CompletionBatch {
         /// Number of jobs that completed at this instant.
         count: usize,
@@ -156,6 +155,13 @@ pub struct SchedulerContext<'a> {
     /// Processor·share capacity currently in use by running jobs, maintained
     /// incrementally by the engine (`Σ procs·share` over `running`).
     pub used_procs: f64,
+    /// Ids of the jobs this consult reports as completed, in the order the
+    /// engine finished them: the one id of a [`SchedulerEvent::JobCompleted`],
+    /// every id of a [`SchedulerEvent::CompletionBatch`], and empty on every
+    /// other consult. They have already left `running`, so a policy that
+    /// tracks running jobs can release exactly these instead of diffing its
+    /// view against the running set.
+    pub completed: &'a [u64],
 }
 
 impl SchedulerContext<'_> {
@@ -269,6 +275,7 @@ mod tests {
             queue,
             running,
             used_procs: running.iter().map(|r| r.proc_share()).sum(),
+            completed: &[],
         }
     }
 

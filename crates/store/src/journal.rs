@@ -15,11 +15,11 @@
 //!   the journal poisons itself and refuses further appends — the torn bytes
 //!   are then guaranteed to be the *last* thing in the file.
 //! * **Recovery truncates, never guesses.** [`Journal::recover`] keeps the
-//!   longest prefix of complete lines the caller's validator accepts. An
-//!   unterminated tail, or a final complete line the validator rejects, is a
+//!   longest prefix of complete lines the caller's parser accepts. An
+//!   unterminated tail, or a final complete line the parser rejects, is a
 //!   torn append: it is cut off (and the file physically truncated) so the
-//!   journal is clean for new appends. A rejected line *followed by an
-//!   accepted one* cannot be torn-append damage — that is real corruption and
+//!   journal is clean for new appends. A rejected line *followed by another
+//!   complete one* cannot be torn-append damage — that is real corruption and
 //!   recovery fails loudly with [`io::ErrorKind::InvalidData`].
 //! * **Fsync is policy.** [`FsyncPolicy::Always`] pays one `fdatasync` per
 //!   append for power-loss durability; [`FsyncPolicy::Never`] flushes to the
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use parking_lot::Mutex;
 
 use crate::fault;
-use crate::fnv::fnv1a_64;
+use crate::fnv::Fnv64;
 
 /// When a journal forces appended bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,21 +121,25 @@ impl Journal {
     /// Recover the journal at `path`: read it, keep the longest valid prefix
     /// of complete lines, truncate anything torn, and reopen for appending.
     ///
-    /// `validate` is called once per complete line, in file order, and may be
-    /// stateful (e.g. enforce increasing sequence numbers). A rejected line
-    /// is tolerated only as the *final* complete line — that is what a torn
-    /// append looks like — and is truncated away together with any trailing
-    /// unterminated bytes. A rejected line with accepted lines after it means
-    /// the file is corrupt mid-stream, and recovery fails with
-    /// [`io::ErrorKind::InvalidData`].
+    /// `parse` is handed each complete line once, in file order, without its
+    /// `\n` and borrowed from the file's bytes (invalid UTF-8 reads as
+    /// U+FFFD, the only case that copies). It returns the line's parsed value
+    /// to accept it or `None` to reject it, and may be stateful (e.g. enforce
+    /// increasing sequence numbers). A rejected line is tolerated only as the
+    /// *final* complete line — that is what a torn append looks like — and is
+    /// truncated away together with any trailing unterminated bytes; `parse`
+    /// is not called again after a rejection. A rejected line with complete
+    /// lines after it means the file is corrupt mid-stream, and recovery
+    /// fails with [`io::ErrorKind::InvalidData`].
     ///
-    /// Returns the journal plus the accepted lines, in order. A missing file
-    /// recovers to an empty journal.
-    pub fn recover(
+    /// Returns the journal plus the accepted lines' parsed values, in order;
+    /// a caller that only needs the torn tail cut returns `Some(())`. A
+    /// missing file recovers to an empty journal.
+    pub fn recover<T>(
         path: impl Into<PathBuf>,
         policy: FsyncPolicy,
-        mut validate: impl FnMut(&str) -> bool,
-    ) -> io::Result<(Journal, Vec<String>)> {
+        mut parse: impl FnMut(&str) -> Option<T>,
+    ) -> io::Result<(Journal, Vec<T>)> {
         let path = path.into();
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -148,13 +152,13 @@ impl Journal {
         let mut rejected_at: Option<usize> = None;
         while let Some(nl) = bytes[cursor..].iter().position(|&b| b == b'\n') {
             let end = cursor + nl;
-            let line = String::from_utf8_lossy(&bytes[cursor..end]).into_owned();
+            let parsed = parse(&String::from_utf8_lossy(&bytes[cursor..end]));
             cursor = end + 1;
-            if !validate(&line) {
+            let Some(value) = parsed else {
                 rejected_at = Some(lines.len());
                 break;
-            }
-            lines.push(line);
+            };
+            lines.push(value);
             valid_len = cursor;
         }
         if let Some(at) = rejected_at {
@@ -253,18 +257,35 @@ pub fn frame_record(seq: u64, payload: &str) -> String {
 }
 
 /// Parse and verify a framed record; `None` when the frame or checksum is
-/// bad. Returns the sequence number and the payload.
-pub fn parse_record(line: &str) -> Option<(u64, String)> {
+/// bad. Returns the sequence number and the payload, borrowed from `line`.
+pub fn parse_record(line: &str) -> Option<(u64, &str)> {
     let rest = line.strip_prefix("c ")?;
     let (seq, rest) = rest.split_once(' ')?;
     let (sum, payload) = rest.split_once(' ')?;
     let seq: u64 = seq.parse().ok()?;
     let sum = u32::from_str_radix(sum, 16).ok()?;
-    (sum == record_sum(seq, payload)).then(|| (seq, payload.to_string()))
+    (sum == record_sum(seq, payload)).then_some((seq, payload))
 }
 
+/// The low 32 bits of FNV-1a over `"<seq> <payload>"`, hashed in pieces
+/// rather than formatted into a string first.
 fn record_sum(seq: u64, payload: &str) -> u32 {
-    fnv1a_64(format!("{seq} {payload}").as_bytes()) as u32
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = seq;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let mut h = Fnv64::new();
+    h.write(&digits[at..]);
+    h.write(b" ");
+    h.write(payload.as_bytes());
+    h.finish() as u32
 }
 
 #[cfg(test)]
@@ -278,6 +299,14 @@ mod tests {
         path
     }
 
+    /// Every line the parser sees, accepting all of them.
+    fn keep_all(seen: &mut Vec<String>) -> impl FnMut(&str) -> Option<String> + '_ {
+        |line| {
+            seen.push(line.to_string());
+            Some(line.to_string())
+        }
+    }
+
     #[test]
     fn append_then_recover_round_trips() {
         let path = scratch("roundtrip");
@@ -285,18 +314,22 @@ mod tests {
         journal.append_line("alpha").unwrap();
         journal.append_line("beta").unwrap();
         drop(journal);
-        let (journal, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| true).unwrap();
-        assert_eq!(lines, vec!["alpha".to_string(), "beta".to_string()]);
+        let mut seen = Vec::new();
+        let (journal, lines) =
+            Journal::recover(&path, FsyncPolicy::Never, keep_all(&mut seen)).unwrap();
+        assert_eq!(lines, ["alpha", "beta"]);
+        // The parser sees each complete line once, in order, without `\n`.
+        assert_eq!(seen, ["alpha", "beta"]);
         journal.append_line("gamma").unwrap();
-        let (_, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| true).unwrap();
-        assert_eq!(lines.len(), 3);
+        let (_, lens) = Journal::recover(&path, FsyncPolicy::Never, |l| Some(l.len())).unwrap();
+        assert_eq!(lens, [5, 4, 5]);
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_recovers_empty() {
         let path = scratch("missing");
-        let (journal, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| true).unwrap();
+        let (journal, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| Some(())).unwrap();
         assert!(lines.is_empty());
         assert!(journal.is_empty());
         fs::remove_file(&path).unwrap();
@@ -312,23 +345,41 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"half-a-rec").unwrap();
         drop(f);
-        let (journal, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| true).unwrap();
-        assert_eq!(lines, vec!["whole".to_string()]);
+        let mut seen = Vec::new();
+        let (journal, lines) =
+            Journal::recover(&path, FsyncPolicy::Never, keep_all(&mut seen)).unwrap();
+        assert_eq!(lines, ["whole"]);
+        // The unterminated tail is not a line: the parser never sees it.
+        assert_eq!(seen, ["whole"]);
         // The torn bytes are physically gone: a fresh append lands clean.
         journal.append_line("next").unwrap();
-        let (_, lines) = Journal::recover(&path, FsyncPolicy::Never, |_| true).unwrap();
-        assert_eq!(lines, vec!["whole".to_string(), "next".to_string()]);
+        let (_, lines) =
+            Journal::recover(&path, FsyncPolicy::Never, |l| Some(l.to_string())).unwrap();
+        assert_eq!(lines, ["whole", "next"]);
         fs::remove_file(&path).unwrap();
+    }
+
+    /// Accept lines reading `good <n>` as their number, noting every line
+    /// the parser is handed.
+    fn good(seen: &mut Vec<String>) -> impl FnMut(&str) -> Option<u32> + '_ {
+        |line| {
+            seen.push(line.to_string());
+            line.strip_prefix("good ")?.parse().ok()
+        }
     }
 
     #[test]
     fn rejected_final_line_is_treated_as_torn() {
         let path = scratch("rejected-tail");
         fs::write(&path, "good 1\ngood 2\nbad\n").unwrap();
-        let (journal, lines) =
-            Journal::recover(&path, FsyncPolicy::Never, |l| l.starts_with("good")).unwrap();
-        assert_eq!(lines.len(), 2);
+        let mut seen = Vec::new();
+        let (journal, values) =
+            Journal::recover(&path, FsyncPolicy::Never, good(&mut seen)).unwrap();
+        assert_eq!(values, [1, 2]);
+        assert_eq!(seen, ["good 1", "good 2", "bad"]);
+        // The rejected line is cut from the file, not only from the result.
         assert_eq!(journal.len(), "good 1\ngood 2\n".len() as u64);
+        assert_eq!(fs::read_to_string(&path).unwrap(), "good 1\ngood 2\n");
         fs::remove_file(&path).unwrap();
     }
 
@@ -336,10 +387,14 @@ mod tests {
     fn rejected_line_mid_file_is_a_hard_error() {
         let path = scratch("mid-corrupt");
         fs::write(&path, "good 1\nbad\ngood 2\n").unwrap();
-        let err = Journal::recover(&path, FsyncPolicy::Never, |l| l.starts_with("good"))
+        let mut seen = Vec::new();
+        let err = Journal::recover(&path, FsyncPolicy::Never, good(&mut seen))
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Parsing stops at the rejection; the file is left as it was.
+        assert_eq!(seen, ["good 1", "bad"]);
+        assert_eq!(fs::read_to_string(&path).unwrap(), "good 1\nbad\ngood 2\n");
         fs::remove_file(&path).unwrap();
     }
 
@@ -348,16 +403,16 @@ mod tests {
         let path = scratch("stateful");
         fs::write(&path, "1\n2\n3\n2\n").unwrap();
         let mut last = 0u64;
-        let (_, lines) = Journal::recover(&path, FsyncPolicy::Never, |l| match l.parse::<u64>() {
+        let (_, values) = Journal::recover(&path, FsyncPolicy::Never, |l| match l.parse::<u64>() {
             Ok(n) if n > last => {
                 last = n;
-                true
+                Some(n)
             }
-            _ => false,
+            _ => None,
         })
         .unwrap();
         // The out-of-order final line reads as a torn append and is dropped.
-        assert_eq!(lines, vec!["1".to_string(), "2".into(), "3".into()]);
+        assert_eq!(values, [1, 2, 3]);
         fs::remove_file(&path).unwrap();
     }
 
@@ -368,10 +423,15 @@ mod tests {
     #[test]
     fn framed_records_detect_tearing() {
         let framed = frame_record(7, "submit id=1 time=0");
-        assert_eq!(
-            parse_record(&framed),
-            Some((7, "submit id=1 time=0".into()))
-        );
+        assert_eq!(parse_record(&framed), Some((7, "submit id=1 time=0")));
+        // The checksum is FNV-1a of "<seq> <payload>", whatever the digits.
+        for seq in [0, 9, 10, 12345, u64::MAX] {
+            let sum = crate::fnv::fnv1a_64(format!("{seq} drain").as_bytes()) as u32;
+            assert_eq!(
+                frame_record(seq, "drain"),
+                format!("c {seq} {sum:08x} drain")
+            );
+        }
         // Any strict prefix of the line fails the checksum (or the frame).
         for cut in 0..framed.len() {
             assert_eq!(parse_record(&framed[..cut]), None, "prefix {cut} parsed");

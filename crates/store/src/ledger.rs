@@ -40,9 +40,10 @@ impl SweepLedger {
     pub fn open(store: &ArtifactStore, sweep_key: u128) -> io::Result<SweepLedger> {
         let path = store.path(ArtifactKind::Ledger, sweep_key);
         // Ledger lines are tolerated malformed (see `replay`), so recovery
-        // accepts every complete line; flush-only durability matches the
-        // ledger's contract (survive process death, not power loss).
-        let (journal, _) = Journal::recover(path, FsyncPolicy::Never, |_| true)?;
+        // accepts every complete line and keeps nothing of it; flush-only
+        // durability matches the ledger's contract (survive process death,
+        // not power loss).
+        let (journal, _) = Journal::recover(path, FsyncPolicy::Never, |_| Some(()))?;
         Ok(SweepLedger { journal })
     }
 

@@ -265,11 +265,15 @@ impl ArtifactStore {
 
     /// Memoize a simulation result under `key`.
     pub fn put_result(&self, key: u128, result: &SimulationResult) -> io::Result<()> {
-        self.put_bytes(
-            ArtifactKind::Result,
-            key,
-            codec::encode_result(result).as_bytes(),
-        )
+        self.put_encoded_result(key, &codec::encode_result(result))
+    }
+
+    /// Memoize a result the caller has already encoded with
+    /// [`encode_result`](crate::codec::encode_result), so a caller that
+    /// also sends those bytes elsewhere (a serve drain's reply) encodes once.
+    /// `encoded` must be that function's output: it is stored as it is.
+    pub fn put_encoded_result(&self, key: u128, encoded: &str) -> io::Result<()> {
+        self.put_bytes(ArtifactKind::Result, key, encoded.as_bytes())
     }
 
     /// Fetch a memoized result; `Ok(None)` when absent, `Err` with

@@ -96,7 +96,7 @@ fn transient_errors_roll_appends_back_and_the_journal_stays_usable() {
     fault::install(None);
     journal.append_line("two").unwrap();
     drop(journal);
-    let (_, lines) = Journal::recover(&path, FsyncPolicy::Always, |_| true).unwrap();
+    let (_, lines) = Journal::recover(&path, FsyncPolicy::Always, |l| Some(l.to_string())).unwrap();
     assert_eq!(lines, ["one", "two"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -132,7 +132,8 @@ fn short_writes_and_kill_points_never_leave_torn_bytes_behind() {
     // "Reboot": clear the plan, recover, and the journal carries on.
     fault::install(None);
     drop(journal);
-    let (journal, lines) = Journal::recover(&path, FsyncPolicy::Always, |_| true).unwrap();
+    let (journal, lines) =
+        Journal::recover(&path, FsyncPolicy::Always, |l| Some(l.to_string())).unwrap();
     assert_eq!(lines, ["durable"]);
     journal.append_line("after-reboot").unwrap();
     let _ = std::fs::remove_dir_all(&dir);
