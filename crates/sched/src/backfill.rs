@@ -170,9 +170,31 @@ impl Profile {
 /// ([`psbench_sim::JobQueue::backfill_scan`]) so it examines only the jobs
 /// that can possibly fit the free capacity or the extra budget, instead of
 /// the entire backlog.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EasyBackfill {
     cache: Option<EasyCache>,
+    /// Phase 2's estimated completions, refilled in place by every plan that
+    /// leaves a blocked head.
+    completions: Vec<Completion>,
+}
+
+/// One estimated completion in EASY's phase 2: a running job, or a job
+/// phase 1 of the same plan starts.
+#[derive(Debug, Clone, Copy)]
+struct Completion {
+    end: f64,
+    /// The order among equal ends, which fixes the float summation order
+    /// behind the shadow's `extra`: running jobs by id, then phase 1's
+    /// starts in start order. A start's tie is [`Completion::STARTED`], and
+    /// the stable sort keeps the starts in the order they were pushed, after
+    /// every running job (a running job with that very id was pushed first).
+    tie: u64,
+    procs: f64,
+}
+
+impl Completion {
+    /// The tie-break of a job phase 1 starts.
+    const STARTED: u64 = u64::MAX;
 }
 
 /// The state a pure-arrival react needs from the last full plan.
@@ -196,8 +218,9 @@ struct EasyCache {
 impl EasyBackfill {
     /// Full three-phase plan; refreshes the cache. Phase 1 consumes the
     /// fitting prefix of the arrival-ordered key array, phase 2 computes the
-    /// head's shadow from the completion profile (built only when phase 1
-    /// leaves a blocked head), and phase 3 backfills from
+    /// head's shadow from the estimated completions (gathered into the
+    /// policy's own buffer and sorted once, only when phase 1 leaves a
+    /// blocked head), and phase 3 backfills from
     /// the backlog index: only jobs narrow enough for the free capacity (with
     /// an estimate inside the shadow budget) or for the extra processors are
     /// ever examined, so the plan's cost scales with the viable candidates,
@@ -223,28 +246,27 @@ impl EasyBackfill {
         };
 
         // Phase 2: reservation (shadow time) for the head job that did not fit.
-        // Only a blocked head reads the (estimated end, procs) completions, so
-        // they are built here: the running jobs' sorted profile (already
-        // carrying the released proc·share), then phase 1's starts in start
-        // order, re-walked off the queue's started prefix. The stable sort
-        // keeps that order among equal ends, which fixes the float summation
-        // order behind `extra`.
-        let mut completions: Vec<(f64, f64)> = ctx
-            .completion_profile()
-            .into_iter()
-            .map(|(_, end, procs)| (end, procs))
-            .collect();
-        completions.extend(
-            ctx.queue
-                .iter_keys()
-                .take(out.len())
-                .map(|q| (ctx.now + q.estimate.max(1.0), q.procs as f64)),
-        );
-        completions.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Only a blocked head reads the estimated completions, so they are
+        // built here, into the policy's own buffer: the running jobs (with
+        // the proc·share each releases), then phase 1's starts, re-walked
+        // off the queue's started prefix, stably sorted once by (end, tie).
+        let completions = &mut self.completions;
+        completions.clear();
+        completions.extend(ctx.running.iter().map(|r| Completion {
+            end: ctx.estimated_end(r),
+            tie: r.job.id,
+            procs: r.proc_share(),
+        }));
+        completions.extend(ctx.queue.iter_keys().take(out.len()).map(|q| Completion {
+            end: ctx.now + q.estimate.max(1.0),
+            tie: Completion::STARTED,
+            procs: q.procs as f64,
+        }));
+        completions.sort_by(|a, b| a.end.total_cmp(&b.end).then(a.tie.cmp(&b.tie)));
         let mut avail = free;
         let mut shadow = f64::INFINITY;
         let mut extra = 0.0;
-        for &(end, procs) in &completions {
+        for &Completion { end, procs, .. } in completions.iter() {
             avail += procs;
             if avail + 1e-9 >= head.procs as f64 {
                 shadow = end;
@@ -317,9 +339,10 @@ impl EasyBackfill {
             extra,
             // `completions` (sorted by end time) holds every running job plus
             // phase 1's starts; phase 3's starts are folded in separately.
-            min_est_end: completions
+            min_est_end: self
+                .completions
                 .first()
-                .map_or(f64::INFINITY, |c| c.0)
+                .map_or(f64::INFINITY, |c| c.end)
                 .min(min_backfill_end),
         });
         out

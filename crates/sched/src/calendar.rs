@@ -129,8 +129,9 @@
 //! `tests/engine_equivalence.rs` drive both through identical event
 //! sequences and require bit-identical decisions.
 
+use psbench_sim::idhash::IdMap;
 use psbench_sim::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The shared time-comparison tolerance of the *planning* layer (the EASY
 /// shadow math and the replanning `Profile`), in seconds. The calendar itself
@@ -999,14 +1000,14 @@ fn needs_rebuild(
 pub struct ConservativeBackfill {
     cal: Calendar,
     /// Reservations by job id.
-    slots: HashMap<u64, Slot>,
+    slots: IdMap<Slot>,
     /// Reservations by `(start bits, id)` — times are non-negative, so the
     /// bit order is the float order. This is what lets the compression walk
     /// enumerate exactly the reservations at or before the reclaim horizon
     /// instead of sweeping the whole backlog.
     slot_index: BTreeSet<(u64, u64)>,
     /// Jobs we believe are running: id → (canonical end, procs).
-    running: HashMap<u64, (f64, f64)>,
+    running: IdMap<(f64, f64)>,
     /// Minimum canonical end over `running` (∞ when empty); once `now` passes
     /// it some job has outlived its estimate and the committed base is stale.
     min_running_end: f64,
@@ -1339,8 +1340,8 @@ impl ConservativeBackfill {
 /// incremental implementation must match bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct ConservativeOracle {
-    slots: HashMap<u64, Slot>,
-    running: HashMap<u64, (f64, f64)>,
+    slots: IdMap<Slot>,
+    running: IdMap<(f64, f64)>,
     min_running_end: f64,
     park: Park,
     anchored: bool,

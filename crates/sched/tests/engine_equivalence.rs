@@ -13,6 +13,8 @@ use psbench_sched::prelude::*;
 use psbench_sim::{
     Decision, Scheduler, SchedulerContext, SchedulerEvent, SimConfig, SimJob, Simulation,
 };
+use psbench_store::result_fingerprint;
+use psbench_swf::outage::{OutageKind, OutageLog, OutageRecord};
 use psbench_workload::feedback::{infer_dependencies, InferenceParams};
 use psbench_workload::outagegen::OutageGenerator;
 use psbench_workload::{Lublin99, WorkloadModel};
@@ -243,5 +245,82 @@ proptest! {
         let fast = run_anonymized(&mut ConservativeBackfill::default(), &config, &jobs);
         let oracle = run_anonymized(&mut ConservativeOracle::default(), &config, &jobs);
         prop_assert_eq!(fast, oracle);
+    }
+}
+
+/// A deterministic offline run whose seeded arrivals collide with every
+/// other kind of event at equal instants: submits on a 10 s grid (ties),
+/// some at zero and some below it (both arrive at 0), outage announce, start
+/// and end instants on the same grid, and, closed loop, dependents whose
+/// releases (completion plus a think time on the grid) land there too.
+fn colliding_run(seed: u64, closed: bool) -> (SimConfig, Vec<SimJob>) {
+    let mut state = seed;
+    let mut draw = move |n: u64| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let jobs: Vec<SimJob> = (1..=400u64)
+        .map(|id| {
+            let submit = (draw(70) as f64 - 6.0) * 10.0;
+            let runtime = (draw(40) + 1) as f64 * 10.0;
+            let estimate = runtime * (1 + draw(3)) as f64;
+            let procs = 1 + draw(64) as u32;
+            let mut job = SimJob::rigid(id, submit, runtime, procs).with_estimate(estimate);
+            let dep = draw(4);
+            if dep > 0 && id > dep {
+                job.preceding = Some(id - dep);
+                job.think_time = (draw(3) * 10) as f64;
+            }
+            job
+        })
+        .collect();
+    let outages = (0..8u64)
+        .map(|i| {
+            let start = draw(70) as i64 * 10;
+            let notice = draw(4) as i64 * 10;
+            OutageRecord {
+                outage_id: i,
+                announced_time: (notice > 0).then_some(start - notice),
+                start_time: start,
+                end_time: start + (draw(10) + 1) as i64 * 10,
+                kind: OutageKind::CpuFailure,
+                nodes_affected: Some(1 + draw(64) as u32),
+                components: vec![],
+            }
+        })
+        .collect();
+    let mut config = SimConfig::new(MACHINE).with_outages(OutageLog::from_records(outages));
+    if closed {
+        config = config.closed_loop();
+    }
+    (config, jobs)
+}
+
+/// EASY over [`colliding_run`]s, pinned to the result fingerprints of the
+/// engine that pushed every seeded arrival through its event heap: the
+/// arrival cursor must pop events in exactly that order.
+#[test]
+fn easy_fingerprints_hold_when_arrivals_collide_with_other_events() {
+    let pinned: [(u64, bool, u64); 6] = [
+        (1, false, 0xb79a_05f5_b043_6a3a),
+        (2, false, 0x3097_6459_847c_8341),
+        (3, false, 0x18cf_df0c_3f19_f49b),
+        (1, true, 0xe41e_07a6_3246_ece0),
+        (2, true, 0xb058_5389_c6f4_8b74),
+        (3, true, 0x8e7f_a9a5_b054_cb31),
+    ];
+    for (seed, closed, want) in pinned {
+        let (config, jobs) = colliding_run(seed, closed);
+        let result = Simulation::new(config, jobs).run(&mut EasyBackfill::default());
+        assert!(result.kills > 0, "seed {seed}: no outage killed a job");
+        let fp = result_fingerprint(&result);
+        assert_eq!(
+            fp, want,
+            "seed {seed} closed {closed}: fingerprint {fp:016x}"
+        );
     }
 }

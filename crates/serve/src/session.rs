@@ -4,8 +4,10 @@
 //! command (`submit`, `cancel`, `advance`, `drain`) is resolved to exact
 //! instants, **journaled before it is applied**, and only then executed —
 //! so a session killed at any byte can be rebuilt by replaying its journal
-//! through the same [`Session::apply_logged`] path the live session used.
-//! Queries (`query`, `whatif`, `trace`) never touch the journal.
+//! through the same apply step the live session used
+//! ([`Session::apply_logged`] is that step plus rendering the reply; replay
+//! renders only the last record's reply, the one a resubmission can ask
+//! for). Queries (`query`, `whatif`, `trace`) never touch the journal.
 //!
 //! # Journal format
 //!
@@ -45,7 +47,7 @@ use psbench_store::{frame_record, parse_record, FsyncPolicy, Journal};
 
 use crate::clock::ClockMode;
 use crate::protocol::{parse_command, valid_session_name, Command, Reply, PROTOCOL_VERSION};
-use crate::shard::{Shard, ShardConfig};
+use crate::shard::{Drained, Shard, ShardConfig};
 
 /// A mutating command with every input already resolved: the exact form that
 /// is journaled, applied, and replayed. See the module docs for the wire
@@ -197,6 +199,47 @@ pub struct Session {
     last_reply: Option<Reply>,
 }
 
+/// What applying one logged command did: the shard's answer, kept unrendered
+/// until its reply is wanted.
+enum Applied {
+    Submit(u64, Result<i64, String>),
+    Cancel(u64, Result<(), String>),
+    Advance(Result<f64, String>),
+    Drain(Result<Drained, String>),
+}
+
+impl Applied {
+    /// The wire reply for this outcome.
+    fn reply(self) -> Reply {
+        match self {
+            Applied::Submit(id, Ok(t)) => Reply::Line(format!("ok submit id={id} time={t}")),
+            Applied::Submit(_, Err(msg)) => Reply::err(format!("submit: {msg}")),
+            Applied::Cancel(id, Ok(())) => Reply::Line(format!("ok cancel id={id}")),
+            Applied::Cancel(_, Err(msg)) => Reply::err(format!("cancel: {msg}")),
+            Applied::Advance(Ok(now)) => Reply::Line(format!("ok advance now={now}")),
+            Applied::Advance(Err(msg)) => Reply::err(format!("advance: {msg}")),
+            Applied::Drain(Ok(drained)) => {
+                let body = drained.encoded.into_bytes();
+                let stored = drained
+                    .stored
+                    .map(|key| format!(" stored={key}"))
+                    .unwrap_or_default();
+                Reply::Payload {
+                    head: format!(
+                        "ok drain bytes={} scheduler={} machine={} finished={}{stored}",
+                        body.len(),
+                        drained.result.scheduler,
+                        drained.result.machine_size,
+                        drained.result.finished.len(),
+                    ),
+                    body,
+                }
+            }
+            Applied::Drain(Err(msg)) => Reply::err(format!("drain: {msg}")),
+        }
+    }
+}
+
 /// Render a [`JobState`] as the `state=…` tail of a `query job` reply.
 fn render_state(state: &JobState) -> String {
     match state {
@@ -314,10 +357,15 @@ impl Session {
             last_seq: 0,
             last_reply: None,
         };
-        for (seq, cmd) in records.into_iter().flatten() {
-            let reply = session.apply_logged(cmd);
+        // Only the last record's reply can be asked for again (an idempotent
+        // resubmission of the last seq), so only it is rendered.
+        let mut records = records.into_iter().flatten().peekable();
+        while let Some((seq, cmd)) = records.next() {
+            let applied = session.apply(cmd);
             session.last_seq = seq;
-            session.last_reply = Some(reply);
+            if records.peek().is_none() {
+                session.last_reply = Some(applied.reply());
+            }
         }
         session.shard.reanchor_clock(mode);
         Ok(session)
@@ -358,10 +406,15 @@ impl Session {
     }
 
     /// Apply one already-resolved command to the shard and produce its wire
-    /// reply. This is the single execution path shared by live commands and
-    /// journal replay — determinism of recovery reduces to determinism of
-    /// this function.
+    /// reply. Live commands take this path, and journal replay takes its
+    /// apply step — determinism of recovery reduces to determinism of that
+    /// step.
     pub fn apply_logged(&mut self, cmd: LoggedCommand) -> Reply {
+        self.apply(cmd).reply()
+    }
+
+    /// The apply step of [`Session::apply_logged`], without the reply.
+    fn apply(&mut self, cmd: LoggedCommand) -> Applied {
         match cmd {
             LoggedCommand::Submit {
                 id,
@@ -370,41 +423,14 @@ impl Session {
                 procs,
                 estimate,
                 user,
-            } => match self
-                .shard
-                .submit_at(id, time, runtime, procs, estimate, user)
-            {
-                Ok(t) => Reply::Line(format!("ok submit id={id} time={t}")),
-                Err(msg) => Reply::err(format!("submit: {msg}")),
-            },
-            LoggedCommand::Cancel { id, at } => match self.shard.cancel_at(id, at) {
-                Ok(()) => Reply::Line(format!("ok cancel id={id}")),
-                Err(msg) => Reply::err(format!("cancel: {msg}")),
-            },
-            LoggedCommand::Advance { to } => match self.shard.advance_to(to) {
-                Ok(now) => Reply::Line(format!("ok advance now={now}")),
-                Err(msg) => Reply::err(format!("advance: {msg}")),
-            },
-            LoggedCommand::Drain => match self.shard.drain() {
-                Ok(drained) => {
-                    let body = drained.encoded.into_bytes();
-                    let stored = drained
-                        .stored
-                        .map(|key| format!(" stored={key}"))
-                        .unwrap_or_default();
-                    Reply::Payload {
-                        head: format!(
-                            "ok drain bytes={} scheduler={} machine={} finished={}{stored}",
-                            body.len(),
-                            drained.result.scheduler,
-                            drained.result.machine_size,
-                            drained.result.finished.len(),
-                        ),
-                        body,
-                    }
-                }
-                Err(msg) => Reply::err(format!("drain: {msg}")),
-            },
+            } => Applied::Submit(
+                id,
+                self.shard
+                    .submit_at(id, time, runtime, procs, estimate, user),
+            ),
+            LoggedCommand::Cancel { id, at } => Applied::Cancel(id, self.shard.cancel_at(id, at)),
+            LoggedCommand::Advance { to } => Applied::Advance(self.shard.advance_to(to)),
+            LoggedCommand::Drain => Applied::Drain(self.shard.drain()),
         }
     }
 
@@ -931,5 +957,47 @@ mod tests {
         let job = line(&mut recovered, "query job 1");
         assert!(job.contains("state=pending"), "{job}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovered_reply_of_each_last_record_kind_matches_the_live_reply() {
+        // Recovery renders only the last record's reply. For each kind of
+        // record, and for one the shard rejects, a session recovered with
+        // that record last answers its resubmitted seq with exactly the
+        // bytes the live session sent.
+        let prefix = [
+            "submit id=1 submit=0 runtime=10 procs=4 seq=1",
+            "submit id=2 submit=5 runtime=20 procs=64 seq=2",
+        ];
+        let lasts = [
+            "submit id=3 submit=7 runtime=30 procs=8 seq=3",
+            "cancel id=2 seq=3",
+            "advance to=12 seq=3",
+            "drain seq=3",
+            "cancel id=99 seq=3",
+        ];
+        for (k, last) in lasts.into_iter().enumerate() {
+            let dir = temp_dir(&format!("lastreply{k}"));
+            let path = dir.join("s.journal");
+            let live = {
+                let mut session = Session::create(
+                    &afap_config(),
+                    "s".into(),
+                    Some((&path, FsyncPolicy::Always)),
+                )
+                .unwrap();
+                for cmd in prefix {
+                    line(&mut session, cmd);
+                }
+                session.handle_line(last)
+            };
+            if last.starts_with("cancel id=99") {
+                assert_eq!(live, Reply::err("cancel: unknown job 99"));
+            }
+            let mut recovered = Session::recover(&path, FsyncPolicy::Always, None).unwrap();
+            assert_eq!(recovered.last_seq(), 3, "{last}");
+            assert_eq!(recovered.handle_line(last), live, "{last}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

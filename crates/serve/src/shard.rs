@@ -20,8 +20,8 @@
 //!
 //! [`crate::session::Session`] composes the two: it resolves a request,
 //! journals the resolved command, then applies it through
-//! [`crate::session::Session::apply_logged`], the one path live commands and
-//! journal replay share.
+//! [`crate::session::Session::apply_logged`], whose apply step journal replay
+//! shares.
 
 use std::path::PathBuf;
 

@@ -70,6 +70,28 @@
 //! [`SchedulerEvent::CompletionBatch`] for a simultaneous group), so a mass
 //! completion costs one replan instead of one per job.
 //!
+//! ## Two event sources
+//!
+//! External events come from two places. The **seeded arrivals** — every
+//! offline job without a closed-loop predecessor — are known when the
+//! simulation is built, so they are not heap events: they are one vector of
+//! job indices, sorted once by `(arrival time, index)` and read through a
+//! cursor, 4 bytes a job where a heap entry took 32 and every pop sifted
+//! through all of them. The **event heap** holds the rest: outage announce,
+//! start and end instants, scheduler timers, closed-loop releases and online
+//! submissions, ordered by `(time, seq)`.
+//!
+//! The next event is the earlier of the cursor's arrival and the heap's top,
+//! and at an equal time the arrival comes first. That is exactly the order
+//! one heap holding both used to pop: the seeded arrivals took sequence
+//! numbers `0..k` in index order before anything else was pushed (the engine
+//! still reserves that band), so among themselves they pop by `(time,
+//! index)` — the cursor's sort order — and at an equal time they precede
+//! every other event. Online sessions seed nothing: their arrivals are heap
+//! events numbered by job index, below the `ONLINE_EVENT_BAND` every other
+//! event draws from. A test-only path that pushes every seeded arrival back
+//! through the heap is the oracle the merge is checked against.
+//!
 //! ## The reference engine
 //!
 //! [`Simulation::new_reference`] builds the same simulation with the calendar
@@ -84,6 +106,7 @@
 //! against.
 
 use crate::cluster::Cluster;
+use crate::idhash::{IdMap, IdSet};
 use crate::job::{FinishedJob, QueuedJob, RunningJob, SimJob};
 use crate::queue::JobQueue;
 use crate::result::SimulationResult;
@@ -91,7 +114,7 @@ use crate::scheduler::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
 use psbench_swf::outage::OutageLog;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// What to do with jobs killed by an outage.
@@ -377,12 +400,19 @@ pub struct Simulation {
     /// Append-only, so a [`Fork`] shares it instead of copying it.
     jobs: Arc<Vec<SimJob>>,
     cluster: Cluster,
+    /// The offline arrivals seeded at construction, as job indices sorted by
+    /// `(arrival time, index)`; `arrivals[next_arrival..]` have not popped
+    /// yet. Everything else that happens at a set instant goes through
+    /// `events` (see the module docs on the two event sources).
+    arrivals: Vec<u32>,
+    next_arrival: usize,
+    /// Outages, timers, closed-loop releases and online submissions.
     events: BinaryHeap<Event>,
     seq: u64,
     now: f64,
     queue: JobQueue,
     running: Vec<RunningJob>,
-    running_index: HashMap<u64, usize>,
+    running_index: IdMap<usize>,
     /// The metadata slot of each running job, parallel to `running`.
     running_slot: Vec<u32>,
     /// Dispatch metadata by slot; see [`RunMeta`].
@@ -394,10 +424,10 @@ pub struct Simulation {
     /// Incremental ledger: Σ procs·share over the running set.
     used_procs: f64,
     /// Exact times (as bits) of wakeup events already in the heap, for coalescing.
-    pending_wakeups: HashSet<u64>,
+    pending_wakeups: IdSet,
     finished: Vec<FinishedJob>,
     discarded: Vec<u64>,
-    dependents: HashMap<u64, Vec<usize>>,
+    dependents: IdMap<Vec<usize>>,
     idle_while_queued: f64,
     busy_integral: f64,
     lost_node_seconds: f64,
@@ -411,10 +441,10 @@ pub struct Simulation {
     /// through [`Simulation::submit`] instead of being seeded up front.
     online: bool,
     /// Ids of every job ever handed to an online session (duplicate check).
-    online_ids: HashSet<u64>,
+    online_ids: IdSet,
     /// Jobs cancelled before their arrival event popped (tombstones), plus
     /// jobs cancelled out of the queue — consulted by `job_state`.
-    cancelled: HashSet<u64>,
+    cancelled: IdSet,
     /// The online released frontier: every instant strictly below
     /// `released - EPS` has been simulated; submissions must not land there.
     released: f64,
@@ -440,22 +470,24 @@ impl Simulation {
         let cluster = Cluster::new(config.machine_size);
         let mut sim = Simulation {
             cluster,
+            arrivals: Vec::new(),
+            next_arrival: 0,
             events: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
             queue: JobQueue::new(),
             running: Vec::new(),
-            running_index: HashMap::new(),
+            running_index: IdMap::default(),
             running_slot: Vec::new(),
             rmeta: Vec::new(),
             free_slots: Vec::new(),
             calendar: BinaryHeap::new(),
             next_start_seq: 0,
             used_procs: 0.0,
-            pending_wakeups: HashSet::new(),
+            pending_wakeups: IdSet::default(),
             finished: Vec::with_capacity(jobs.len()),
             discarded: Vec::new(),
-            dependents: HashMap::new(),
+            dependents: IdMap::default(),
             idle_while_queued: 0.0,
             busy_integral: 0.0,
             lost_node_seconds: 0.0,
@@ -466,8 +498,8 @@ impl Simulation {
             outage_down: Vec::new(),
             kind,
             online: false,
-            online_ids: HashSet::new(),
-            cancelled: HashSet::new(),
+            online_ids: IdSet::default(),
+            cancelled: IdSet::default(),
             released: 0.0,
             config,
             jobs: Arc::new(jobs),
@@ -530,14 +562,26 @@ impl Simulation {
         self.events.push(Event { time, seq, kind });
     }
 
+    /// The instant the arrival of job `idx` is scheduled for.
+    fn arrival_time(&self, idx: usize) -> f64 {
+        self.jobs[idx].submit.max(0.0)
+    }
+
     fn seed_events(&mut self) {
-        let ids: HashSet<u64> = self.jobs.iter().map(|j| j.id).collect();
+        // Allocated before the transient id set below, so freeing the set
+        // leaves no hole under a block that lives for the whole run.
+        let mut arrivals = Vec::with_capacity(self.jobs.len());
+        let ids: IdSet = self.jobs.iter().map(|j| j.id).collect();
         // The id->index maps (and the queue's id keys) require unique ids; a
         // duplicate would silently drop one of the jobs, so fail loudly.
         assert!(
             ids.len() == self.jobs.len(),
             "simulation job ids must be unique ({} duplicates)",
             self.jobs.len() - ids.len()
+        );
+        assert!(
+            self.jobs.len() <= u32::MAX as usize,
+            "at most 2^32 - 1 jobs per simulation"
         );
         for i in 0..self.jobs.len() {
             let job = &self.jobs[i];
@@ -550,10 +594,21 @@ impl Simulation {
                 let pred = job.preceding.unwrap();
                 self.dependents.entry(pred).or_default().push(i);
             } else {
-                let t = job.submit.max(0.0);
-                self.push_event(t, EventKind::Arrival(i));
+                arrivals.push(i as u32);
             }
         }
+        // By (time, index): the (time, seq) order the arrivals had when they
+        // were heap events numbered 0, 1, 2, ... in index order. In place,
+        // and one pass over a trace already sorted by submit time.
+        arrivals.sort_unstable_by(|&a, &b| {
+            self.arrival_time(a as usize)
+                .total_cmp(&self.arrival_time(b as usize))
+                .then(a.cmp(&b))
+        });
+        // The seeded arrivals keep their sequence numbers: every heap event
+        // is numbered after them, as when they were heap events themselves.
+        self.seq = arrivals.len() as u64;
+        self.arrivals = arrivals;
         if let Some(outages) = self.config.outages.clone() {
             self.outage_down = vec![0; outages.outages.len()];
             for (i, o) in outages.outages.iter().enumerate() {
@@ -566,6 +621,25 @@ impl Simulation {
                 self.push_event(o.end_time as f64, EventKind::OutageEnd(i));
             }
         }
+    }
+
+    /// The seeded arrivals pushed back through the event heap with the
+    /// sequence numbers `0..k` in index order: the single event source the
+    /// arrival cursor replaced, kept as the oracle the two-source merge is
+    /// tested against. Call before the first step.
+    #[cfg(test)]
+    fn arrivals_through_heap(mut self) -> Self {
+        let mut seeded = std::mem::take(&mut self.arrivals);
+        seeded.sort_unstable();
+        for (seq, idx) in seeded.into_iter().enumerate() {
+            let idx = idx as usize;
+            self.events.push(Event {
+                time: self.arrival_time(idx),
+                seq: seq as u64,
+                kind: EventKind::Arrival(idx),
+            });
+        }
+        self
     }
 
     /// Is this calendar entry still the live entry of a running dispatch?
@@ -968,8 +1042,25 @@ impl Simulation {
     /// The next instant anything can happen: the earlier of the next external
     /// event and the next completion at current rates.
     fn next_instant(&mut self) -> f64 {
-        let next_event = self.events.peek().map(|e| e.time).unwrap_or(f64::INFINITY);
+        let next_event = self.peek_event().map_or(f64::INFINITY, |(t, _)| t);
         next_event.min(self.next_completion_time())
+    }
+
+    /// The time of the next external event, and whether it is the next
+    /// seeded arrival (`true`) or the heap's top (`false`). The two sources
+    /// merge by `(time, seq)`: every heap event is numbered after every
+    /// seeded arrival, so at an equal time the arrival comes first.
+    fn peek_event(&self) -> Option<(f64, bool)> {
+        let arrival = self
+            .arrivals
+            .get(self.next_arrival)
+            .map(|&i| self.arrival_time(i as usize));
+        let heap = self.events.peek().map(|e| e.time);
+        match (arrival, heap) {
+            (Some(a), Some(h)) if a.total_cmp(&h).is_gt() => Some((h, false)),
+            (Some(a), _) => Some((a, true)),
+            (None, h) => h.map(|h| (h, false)),
+        }
     }
 
     /// One iteration of the event loop, bounded by `bound`: advance to the next
@@ -1018,13 +1109,19 @@ impl Simulation {
         }
 
         // External events due now.
-        while let Some(e) = self.events.peek() {
-            if e.time > self.now + EPS {
+        while let Some((time, seeded)) = self.peek_event() {
+            if time > self.now + EPS {
                 break;
             }
-            let e = self.events.pop().unwrap();
+            let kind = if seeded {
+                let idx = self.arrivals[self.next_arrival] as usize;
+                self.next_arrival += 1;
+                EventKind::Arrival(idx)
+            } else {
+                self.events.pop().expect("peeked").kind
+            };
             self.events_processed += 1;
-            match e.kind {
+            match kind {
                 EventKind::Arrival(idx) => {
                     let job = self.jobs[idx].clone();
                     let id = job.id;
@@ -1075,7 +1172,7 @@ impl Simulation {
                     self.consult(scheduler, SchedulerEvent::OutageEnded { procs: restored });
                 }
                 EventKind::Wakeup => {
-                    self.pending_wakeups.remove(&e.time.to_bits());
+                    self.pending_wakeups.remove(&time.to_bits());
                     // A timer armed for a strictly future instant must not
                     // consult the scheduler early. The instant-batch pop
                     // above fuzzes by EPS, so a wakeup armed within EPS of
@@ -1085,7 +1182,7 @@ impl Simulation {
                     // re-arms the same instant, and the batch loop re-pops
                     // it forever. Advancing to the requested time keeps
                     // the consult exact and the re-arm cycle convergent.
-                    self.advance_to(e.time);
+                    self.advance_to(time);
                     self.consult(scheduler, SchedulerEvent::Timer);
                 }
             }
@@ -1307,11 +1404,11 @@ impl Simulation {
     ///
     /// The states are exclusive and are checked in this order, each at the
     /// cost given: running, O(1); queued, O(log queued); cancelled, O(1); a
-    /// pending arrival, O(events); finished, O(finished); discarded,
-    /// O(discarded); an unreleased closed-loop dependent, O(unreleased
-    /// dependents). A job that has not started is therefore found in time
-    /// that grows with the live state only; finished, discarded and unknown
-    /// ids also scan the history.
+    /// pending arrival, O(pending arrivals + events); finished, O(finished);
+    /// discarded, O(discarded); an unreleased closed-loop dependent,
+    /// O(unreleased dependents). A job that has not started is therefore
+    /// found in time that grows with the live state only; finished,
+    /// discarded and unknown ids also scan the history.
     pub fn job_state(&self, job_id: u64) -> Option<JobState> {
         if let Some(&idx) = self.running_index.get(&job_id) {
             let r = &self.running[idx];
@@ -1335,9 +1432,14 @@ impl Simulation {
                 submit: job.submit.max(0.0),
             })
         };
-        let arrival = self.events.iter().find_map(|e| match e.kind {
-            EventKind::Arrival(idx) => pending(idx),
-            _ => None,
+        let seeded = self.arrivals[self.next_arrival..]
+            .iter()
+            .find_map(|&idx| pending(idx as usize));
+        let arrival = seeded.or_else(|| {
+            self.events.iter().find_map(|e| match e.kind {
+                EventKind::Arrival(idx) => pending(idx),
+                _ => None,
+            })
         });
         if arrival.is_some() {
             return arrival;
@@ -1360,8 +1462,8 @@ impl Simulation {
     /// Copy the live state into a [`Fork`] for a what-if probe.
     ///
     /// The fork copies what stepping reads: the queue, the running set with
-    /// its index and dispatch slots, the event heap, the completion
-    /// calendar, the cluster, the pending wakeups, the unreleased
+    /// its index and dispatch slots, the seeded arrivals not yet popped, the
+    /// event heap, the completion calendar, the cluster, the pending wakeups, the unreleased
     /// dependents, the cancelled set and the counters. It shares the
     /// append-only job vector and leaves out the finished and discarded
     /// jobs and the online id set: stepping only appends to the first two
@@ -1375,6 +1477,8 @@ impl Simulation {
             config: self.config.clone(),
             jobs: Arc::clone(&self.jobs),
             cluster: self.cluster.clone(),
+            arrivals: self.arrivals[self.next_arrival..].to_vec(),
+            next_arrival: 0,
             events: self.events.clone(),
             seq: self.seq,
             now: self.now,
@@ -1401,7 +1505,7 @@ impl Simulation {
             outage_down: self.outage_down.clone(),
             kind: self.kind,
             online: self.online,
-            online_ids: HashSet::new(),
+            online_ids: IdSet::default(),
             cancelled: self.cancelled.clone(),
             released: self.released,
         })
@@ -2367,6 +2471,110 @@ mod tests {
         }
         assert_eq!(sim.job_state(7), Some(JobState::Discarded));
         assert!(matches!(sim.job_state(6), Some(JobState::Pending { .. })));
+    }
+
+    /// [`TestFcfs`] that logs every consult it sees — instant, event and
+    /// queue length — so two runs can be compared consult by consult.
+    #[derive(Default)]
+    struct ConsultLog(Vec<String>);
+    impl Scheduler for ConsultLog {
+        fn name(&self) -> &str {
+            "consult-log"
+        }
+        fn react(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
+            self.0.push(format!(
+                "{:?} {event:?} q={} r={}",
+                ctx.now,
+                ctx.queue.len(),
+                ctx.running.len()
+            ));
+            TestFcfs.react(ctx, event)
+        }
+    }
+
+    /// An offline run whose arrivals collide with everything else at equal
+    /// instants: submits on a coarse grid (ties), at zero and below zero
+    /// (both clamp to 0), outages whose announce, start and end instants
+    /// sit on the same grid, and closed-loop dependents whose releases land
+    /// there too.
+    fn colliding_run(
+        specs: &[(i8, u8, u8, u8)],
+        outages: &[(u8, u8, u8, u8, u8)],
+        closed: bool,
+    ) -> (SimConfig, Vec<SimJob>) {
+        let jobs: Vec<SimJob> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(submit, runtime, procs, dep))| {
+                let id = i as u64 + 1;
+                let mut job = SimJob::rigid(
+                    id,
+                    submit as f64 * 10.0,
+                    runtime as f64 * 10.0,
+                    procs as u32,
+                );
+                if dep > 0 && id > dep as u64 {
+                    job.preceding = Some(id - dep as u64);
+                    job.think_time = (dep % 3) as f64 * 10.0;
+                }
+                job
+            })
+            .collect();
+        let records = outages
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, len, notice, nodes, announced))| {
+                let start = start as i64 * 10;
+                OutageRecord {
+                    outage_id: i as u64,
+                    announced_time: (announced == 1).then(|| start - notice as i64 * 10),
+                    start_time: start,
+                    end_time: start + len as i64 * 10,
+                    kind: OutageKind::CpuFailure,
+                    nodes_affected: Some(nodes as u32),
+                    components: vec![],
+                }
+            })
+            .collect();
+        let mut config = SimConfig::new(16).with_outages(OutageLog::from_records(records));
+        if closed {
+            config = config.closed_loop();
+        }
+        (config, jobs)
+    }
+
+    proptest::proptest! {
+        /// The two-source event merge (seeded-arrival cursor + heap) pops
+        /// exactly what one heap holding every event popped: the same
+        /// consults in the same order and a bit-identical result.
+        #[test]
+        fn arrival_cursor_matches_the_single_event_heap(
+            specs in proptest::collection::vec((-3i8..12, 0u8..6, 1u8..12, 0u8..4), 1..60),
+            outages in proptest::collection::vec((0u8..12, 1u8..5, 0u8..3, 1u8..16, 0u8..2), 0..5),
+            closed in 0u8..2,
+        ) {
+            let (config, jobs) = colliding_run(&specs, &outages, closed == 1);
+            let mut merged = ConsultLog::default();
+            let got = Simulation::new(config.clone(), jobs.clone()).run(&mut merged);
+            let mut heap = ConsultLog::default();
+            let want = Simulation::new(config, jobs)
+                .arrivals_through_heap()
+                .run(&mut heap);
+            proptest::prop_assert_eq!(merged.0, heap.0);
+            proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn arrivals_at_an_outage_start_pop_before_it() {
+        // An arrival and an outage start at t = 10: the arrival (seeded, so
+        // numbered before every heap event) is consulted first and starts,
+        // then the outage kills it.
+        let (config, jobs) = colliding_run(&[(1, 3, 16, 0)], &[(1, 1, 0, 16, 0)], false);
+        let mut log = ConsultLog::default();
+        let result = Simulation::new(config, jobs).run(&mut log);
+        assert!(log.0[1].starts_with("10.0 JobArrived"), "{:?}", log.0);
+        assert_eq!(result.kills, 1);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`scheduler`] — the policy interface: the simulator asks, the policy decides.
 //! * [`engine`] — the event loop, with rate-based execution (space *and* time
 //!   sharing), closed-loop feedback submission, and outage handling.
+//! * [`queue`] — the arrival-ordered wait queue and its backlog index.
+//! * [`idhash`] — the keyed hasher of every job-id map on the hot paths.
 //! * [`result`] — per-run results, metric extraction, and SWF export of the executed
 //!   schedule.
 //!
@@ -18,6 +20,7 @@
 
 pub mod cluster;
 pub mod engine;
+pub mod idhash;
 pub mod job;
 pub mod queue;
 pub mod result;

@@ -59,10 +59,35 @@
 //! [`JobQueue::backfill_scan`] consults the index to stream, **in arrival
 //! order**, exactly the queued jobs that can possibly fit a capacity/estimate
 //! budget, lazily and with mid-scan bound tightening, so a replan's cost
-//! scales with the *viable candidates actually reached* — O(widths × log
-//! backlog) plus the yields — instead of the backlog depth.
-//! [`JobQueue::staircase_scan`] does the same under a per-width estimate
-//! staircase.
+//! scales with the *viable candidates actually reached* instead of the
+//! backlog depth. [`JobQueue::staircase_scan`] does the same under a
+//! per-width estimate staircase.
+//!
+//! ## The width table and what a scan costs
+//!
+//! The buckets live in one vector sorted by `procs`, the **width table**.
+//! Besides its treap root, each bucket caches the root's min-estimate and
+//! its first entry in arrival order (the treap's leftmost), both maintained
+//! by every push and removal. A scan walks the table's prefix up to its
+//! widest bound and seeds one stream per bucket that can contribute:
+//!
+//! * a bucket whose min-estimate exceeds its estimate bound is rejected
+//!   without touching the treap arena;
+//! * a bucket whose cached first entry lies after the scan position and fits
+//!   its bound — every narrow bucket whose first job is behind the position,
+//!   the common case — is seeded from that entry in O(1);
+//! * any other bucket costs one O(log n) treap descent.
+//!
+//! The seeded streams (a handful even under saturation) are merged by a
+//! linear pick of the smallest head, not a heap. A stream is refilled — one
+//! treap successor query under its current bound — only when the next
+//! candidate is pulled, so a bucket the consumer has meanwhile dropped
+//! ([`BackfillScan::shrink`]) or a scan the consumer abandons costs no
+//! descent. A scan therefore costs one table read per width up to its bound,
+//! a descent per bucket that cannot answer from its cache, and one descent
+//! per candidate yielded. [`StaircaseScan::rebind`] walks the table
+//! alongside the stairs (both ascending) and refills a stairs buffer it
+//! keeps, so a rebind allocates nothing once the scan has warmed up.
 //!
 //! ## Index invariants
 //!
@@ -72,7 +97,9 @@
 //!   tombstoned entries appear in no treap.
 //! * Buckets are never empty: the last removal from a bucket removes the
 //!   bucket itself, so a candidates query touches only `procs` values that
-//!   are actually present in the backlog.
+//!   are actually present in the backlog. The width table is sorted by
+//!   `procs`, and each bucket's cached min-estimate and first entry equal
+//!   its treap root's `min_est` and its treap's leftmost entry.
 //! * Treaps are keyed by `(queued_at bits, id)` — the order of
 //!   [`JobQueue::iter`] — so in-order traversal is arrival order and bucket
 //!   streams merge into
@@ -88,8 +115,9 @@
 //!   shape (irrelevant to results, which depend only on the key order) is
 //!   reproducible run to run.
 
+use crate::idhash::IdMap;
 use crate::job::QueuedJob;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::BTreeMap;
 
 /// The compact per-job scheduling key carried alongside each queue slot: the
 /// fields every queue-scanning policy (FCFS, backfilling, gang admission)
@@ -154,9 +182,10 @@ fn key_of(q: &QueuedJob) -> (u64, u64) {
 /// merge lazily without a sort; the estimate rides along for budget tests.
 type IndexEntry = (u64, u64, u64);
 
-/// A [`BackfillScan`] heap entry: an [`IndexEntry`] plus the bucket's `procs`
-/// and its stream slot, min-ordered by the arrival key.
-type ScanEntry = std::cmp::Reverse<(u64, u64, u64, u32, usize)>;
+/// The arrival key `(queued_at bits, id)` of an index entry.
+fn arrival_key(e: IndexEntry) -> (u64, u64) {
+    (e.0, e.1)
+}
 
 fn index_entry(q: &QueuedJob) -> IndexEntry {
     (
@@ -227,6 +256,15 @@ impl Arena {
     fn key(&self, t: u32) -> (u64, u64) {
         let n = &self.nodes[t as usize];
         (n.arr, n.id)
+    }
+
+    /// The first entry in arrival order of the non-empty treap at `t`.
+    fn leftmost(&self, mut t: u32) -> IndexEntry {
+        while self.nodes[t as usize].left != NIL {
+            t = self.nodes[t as usize].left;
+        }
+        let n = &self.nodes[t as usize];
+        (n.arr, n.id, n.est)
     }
 
     /// Recompute a node's subtree minimum from its children.
@@ -393,27 +431,128 @@ impl Arena {
     }
 }
 
+/// One backlog-index bucket: every queued job of one requested width. The
+/// queue keeps its buckets in one vector sorted by `procs` (the width
+/// table), each carrying what a scan asks of it first, so seeding a bucket
+/// rarely touches the treap arena.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    procs: u32,
+    /// The bucket treap's root in the arena (never [`NIL`]: an emptied
+    /// bucket leaves the table).
+    root: u32,
+    /// The root's `min_est`: the smallest estimate bits in the bucket.
+    min_est: u64,
+    /// The bucket's first entry in arrival order (its treap's leftmost).
+    first: IndexEntry,
+}
+
+impl Bucket {
+    /// The bucket's first entry after `after` with estimate bits at most
+    /// `bound`. O(1) when the bucket's min-estimate already exceeds the bound
+    /// (the arena is not touched) or its cached first entry qualifies;
+    /// otherwise one O(log n) treap descent.
+    fn first_fitting(
+        &self,
+        arena: &Arena,
+        after: Option<(u64, u64)>,
+        bound: u64,
+    ) -> Option<IndexEntry> {
+        if self.min_est > bound {
+            return None;
+        }
+        let first = self.first;
+        if first.2 <= bound && after.is_none_or(|a| arrival_key(first) > a) {
+            return Some(first);
+        }
+        arena.first_fitting(self.root, after, bound)
+    }
+}
+
+/// One bucket's cursor in a scan: the bucket's next candidate under the
+/// estimate bound the bucket is currently subject to.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    /// The next candidate; once yielded (or outgrown by a tightened bound),
+    /// the position the stream resumes strictly after.
+    head: IndexEntry,
+    procs: u32,
+    root: u32,
+    /// Estimate bits a candidate of this bucket must not exceed.
+    bound: u64,
+    /// `head` no longer competes: fetch the bucket's next fitting entry
+    /// after it before picking the next candidate.
+    stale: bool,
+}
+
+impl Stream {
+    fn seed(arena: &Arena, b: &Bucket, after: Option<(u64, u64)>, bound: u64) -> Option<Stream> {
+        b.first_fitting(arena, after, bound).map(|head| Stream {
+            head,
+            procs: b.procs,
+            root: b.root,
+            bound,
+            stale: false,
+        })
+    }
+}
+
+/// Take the next candidate in arrival order across `streams`: refill the
+/// stale streams under their current bounds (dropping exhausted ones), then
+/// pick the smallest head. A scan has a few streams (one per bucket with a
+/// fitting entry), so a linear pick beats a heap, and a stream is refilled
+/// only when the next candidate is wanted — after the consumer has had the
+/// chance to tighten or drop its bound.
+fn next_candidate(arena: &Arena, streams: &mut Vec<Stream>) -> Option<(IndexEntry, QueueKey)> {
+    let mut best: Option<usize> = None;
+    let mut i = 0;
+    while i < streams.len() {
+        let s = &mut streams[i];
+        if s.stale {
+            match arena.first_fitting(s.root, Some(arrival_key(s.head)), s.bound) {
+                Some(head) => {
+                    s.head = head;
+                    s.stale = false;
+                }
+                None => {
+                    streams.swap_remove(i);
+                    continue;
+                }
+            }
+        }
+        let key = arrival_key(streams[i].head);
+        if best.is_none_or(|b| key < arrival_key(streams[b].head)) {
+            best = Some(i);
+        }
+        i += 1;
+    }
+    let s = &mut streams[best?];
+    s.stale = true;
+    let key = QueueKey {
+        id: s.head.1,
+        estimate: unorder_bits(s.head.2),
+        procs: s.procs,
+    };
+    Some((s.head, key))
+}
+
 /// The lazy arrival-ordered backlog scan behind [`JobQueue::backfill_scan`].
 ///
-/// A k-way merge with one cursor per `procs` bucket, where a cursor step is a
-/// treap successor query under the bucket's *current* estimate bound: a
-/// narrow bucket (`procs <= narrow`) steps through everything, a wide-only
-/// bucket steps directly from one estimate-fitting entry to the next — the
+/// A merge of one stream per `procs` bucket, where a stream step is a treap
+/// successor query under the bucket's *current* estimate bound: a narrow
+/// bucket (`procs <= narrow`) steps through everything, a wide-only bucket
+/// steps directly from one estimate-fitting entry to the next — the
 /// estimate-unfitting entries in between are pruned by the `min_est`
 /// augmentation and never touched. [`BackfillScan::shrink`] tightens the
 /// bounds mid-scan: buckets that fall out of both bounds are dropped, and a
-/// bucket that falls out of the narrow bound starts applying the estimate
-/// budget from its very next refill. Together this keeps a saturated replan's
-/// cost at O(buckets x log backlog) plus the candidates actually yielded,
-/// independent of the backlog depth.
+/// bucket that falls out of the narrow bound applies the estimate budget
+/// from its very next refill. Together this keeps a saturated replan's cost
+/// at O(buckets) table reads plus O(log backlog) per stream refill and per
+/// candidate yielded, independent of the backlog depth.
 #[derive(Debug)]
 pub struct BackfillScan<'a> {
     arena: &'a Arena,
-    /// The treap root of each contributing bucket (the bucket's `procs`
-    /// travels in the heap entries).
-    streams: Vec<u32>,
-    /// Min-heap over `(queued_at bits, id, estimate bits, procs, stream)`.
-    heap: BinaryHeap<ScanEntry>,
+    streams: Vec<Stream>,
     wide: u32,
     narrow: u32,
     /// `order_bits` of the estimate budget; `None` means unbounded.
@@ -427,16 +566,27 @@ impl BackfillScan<'_> {
     pub fn shrink(&mut self, wide: u32, narrow: u32) {
         self.wide = self.wide.min(wide);
         self.narrow = self.narrow.min(narrow);
+        let (wide, narrow, est_bound) = (self.wide, self.narrow, self.est_bound);
+        self.streams.retain_mut(|s| {
+            if s.procs > wide && s.procs > narrow {
+                // Out of both bounds; bounds only shrink, so the bucket's
+                // remaining entries can never qualify.
+                return false;
+            }
+            s.bound = bound_for(s.procs, narrow, est_bound);
+            // A head fetched under the looser bound resumes after itself.
+            s.stale |= s.head.2 > s.bound;
+            true
+        });
     }
+}
 
-    /// The estimate-bits bound a bucket of width `procs` is currently subject
-    /// to: unbounded while inside the narrow bound, the budget outside it.
-    fn bound_for(&self, procs: u32) -> u64 {
-        if procs <= self.narrow {
-            u64::MAX
-        } else {
-            self.est_bound.unwrap_or(u64::MAX)
-        }
+/// The estimate-bits bound a bucket of width `procs` is subject to:
+/// unbounded while inside the narrow bound, the budget outside it.
+fn bound_for(procs: u32, narrow: u32, est_bound: Option<u64>) -> u64 {
+    match est_bound {
+        Some(b) if procs > narrow => b,
+        _ => u64::MAX,
     }
 }
 
@@ -445,35 +595,7 @@ impl Iterator for BackfillScan<'_> {
 
     /// The next candidate under the current bounds, in arrival order.
     fn next(&mut self) -> Option<QueueKey> {
-        while let Some(std::cmp::Reverse((arr, id, est, procs, si))) = self.heap.pop() {
-            if procs > self.wide && procs > self.narrow {
-                // The whole bucket is out of both bounds now; bounds only
-                // shrink, so its remaining entries can never qualify.
-                continue;
-            }
-            // Refill under the bucket's *current* estimate bound, so a bucket
-            // that left the narrow bound steps straight to its next
-            // estimate-fitting entry.
-            let root = self.streams[si];
-            if let Some((narr, nid, nest)) =
-                self.arena
-                    .first_fitting(root, Some((arr, id)), self.bound_for(procs))
-            {
-                self.heap
-                    .push(std::cmp::Reverse((narr, nid, nest, procs, si)));
-            }
-            // The in-hand entry was queried under a (possibly) looser bound:
-            // re-test it against the current one.
-            if est > self.bound_for(procs) {
-                continue;
-            }
-            return Some(QueueKey {
-                id,
-                estimate: unorder_bits(est),
-                procs,
-            });
-        }
-        None
+        next_candidate(self.arena, &mut self.streams).map(|(_, q)| q)
     }
 }
 
@@ -484,26 +606,23 @@ impl Iterator for BackfillScan<'_> {
 /// wide = one shared estimate budget), this scan carries one estimate bound
 /// per width range — the "how long does width `p` stay continuously free"
 /// staircase a reservation calendar computes after a completion. Each bucket
-/// cursor steps under its own bound via the `min_est` treap augmentation, so
+/// stream steps under its own bound via the `min_est` treap augmentation, so
 /// backlog entries wider or longer than their stair are never touched.
 ///
 /// Unlike [`BackfillScan::shrink`], the staircase may move *either way*
 /// mid-scan (a conservative-backfill start both consumes capacity at `now`
 /// and releases the job's far reservation, so some stairs tighten while
 /// others loosen). [`StaircaseScan::rebind`] therefore rebuilds every bucket
-/// cursor from just after the last yielded candidate under the new bounds —
+/// stream from just after the last yielded candidate under the new bounds —
 /// candidates before that position already had their (arrival-order) turn
 /// under the bounds that were current then, and are never revisited.
 #[derive(Debug)]
 pub struct StaircaseScan<'a> {
     queue: &'a JobQueue,
-    /// The treap root of each contributing bucket (the bucket's `procs`
-    /// travels in the heap entries).
-    streams: Vec<u32>,
-    /// Min-heap over `(queued_at bits, id, estimate bits, procs, stream)`.
-    heap: BinaryHeap<ScanEntry>,
+    streams: Vec<Stream>,
     /// `(inclusive procs upper edge, estimate-bits bound)`, ascending by
     /// procs. A width above the last edge is out of the staircase entirely.
+    /// Refilled in place by every rebind.
     stairs: Vec<(u32, u64)>,
     /// `(queued_at bits, id)` of the last yielded candidate; a rebind resumes
     /// strictly after it.
@@ -511,31 +630,44 @@ pub struct StaircaseScan<'a> {
 }
 
 impl StaircaseScan<'_> {
-    /// The estimate-bits bound width `procs` is currently subject to, or
-    /// `None` when the width is above the staircase's top edge.
-    fn bound_for(&self, procs: u32) -> Option<u64> {
-        let i = self.stairs.partition_point(|&(edge, _)| edge < procs);
-        self.stairs.get(i).map(|&(_, b)| b)
-    }
-
-    /// Replace the staircase and rebuild every bucket cursor from just after
+    /// Replace the staircase and rebuild every bucket stream from just after
     /// the last yielded candidate. Call this whenever the capacity profile
     /// behind the staircase changed (in either direction); the scan position
     /// is preserved, so each queued job still gets exactly one arrival-order
     /// turn.
+    ///
+    /// The width table and the stairs are both ascending, so one merged walk
+    /// pairs each bucket up to the top edge with its stair; a bucket whose
+    /// min-estimate is above its stair, or whose cached first entry fits, is
+    /// settled without a treap descent.
     pub fn rebind(&mut self, stairs: &[(u32, f64)]) {
-        self.stairs = convert_stairs(stairs);
+        // A non-finite bound (the calendar's "free forever at this width")
+        // admits any estimate, NaN included.
+        self.stairs.clear();
+        self.stairs.extend(stairs.iter().map(|&(edge, est)| {
+            let bound = if est.is_finite() {
+                order_bits(est)
+            } else {
+                u64::MAX
+            };
+            (edge, bound)
+        }));
         self.streams.clear();
-        self.heap.clear();
-        let top = self.stairs.last().map(|&(edge, _)| edge).unwrap_or(0);
-        for (&procs, &root) in self.queue.by_procs.range(..=top) {
-            let i = self.stairs.partition_point(|&(edge, _)| edge < procs);
-            let bound = self.stairs[i].1;
-            if let Some((arr, id, est)) = self.queue.arena.first_fitting(root, self.last, bound) {
-                let si = self.streams.len();
-                self.heap.push(std::cmp::Reverse((arr, id, est, procs, si)));
-                self.streams.push(root);
+        let queue = self.queue;
+        let mut stair = 0;
+        for b in &queue.widths {
+            while self
+                .stairs
+                .get(stair)
+                .is_some_and(|&(edge, _)| edge < b.procs)
+            {
+                stair += 1;
             }
+            let Some(&(_, bound)) = self.stairs.get(stair) else {
+                break;
+            };
+            self.streams
+                .extend(Stream::seed(&queue.arena, b, self.last, bound));
         }
     }
 }
@@ -545,51 +677,10 @@ impl Iterator for StaircaseScan<'_> {
 
     /// The next candidate under the current staircase, in arrival order.
     fn next(&mut self) -> Option<QueueKey> {
-        while let Some(std::cmp::Reverse((arr, id, est, procs, si))) = self.heap.pop() {
-            // Between rebinds the staircase is constant, so in-hand entries
-            // always satisfy their bucket's bound; the guards are belt and
-            // braces against misuse.
-            let Some(bound) = self.bound_for(procs) else {
-                continue;
-            };
-            // Refill under the bucket's current bound: the treap steps
-            // straight to the next estimate-fitting entry.
-            let root = self.streams[si];
-            if let Some((narr, nid, nest)) =
-                self.queue.arena.first_fitting(root, Some((arr, id)), bound)
-            {
-                self.heap
-                    .push(std::cmp::Reverse((narr, nid, nest, procs, si)));
-            }
-            if est > bound {
-                continue;
-            }
-            self.last = Some((arr, id));
-            return Some(QueueKey {
-                id,
-                estimate: unorder_bits(est),
-                procs,
-            });
-        }
-        None
+        let (entry, q) = next_candidate(&self.queue.arena, &mut self.streams)?;
+        self.last = Some(arrival_key(entry));
+        Some(q)
     }
-}
-
-/// `(procs edge, estimate bound)` stairs to bit-order bounds; a non-finite
-/// bound (the calendar's "free forever at this width") admits any estimate,
-/// NaN included.
-fn convert_stairs(stairs: &[(u32, f64)]) -> Vec<(u32, u64)> {
-    stairs
-        .iter()
-        .map(|&(edge, est)| {
-            let bound = if est.is_finite() {
-                order_bits(est)
-            } else {
-                u64::MAX
-            };
-            (edge, bound)
-        })
-        .collect()
 }
 
 /// The id index's value for a job in the late set; slot positions never
@@ -612,14 +703,16 @@ pub struct JobQueue {
     /// until the next compaction merges them into `slots`.
     late: BTreeMap<(u64, u64), LateEntry>,
     /// Job id → its slot position (stable until a compaction), or [`LATE`].
-    index: HashMap<u64, usize>,
+    index: IdMap<usize>,
     /// Late job id → its `queued_at` bits, the rest of its late-set key.
-    late_at: HashMap<u64, u64>,
-    /// The backlog index: per-`procs` bucket treaps (roots into `arena`),
-    /// one entry per live job, keyed by arrival order and augmented with
-    /// subtree minimum estimates (see the module docs for the invariants).
-    /// Keyed by job values only, so slot compaction never has to touch it.
-    by_procs: BTreeMap<u32, u32>,
+    late_at: IdMap<u64>,
+    /// The backlog index's width table: one [`Bucket`] per queued `procs`
+    /// value, ascending, each holding the root of a treap (in `arena`) with
+    /// one entry per live job of that width, keyed by arrival order and
+    /// augmented with subtree minimum estimates (see the module docs for
+    /// the invariants). Keyed by job values only, so slot compaction never
+    /// has to touch it.
+    widths: Vec<Bucket>,
     /// Node storage shared by all bucket treaps.
     arena: Arena,
     /// Total processors demanded by all live queued jobs — the O(1)
@@ -741,26 +834,21 @@ impl JobQueue {
         let est_bound = wide_max_estimate
             .is_finite()
             .then(|| order_bits(wide_max_estimate));
-        let mut streams = Vec::new();
-        let mut heap = BinaryHeap::new();
-        for (&procs, &root) in self.by_procs.range(..=wide_procs.max(narrow_procs)) {
-            // A bucket inside the narrow bound streams whole; a wide-only
-            // bucket streams only its estimate-budget subset — in both cases
-            // one treap query per step, never a materialized list.
-            let bound = match est_bound {
-                Some(b) if procs > narrow_procs => b,
-                _ => u64::MAX,
-            };
-            if let Some((arr, id, est)) = self.arena.first_fitting(root, after_key, bound) {
-                let si = streams.len();
-                heap.push(std::cmp::Reverse((arr, id, est, procs, si)));
-                streams.push(root);
-            }
-        }
+        let top = wide_procs.max(narrow_procs);
+        let buckets = &self.widths[..self.widths.partition_point(|b| b.procs <= top)];
+        // A bucket inside the narrow bound streams whole; a wide-only bucket
+        // streams only its estimate-budget subset — in both cases one treap
+        // query per step, never a materialized list.
+        let streams = buckets
+            .iter()
+            .filter_map(|b| {
+                let bound = bound_for(b.procs, narrow_procs, est_bound);
+                Stream::seed(&self.arena, b, after_key, bound)
+            })
+            .collect();
         BackfillScan {
             arena: &self.arena,
             streams,
-            heap,
             wide: wide_procs,
             narrow: narrow_procs,
             est_bound,
@@ -783,14 +871,15 @@ impl JobQueue {
     /// rebuilding the cursors via [`StaircaseScan::rebind`]; the index only
     /// guarantees that no job satisfying the current staircase and sitting
     /// after the scan position is missing. Cost is one O(log backlog) treap
-    /// step per candidate yielded plus one per contributing bucket per
-    /// (re)bind — entries outside their stair are pruned by the `min_est`
+    /// step per candidate yielded, plus per (re)bind one table read per
+    /// bucket up to the top edge and a treap step only for the buckets that
+    /// hold a fitting entry but cannot answer from their cached first entry
+    /// — entries outside their stair are pruned by the `min_est`
     /// augmentation and never touched.
     pub fn staircase_scan(&self, stairs: &[(u32, f64)]) -> StaircaseScan<'_> {
         let mut scan = StaircaseScan {
             queue: self,
             streams: Vec::new(),
-            heap: BinaryHeap::new(),
             stairs: Vec::new(),
             last: None,
         };
@@ -808,9 +897,28 @@ impl JobQueue {
     pub(crate) fn push(&mut self, q: QueuedJob) {
         let procs = q.job.procs;
         self.demanded += procs as u64;
-        let root = self.by_procs.get(&procs).copied().unwrap_or(NIL);
-        let root = self.arena.insert(root, index_entry(&q));
-        self.by_procs.insert(procs, root);
+        let entry = index_entry(&q);
+        match self.widths.binary_search_by_key(&procs, |b| b.procs) {
+            Ok(i) => {
+                let root = self.arena.insert(self.widths[i].root, entry);
+                let b = &mut self.widths[i];
+                b.root = root;
+                b.min_est = b.min_est.min(entry.2);
+                if arrival_key(entry) < arrival_key(b.first) {
+                    b.first = entry;
+                }
+            }
+            Err(i) => {
+                let root = self.arena.insert(NIL, entry);
+                let bucket = Bucket {
+                    procs,
+                    root,
+                    min_est: entry.2,
+                    first: entry,
+                };
+                self.widths.insert(i, bucket);
+            }
+        }
         let key = key_of(&q);
         if self.max_key.is_none_or(|m| key > m) {
             self.max_key = Some(key);
@@ -845,13 +953,18 @@ impl JobQueue {
         if let Some(job) = &q {
             let procs = job.job.procs;
             self.demanded -= procs as u64;
-            if let Some(&root) = self.by_procs.get(&procs) {
-                let (arr, jid, _) = index_entry(job);
-                let root = self.arena.remove(root, (arr, jid));
+            if let Ok(i) = self.widths.binary_search_by_key(&procs, |b| b.procs) {
+                let key = key_of(job);
+                let root = self.arena.remove(self.widths[i].root, key);
                 if root == NIL {
-                    self.by_procs.remove(&procs);
+                    self.widths.remove(i);
                 } else {
-                    self.by_procs.insert(procs, root);
+                    let b = &mut self.widths[i];
+                    b.root = root;
+                    b.min_est = self.arena.nodes[root as usize].min_est;
+                    if arrival_key(b.first) == key {
+                        b.first = self.arena.leftmost(root);
+                    }
                 }
             }
         }
@@ -952,47 +1065,55 @@ impl JobQueue {
                 "keys out of sync with slots"
             );
         }
-        // Backlog-index invariants: one treap entry per live job in its
-        // procs bucket, no stale entries, no empty buckets, exact min_est
-        // pull-ups, arrival-sorted in-order traversal.
-        let indexed: usize = self
-            .by_procs
-            .values()
-            .map(|&root| self.arena.count(root))
-            .sum();
+        // Backlog-index invariants: a width table sorted by procs with no
+        // empty bucket, each bucket's cached root min-estimate and first
+        // entry equal to its treap's; one treap entry per live job in its
+        // procs bucket, no stale entries, exact min_est pull-ups,
+        // arrival-sorted in-order traversal.
+        assert!(
+            self.widths.windows(2).all(|w| w[0].procs < w[1].procs),
+            "width table out of order"
+        );
+        let indexed: usize = self.widths.iter().map(|b| self.arena.count(b.root)).sum();
         assert_eq!(indexed, self.index.len(), "backlog index size drifted");
         let live_demand: u64 = live.iter().map(|q| q.job.procs as u64).sum();
         assert_eq!(
             self.demanded, live_demand,
             "demanded-procs aggregate drifted"
         );
-        assert!(
-            self.by_procs.values().all(|&root| root != NIL),
-            "empty backlog-index bucket retained"
-        );
-        for (&procs, &root) in &self.by_procs {
+        for b in &self.widths {
+            let procs = b.procs;
+            assert!(b.root != NIL, "empty backlog-index bucket {procs} retained");
             let mut entries = Vec::new();
-            self.arena.gather(root, None, u64::MAX, &mut entries);
+            self.arena.gather(b.root, None, u64::MAX, &mut entries);
             assert!(
                 entries
                     .windows(2)
-                    .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+                    .all(|w| arrival_key(w[0]) < arrival_key(w[1])),
                 "bucket {procs} treap out of arrival order"
             );
             let min = entries.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
             assert_eq!(
-                self.arena.nodes[root as usize].min_est, min,
+                self.arena.nodes[b.root as usize].min_est, min,
                 "bucket {procs} min_est drifted"
             );
-            self.arena.check_min_est(root);
+            assert_eq!(b.min_est, min, "bucket {procs} cached min-estimate stale");
+            assert_eq!(
+                Some(b.first),
+                entries.first().copied(),
+                "bucket {procs} cached first entry stale"
+            );
+            self.arena.check_min_est(b.root);
         }
         for q in self.iter() {
-            let (arr, jid, est) = index_entry(q);
+            let entry = index_entry(q);
+            let pos = self.widths.binary_search_by_key(&q.job.procs, |b| b.procs);
             assert!(
-                self.by_procs.get(&q.job.procs).is_some_and(|&root| {
+                pos.is_ok_and(|i| {
                     let mut hits = Vec::new();
-                    self.arena.gather(root, None, u64::MAX, &mut hits);
-                    hits.contains(&(arr, jid, est))
+                    self.arena
+                        .gather(self.widths[i].root, None, u64::MAX, &mut hits);
+                    hits.contains(&entry)
                 }),
                 "job {} missing from the backlog index",
                 q.job.id
@@ -1204,6 +1325,51 @@ mod tests {
             .collect()
     }
 
+    /// The staircase model: the queued jobs after `after` whose width has a
+    /// stair (the first whose edge is `>= procs`) and whose estimate is at
+    /// most that stair's bound by total order (any estimate under a
+    /// non-finite bound), in arrival order.
+    fn staircase_model(q: &JobQueue, stairs: &[(u32, f64)], after: Option<(f64, u64)>) -> Vec<u64> {
+        q.iter()
+            .filter(|j| {
+                after
+                    .is_none_or(|(t, id)| (order_bits(j.queued_at), j.job.id) > (order_bits(t), id))
+            })
+            .filter(|j| {
+                let stair = stairs.iter().find(|&&(edge, _)| edge >= j.job.procs);
+                stair.is_some_and(|&(_, bound)| {
+                    !bound.is_finite()
+                        || j.job.estimate.total_cmp(&bound) != std::cmp::Ordering::Greater
+                })
+            })
+            .map(|j| j.job.id)
+            .collect()
+    }
+
+    /// Raw `(edge, estimate)` draws as a staircase: ascending distinct
+    /// edges; estimates from 650 up mean "any estimate".
+    fn stairs_of(raw: &[(u32, u32)]) -> Vec<(u32, f64)> {
+        let mut stairs: Vec<(u32, f64)> = raw
+            .iter()
+            .map(|&(edge, est)| {
+                let bound = if est >= 650 {
+                    f64::INFINITY
+                } else {
+                    est as f64 / 4.0
+                };
+                (edge, bound)
+            })
+            .collect();
+        stairs.sort_by_key(|s| s.0);
+        stairs.dedup_by_key(|s| s.0);
+        stairs
+    }
+
+    /// The queue position of a queued job, as scans take it.
+    fn position(q: &JobQueue, id: u64) -> Option<(f64, u64)> {
+        q.get(id).map(|j| (j.queued_at, id))
+    }
+
     proptest::proptest! {
         /// Queue integrity under requeue-heavy churn: after every push,
         /// tombstoning removal, requeue (a re-push at an old queued_at, which
@@ -1211,6 +1377,13 @@ mod tests {
         /// which absorb a non-empty late set — `iter`, `iter_keys` and `get`
         /// agree with a sorted-map model, and every backfill scan (without
         /// tightening) yields exactly the filtered arrival-order scan.
+        ///
+        /// Scans are also consumed the way their users consume them: as
+        /// EASY does, tightening the bounds with `shrink` after some yields,
+        /// and as the conservative starter pass does, moving the staircase
+        /// either way with `rebind`. Every yield must then be the first job
+        /// of the filtered model over the not-yet-passed suffix under the
+        /// bounds current at that moment.
         #[test]
         fn candidates_match_filtered_scan_under_churn(
             ops in proptest::collection::vec(
@@ -1220,6 +1393,11 @@ mod tests {
             queries in proptest::collection::vec(
                 (0u32..26, 0u32..700, 0u32..26, 0u8..2),
                 1..6,
+            ),
+            shrinks in proptest::collection::vec((0u32..26, 0u32..26, 0u8..3), 1..8),
+            stair_sets in proptest::collection::vec(
+                proptest::collection::vec((1u32..26, 0u32..700), 1..5),
+                1..5,
             ),
         ) {
             let mut q = JobQueue::new();
@@ -1285,6 +1463,37 @@ mod tests {
                     scan_ids(&q, wide, wide_est, 0, None),
                     filtered_scan(&q, wide, wide_est, 0, None)
                 );
+                // Consumed as EASY consumes it.
+                let mut scan = q.backfill_scan(wide, wide_est, narrow, after);
+                let (mut w, mut n, mut pos) = (wide, narrow, after);
+                for step in 0.. {
+                    let want = filtered_scan(&q, w, wide_est, n, pos).first().copied();
+                    let got = scan.next().map(|k| k.id);
+                    proptest::prop_assert_eq!(got, want);
+                    let Some(id) = got else { break };
+                    pos = position(&q, id);
+                    let (sw, sn, act) = shrinks[step % shrinks.len()];
+                    if act > 0 {
+                        scan.shrink(sw, sn);
+                        w = w.min(sw);
+                        n = n.min(sn);
+                    }
+                }
+            }
+            // Consumed as the conservative starter pass consumes it.
+            let mut stairs = stairs_of(&stair_sets[0]);
+            let mut scan = q.staircase_scan(&stairs);
+            let mut pos = None;
+            for step in 1.. {
+                let want = staircase_model(&q, &stairs, pos).first().copied();
+                let got = scan.next().map(|k| k.id);
+                proptest::prop_assert_eq!(got, want);
+                let Some(id) = got else { break };
+                pos = position(&q, id);
+                if step % 2 == 1 {
+                    stairs = stairs_of(&stair_sets[step % stair_sets.len()]);
+                    scan.rebind(&stairs);
+                }
             }
         }
     }

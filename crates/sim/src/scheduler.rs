@@ -188,17 +188,21 @@ impl SchedulerContext<'_> {
         let mut v: Vec<(u64, f64, f64)> = self
             .running
             .iter()
-            .map(|r| {
-                // Use the *estimate* of remaining time, as a real scheduler would:
-                // elapsed runtime so far versus the user's estimate.
-                let elapsed = self.now - r.started_at;
-                let est_total = r.job.estimate.max(1.0);
-                let est_remaining = (est_total - elapsed).max(0.0);
-                (r.job.id, self.now + est_remaining, r.proc_share())
-            })
+            .map(|r| (r.job.id, self.estimated_end(r), r.proc_share()))
             .collect();
         v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         v
+    }
+
+    /// A running job's estimated completion as [`Self::completion_profile`]
+    /// reports it: `now` plus the estimated remaining time — the user's
+    /// estimate (at least one second) less the elapsed runtime, never
+    /// negative — as a real scheduler would judge it.
+    pub fn estimated_end(&self, r: &RunningJob) -> f64 {
+        let elapsed = self.now - r.started_at;
+        let est_total = r.job.estimate.max(1.0);
+        let est_remaining = (est_total - elapsed).max(0.0);
+        self.now + est_remaining
     }
 
     /// **Canonical** estimated completions of all running jobs as
