@@ -1,10 +1,11 @@
-//! The experiment catalogue: one function per experiment in EXPERIMENTS.md.
+//! The experiment catalogue: one function per experiment, E1..E10.
 //!
 //! The paper is a standards paper — it has no numeric result tables of its own —
 //! so its "evaluation" is the set of claims and proposals in Sections 1–4. Every
 //! function here regenerates one of them as a concrete table. The same functions
-//! back the Criterion benches in `psbench-bench` and the tables recorded in
-//! EXPERIMENTS.md.
+//! back `psbench sweep`, which prints the tables, and `bench sweep`, which
+//! fingerprints them into `BENCH_sweep.json` (see the README's
+//! experiment-harness section).
 
 use crate::harness::{
     default_threads, fmt, parallel_map, profile_parallel, run_all_parallel, Table,
@@ -27,8 +28,8 @@ use psbench_workload::{
 };
 
 /// How large the experiments run: job counts and sweep densities. `quick()` keeps
-/// everything small enough for tests and benches; `full()` is the scale recorded in
-/// EXPERIMENTS.md.
+/// everything small enough for tests and benches; `full()` is the scale of
+/// `psbench sweep --scale full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Jobs per simulated workload.
@@ -49,7 +50,7 @@ impl Scale {
         }
     }
 
-    /// The full configuration recorded in EXPERIMENTS.md.
+    /// The full configuration (`psbench sweep --scale full`).
     pub fn full() -> Self {
         Scale {
             jobs: 3000,
@@ -534,7 +535,7 @@ pub fn e10_model_fidelity(scale: Scale) -> Table {
     table
 }
 
-/// Identifiers of all experiments, in EXPERIMENTS.md order.
+/// Identifiers of all experiments, in the order `psbench sweep all` runs them.
 pub fn experiment_ids() -> &'static [&'static str] {
     &["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"]
 }

@@ -8,7 +8,8 @@ use psbench_swf::{JobSource, ParseError, SwfLog, SwfRecord};
 use serde::{Deserialize, Serialize};
 
 /// A simple report table: a title, column headers, and string rows. Every
-//  experiment renders into this so EXPERIMENTS.md and the benches print the same thing.
+/// experiment renders into this, so `psbench sweep` and `bench sweep` print
+/// and fingerprint the same thing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct Table {
     /// Table title (experiment id and description).

@@ -3,7 +3,8 @@
 //! This crate is the paper's primary deliverable turned into code: a *canonical*
 //! set of workloads (fixed models, machine sizes and seeds), a harness that runs
 //! scheduler × workload scenarios and renders comparable tables, and the catalogue
-//! of experiments that regenerate every claim discussed in EXPERIMENTS.md.
+//! of experiments that regenerate the paper's claims (`psbench sweep` prints
+//! them; see the README's experiment-harness section).
 //!
 //! * [`suite`] — the canonical workloads, scenario definitions, scheduler line-up.
 //! * [`harness`] — scenario sweeps (sequential or parallel), parallel trace

@@ -310,14 +310,17 @@ impl MetaResult {
 ///
 /// # Panics
 ///
-/// If `cfg.epoch_len` is not positive, `specs` is empty, or two jobs share
-/// an id.
+/// If `cfg.epoch_len` is not positive and finite, `specs` is empty, or two
+/// jobs share an id.
 pub fn run_metasystem(
     specs: &[ShardSpec],
     jobs: &[SimJob],
     cfg: &MetaConfig,
 ) -> Result<MetaResult, UnknownScheduler> {
-    assert!(cfg.epoch_len > 0.0, "epoch length must be positive");
+    assert!(
+        cfg.epoch_len.is_finite() && cfg.epoch_len > 0.0,
+        "epoch length must be positive and finite"
+    );
     assert!(!specs.is_empty(), "metasystem has no sites");
     let mut shards = specs
         .iter()

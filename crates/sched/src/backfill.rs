@@ -167,7 +167,7 @@ impl Profile {
 /// starting, or a running job outliving its estimate (which makes its
 /// estimated end drift) — falls back to a full replan; and the full replan's
 /// backfill phase consults the queue's **backlog index**
-/// ([`psbench_sim::JobQueue::backfill_scan`]) so it examines only the jobs
+/// ([`psbench_sim::JobQueue::staircase_scan`]) so it examines only the jobs
 /// that can possibly fit the free capacity or the extra budget, instead of
 /// the entire backlog.
 #[derive(Debug, Clone, Default)]
@@ -294,13 +294,21 @@ impl EasyBackfill {
                                                      // Phase-3 starts are not folded into `completions`, but their
                                                      // estimated ends still bound the cache's overdue horizon.
         let mut min_backfill_end = f64::INFINITY;
+        // The index's query is the staircase of both tests: any estimate up
+        // to the spare processors, the shadow budget up to the free ones
+        // (never fewer than the spare, so the stairs ascend).
+        let stairs = |free_floor: f64, extra_floor: f64| {
+            let procs = |x: f64| x.clamp(0.0, u32::MAX as f64) as u32;
+            [
+                (procs(extra_floor.min(free_floor)), f64::INFINITY),
+                (procs(free_floor), shadow_budget),
+            ]
+        };
         if free_floor >= 1.0 {
             let head_pos = ctx.queue.get(head.id).map(|h| (h.queued_at, h.job.id));
-            let wide = free_floor.min(u32::MAX as f64) as u32;
-            let narrow = extra_floor.min(free_floor).clamp(0.0, u32::MAX as f64) as u32;
             let mut scan = ctx
                 .queue
-                .backfill_scan(wide, shadow_budget, narrow, head_pos);
+                .staircase_scan(&stairs(free_floor, extra_floor), head_pos);
             while let Some(q) = scan.next() {
                 // Every job needs ≥ 1 processor (a `SimJob` invariant), so once
                 // less than one is free nothing further can be backfilled.
@@ -325,10 +333,7 @@ impl EasyBackfill {
                     // Tighten the scan to the new budgets: bucket streams that
                     // can no longer produce a start are dropped, so the rest
                     // of their backlog entries are never touched.
-                    scan.shrink(
-                        free_floor.clamp(0.0, u32::MAX as f64) as u32,
-                        extra_floor.min(free_floor).clamp(0.0, u32::MAX as f64) as u32,
-                    );
+                    scan.tighten(&stairs(free_floor, extra_floor));
                 }
             }
         }
@@ -452,7 +457,7 @@ impl Scheduler for ReplanConservative {
         let wide = startable.min(u32::MAX as f64) as u32;
         let cands: Vec<_> = ctx
             .queue
-            .backfill_scan(wide, f64::INFINITY, 0, None)
+            .staircase_scan(&[(wide, f64::INFINITY)], None)
             .collect();
         if cands.is_empty() {
             return Vec::new();

@@ -1224,7 +1224,7 @@ impl ConservativeBackfill {
         if self.stairs.is_empty() {
             return;
         }
-        let mut scan = ctx.queue.staircase_scan(&self.stairs);
+        let mut scan = ctx.queue.staircase_scan(&self.stairs, None);
         let mut dirty = false;
         loop {
             if dirty {

@@ -204,14 +204,14 @@ impl Scheduler for GangScheduler {
                 // rows; admissions into a full matrix only reduce its slack,
                 // so a dropped (too-wide) bucket can never become admissible
                 // again within this react.
-                let mut scan = ctx.queue.backfill_scan(bound, f64::INFINITY, 0, after);
+                let mut scan = ctx.queue.staircase_scan(&[(bound, f64::INFINITY)], after);
                 while let Some(q) = scan.next() {
                     self.try_admit(q.id, q.procs, &mut to_start);
                     let bound = slack(&self.rows);
                     if bound < 1 {
                         break;
                     }
-                    scan.shrink(bound, 0);
+                    scan.tighten(&[(bound, f64::INFINITY)]);
                 }
             }
         }

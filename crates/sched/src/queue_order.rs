@@ -118,7 +118,7 @@ impl Scheduler for SortedGreedy {
             // tighten the width bound as starts consume capacity — the pass
             // touches only the candidates it can still start.
             let mut out = Vec::new();
-            let mut scan = ctx.queue.backfill_scan(wide, f64::INFINITY, 0, None);
+            let mut scan = ctx.queue.staircase_scan(&[(wide, f64::INFINITY)], None);
             while let Some(q) = scan.next() {
                 if free < 1.0 - 1e-9 {
                     break;
@@ -126,14 +126,15 @@ impl Scheduler for SortedGreedy {
                 if (q.procs as f64) <= free + 1e-9 {
                     free -= q.procs as f64;
                     out.push(Decision::start(q.id));
-                    scan.shrink((free + 1e-9).floor().max(0.0) as u32, 0);
+                    let wide = (free + 1e-9).floor().max(0.0) as u32;
+                    scan.tighten(&[(wide, f64::INFINITY)]);
                 }
             }
             return out;
         }
         let mut queue: Vec<_> = ctx
             .queue
-            .backfill_scan(wide, f64::INFINITY, 0, None)
+            .staircase_scan(&[(wide, f64::INFINITY)], None)
             .collect();
         match self.order {
             Order::ShortestFirst => {

@@ -101,9 +101,9 @@
 //! ledger, the decision application, the event loop — and all completion times
 //! are reads of the same cached `predicted_end` values, so their results are
 //! **bit-identical**; the property tests in `tests/proptest_engine.rs` assert
-//! exactly that over randomized workloads, and `benches/sim.rs` uses the
-//! reference engine as the per-event-linear baseline the calendar is measured
-//! against.
+//! exactly that over randomized workloads, and the `bench sim` suite's
+//! `reference_*` rows time the reference engine as the per-event-linear
+//! baseline the calendar is measured against.
 
 use crate::cluster::Cluster;
 use crate::idhash::{IdMap, IdSet};

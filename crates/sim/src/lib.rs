@@ -33,7 +33,7 @@ pub mod prelude {
         EngineKind, Fork, JobState, OnlineError, OutagePolicy, SimConfig, Simulation,
     };
     pub use crate::job::{FinishedJob, QueuedJob, RunningJob, SimJob};
-    pub use crate::queue::{BackfillScan, JobQueue, QueueKey, StaircaseScan};
+    pub use crate::queue::{JobQueue, QueueKey, StaircaseScan};
     pub use crate::result::SimulationResult;
     pub use crate::scheduler::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
 }

@@ -56,20 +56,25 @@
 //! estimate fits a budget" is a single O(log n) descent — the estimate-
 //! unfitting entries in between are pruned wholesale, never visited.
 //!
-//! [`JobQueue::backfill_scan`] consults the index to stream, **in arrival
-//! order**, exactly the queued jobs that can possibly fit a capacity/estimate
-//! budget, lazily and with mid-scan bound tightening, so a replan's cost
-//! scales with the *viable candidates actually reached* instead of the
-//! backlog depth. [`JobQueue::staircase_scan`] does the same under a
-//! per-width estimate staircase.
+//! [`JobQueue::staircase_scan`] consults the index to stream, **in arrival
+//! order**, exactly the queued jobs that fit a per-width estimate staircase
+//! — `(procs edge, estimate bound)` pairs, ascending — lazily and with the
+//! staircase moving mid-scan, so a replan's cost scales with the *viable
+//! candidates actually reached* instead of the backlog depth. It is the one
+//! backlog query: a backfill pass is the two-stair staircase `[(narrow, any
+//! estimate), (wide, the shadow budget)]` and tightens it as it commits
+//! processors ([`StaircaseScan::tighten`]); a conservative starter pass
+//! hands in the calendar's free-run staircase and reseeds it after every
+//! start ([`StaircaseScan::rebind`]).
 //!
 //! ## The width table and what a scan costs
 //!
 //! The buckets live in one vector sorted by `procs`, the **width table**.
 //! Besides its treap root, each bucket caches the root's min-estimate and
 //! its first entry in arrival order (the treap's leftmost), both maintained
-//! by every push and removal. A scan walks the table's prefix up to its
-//! widest bound and seeds one stream per bucket that can contribute:
+//! by every push and removal. A scan walks the table's prefix up to the
+//! staircase's top edge alongside the stairs (both ascending) and seeds one
+//! stream per bucket that can contribute:
 //!
 //! * a bucket whose min-estimate exceeds its estimate bound is rejected
 //!   without touching the treap arena;
@@ -82,12 +87,12 @@
 //! linear pick of the smallest head, not a heap. A stream is refilled — one
 //! treap successor query under its current bound — only when the next
 //! candidate is pulled, so a bucket the consumer has meanwhile dropped
-//! ([`BackfillScan::shrink`]) or a scan the consumer abandons costs no
-//! descent. A scan therefore costs one table read per width up to its bound,
-//! a descent per bucket that cannot answer from its cache, and one descent
-//! per candidate yielded. [`StaircaseScan::rebind`] walks the table
-//! alongside the stairs (both ascending) and refills a stairs buffer it
-//! keeps, so a rebind allocates nothing once the scan has warmed up.
+//! ([`StaircaseScan::tighten`]) or a scan the consumer abandons costs no
+//! descent. A scan therefore costs one table read per width up to its top
+//! edge, a descent per bucket that cannot answer from its cache, and one
+//! descent per candidate yielded; a [`StaircaseScan::rebind`] costs what
+//! seeding a fresh scan at the last yielded position does, into the stream
+//! vector the scan already holds.
 //!
 //! ## Index invariants
 //!
@@ -536,139 +541,86 @@ fn next_candidate(arena: &Arena, streams: &mut Vec<Stream>) -> Option<(IndexEntr
     Some((s.head, key))
 }
 
-/// The lazy arrival-ordered backlog scan behind [`JobQueue::backfill_scan`].
+/// The lazy arrival-ordered backlog scan behind [`JobQueue::staircase_scan`].
 ///
-/// A merge of one stream per `procs` bucket, where a stream step is a treap
-/// successor query under the bucket's *current* estimate bound: a narrow
-/// bucket (`procs <= narrow`) steps through everything, a wide-only bucket
-/// steps directly from one estimate-fitting entry to the next — the
-/// estimate-unfitting entries in between are pruned by the `min_est`
-/// augmentation and never touched. [`BackfillScan::shrink`] tightens the
-/// bounds mid-scan: buckets that fall out of both bounds are dropped, and a
-/// bucket that falls out of the narrow bound applies the estimate budget
-/// from its very next refill. Together this keeps a saturated replan's cost
-/// at O(buckets) table reads plus O(log backlog) per stream refill and per
-/// candidate yielded, independent of the backlog depth.
-#[derive(Debug)]
-pub struct BackfillScan<'a> {
-    arena: &'a Arena,
-    streams: Vec<Stream>,
-    wide: u32,
-    narrow: u32,
-    /// `order_bits` of the estimate budget; `None` means unbounded.
-    est_bound: Option<u64>,
-}
-
-impl BackfillScan<'_> {
-    /// Tighten the capacity bounds. Bounds may only shrink (a wider bound is
-    /// ignored): the scan never revisits entries, so widening cannot be
-    /// honoured.
-    pub fn shrink(&mut self, wide: u32, narrow: u32) {
-        self.wide = self.wide.min(wide);
-        self.narrow = self.narrow.min(narrow);
-        let (wide, narrow, est_bound) = (self.wide, self.narrow, self.est_bound);
-        self.streams.retain_mut(|s| {
-            if s.procs > wide && s.procs > narrow {
-                // Out of both bounds; bounds only shrink, so the bucket's
-                // remaining entries can never qualify.
-                return false;
-            }
-            s.bound = bound_for(s.procs, narrow, est_bound);
-            // A head fetched under the looser bound resumes after itself.
-            s.stale |= s.head.2 > s.bound;
-            true
-        });
-    }
-}
-
-/// The estimate-bits bound a bucket of width `procs` is subject to:
-/// unbounded while inside the narrow bound, the budget outside it.
-fn bound_for(procs: u32, narrow: u32, est_bound: Option<u64>) -> u64 {
-    match est_bound {
-        Some(b) if procs > narrow => b,
-        _ => u64::MAX,
-    }
-}
-
-impl Iterator for BackfillScan<'_> {
-    type Item = QueueKey;
-
-    /// The next candidate under the current bounds, in arrival order.
-    fn next(&mut self) -> Option<QueueKey> {
-        next_candidate(self.arena, &mut self.streams).map(|(_, q)| q)
-    }
-}
-
-/// The lazy arrival-ordered scan behind [`JobQueue::staircase_scan`]: jobs
-/// fitting a *per-width* estimate staircase.
+/// A merge of one stream per `procs` bucket up to the staircase's top edge,
+/// where a stream step is a treap successor query under the bucket's
+/// *current* estimate bound, so the entries outside it are never touched.
+/// The consumer moves the staircase mid-scan in one of two ways:
 ///
-/// Where [`BackfillScan`] knows two capacity bounds (narrow = any estimate,
-/// wide = one shared estimate budget), this scan carries one estimate bound
-/// per width range — the "how long does width `p` stay continuously free"
-/// staircase a reservation calendar computes after a completion. Each bucket
-/// stream steps under its own bound via the `min_est` treap augmentation, so
-/// backlog entries wider or longer than their stair are never touched.
-///
-/// Unlike [`BackfillScan::shrink`], the staircase may move *either way*
-/// mid-scan (a conservative-backfill start both consumes capacity at `now`
-/// and releases the job's far reservation, so some stairs tighten while
-/// others loosen). [`StaircaseScan::rebind`] therefore rebuilds every bucket
-/// stream from just after the last yielded candidate under the new bounds —
-/// candidates before that position already had their (arrival-order) turn
-/// under the bounds that were current then, and are never revisited.
+/// * [`StaircaseScan::tighten`] lowers the bounds in place and drops the
+///   buckets above the new top edge: a backfill pass commits processors, so
+///   its budgets only shrink and an entry the scan passed never qualifies
+///   again.
+/// * [`StaircaseScan::rebind`] reseeds every stream from just after the last
+///   yielded candidate: a conservative-backfill start both consumes capacity
+///   at `now` and releases the job's far reservation, so some stairs tighten
+///   while others loosen. Candidates before the scan position already had
+///   their (arrival-order) turn under the bounds current then, and are never
+///   revisited.
 #[derive(Debug)]
 pub struct StaircaseScan<'a> {
     queue: &'a JobQueue,
     streams: Vec<Stream>,
-    /// `(inclusive procs upper edge, estimate-bits bound)`, ascending by
-    /// procs. A width above the last edge is out of the staircase entirely.
-    /// Refilled in place by every rebind.
-    stairs: Vec<(u32, u64)>,
-    /// `(queued_at bits, id)` of the last yielded candidate; a rebind resumes
+    /// `(queued_at bits, id)` of the last yielded candidate (before the
+    /// first yield, the scan's exclusive start position); a rebind resumes
     /// strictly after it.
     last: Option<(u64, u64)>,
 }
 
 impl StaircaseScan<'_> {
-    /// Replace the staircase and rebuild every bucket stream from just after
+    /// Lower each live bucket stream's bound to the lower of its current
+    /// bound and its stair in `stairs`, and drop the streams above the new
+    /// top edge. Bounds only fall: the scan never revisits entries, so a
+    /// looser stair cannot be honoured and is ignored.
+    pub fn tighten(&mut self, stairs: &[(u32, f64)]) {
+        self.streams.retain_mut(|s| {
+            let Some(&(_, est)) = stairs.iter().find(|&&(edge, _)| edge >= s.procs) else {
+                // Above the top edge; bounds only fall, so the bucket's
+                // remaining entries can never qualify.
+                return false;
+            };
+            s.bound = s.bound.min(est_bound(est));
+            // A head fetched under the looser bound resumes after itself.
+            s.stale |= s.head.2 > s.bound;
+            true
+        });
+    }
+
+    /// Replace the staircase and reseed every bucket stream from just after
     /// the last yielded candidate. Call this whenever the capacity profile
     /// behind the staircase changed (in either direction); the scan position
     /// is preserved, so each queued job still gets exactly one arrival-order
     /// turn.
     ///
     /// The width table and the stairs are both ascending, so one merged walk
-    /// pairs each bucket up to the top edge with its stair; a bucket whose
-    /// min-estimate is above its stair, or whose cached first entry fits, is
-    /// settled without a treap descent.
+    /// pairs each bucket up to the top edge with its stair, converting each
+    /// stair's bound once; a bucket whose min-estimate is above its stair,
+    /// or whose cached first entry fits, is settled without a treap descent.
     pub fn rebind(&mut self, stairs: &[(u32, f64)]) {
-        // A non-finite bound (the calendar's "free forever at this width")
-        // admits any estimate, NaN included.
-        self.stairs.clear();
-        self.stairs.extend(stairs.iter().map(|&(edge, est)| {
-            let bound = if est.is_finite() {
-                order_bits(est)
-            } else {
-                u64::MAX
-            };
-            (edge, bound)
-        }));
         self.streams.clear();
         let queue = self.queue;
-        let mut stair = 0;
+        let mut stairs = stairs.iter().map(|&(edge, est)| (edge, est_bound(est)));
+        let mut stair = stairs.next();
         for b in &queue.widths {
-            while self
-                .stairs
-                .get(stair)
-                .is_some_and(|&(edge, _)| edge < b.procs)
-            {
-                stair += 1;
+            while stair.is_some_and(|(edge, _)| edge < b.procs) {
+                stair = stairs.next();
             }
-            let Some(&(_, bound)) = self.stairs.get(stair) else {
-                break;
-            };
+            let Some((_, bound)) = stair else { break };
             self.streams
                 .extend(Stream::seed(&queue.arena, b, self.last, bound));
         }
+    }
+}
+
+/// The estimate-bits bound of a stair. A non-finite bound (the calendar's
+/// "free forever at this width", or no estimate budget) admits any
+/// estimate, NaN included.
+fn est_bound(est: f64) -> u64 {
+    if est.is_finite() {
+        order_bits(est)
+    } else {
+        u64::MAX
     }
 }
 
@@ -811,77 +763,33 @@ impl JobQueue {
         self.demanded
     }
 
-    /// A **lazy** arrival-ordered merge over the backlog index's bucket
-    /// streams, for the backfilling hot loop: candidates with
-    /// `procs <= narrow` (any estimate) or `procs <= wide` and estimate at
-    /// most `wide_max_estimate` (by total order), after the exclusive
-    /// `(queued_at, id)` position `after`.
-    ///
-    /// Nothing is collected up front: the consumer pulls candidates one at a
-    /// time (the scan is an [`Iterator`]) and may tighten the capacity bounds
-    /// with [`BackfillScan::shrink`] as it commits processors, which drops
-    /// the bucket streams that can no longer produce a viable job. A
-    /// saturated replan that starts only a few jobs therefore touches only a
-    /// few index entries per width, not the whole backlog.
-    pub fn backfill_scan(
-        &self,
-        wide_procs: u32,
-        wide_max_estimate: f64,
-        narrow_procs: u32,
-        after: Option<(f64, u64)>,
-    ) -> BackfillScan<'_> {
-        let after_key = after.map(|(t, id)| (order_bits(t), id));
-        let est_bound = wide_max_estimate
-            .is_finite()
-            .then(|| order_bits(wide_max_estimate));
-        let top = wide_procs.max(narrow_procs);
-        let buckets = &self.widths[..self.widths.partition_point(|b| b.procs <= top)];
-        // A bucket inside the narrow bound streams whole; a wide-only bucket
-        // streams only its estimate-budget subset — in both cases one treap
-        // query per step, never a materialized list.
-        let streams = buckets
-            .iter()
-            .filter_map(|b| {
-                let bound = bound_for(b.procs, narrow_procs, est_bound);
-                Stream::seed(&self.arena, b, after_key, bound)
-            })
-            .collect();
-        BackfillScan {
-            arena: &self.arena,
-            streams,
-            wide: wide_procs,
-            narrow: narrow_procs,
-            est_bound,
-        }
-    }
-
     /// A lazy arrival-ordered merge over the backlog index's bucket streams
-    /// under a **per-width estimate staircase**: `stairs` is a list of
-    /// `(inclusive procs upper edge, max estimate)` pairs, ascending by
-    /// procs, and a job with width `p` qualifies when its estimate is at most
-    /// (by total order) the bound of the first stair whose edge is `>= p`.
-    /// Pass a non-finite bound for "any estimate at this width". Widths above
-    /// the last edge never qualify.
+    /// under a **per-width estimate staircase**, after the exclusive
+    /// `(queued_at, id)` position `after`: `stairs` is a list of `(inclusive
+    /// procs upper edge, max estimate)` pairs, ascending by procs, and a job
+    /// with width `p` qualifies when its estimate is at most (by total
+    /// order) the bound of the first stair whose edge is `>= p`. Pass a
+    /// non-finite bound for "any estimate at this width". Widths above the
+    /// last edge never qualify.
     ///
-    /// This is the candidate query for a conservative-backfill compression
-    /// pass: the staircase is the calendar's run-length profile ("width `p`
-    /// stays free for `L(p)` seconds from now"), and a queued job can start
-    /// immediately iff it fits its stair. Consumers re-test each candidate
-    /// against the *fresh* profile as starts commit and release capacity,
-    /// rebuilding the cursors via [`StaircaseScan::rebind`]; the index only
-    /// guarantees that no job satisfying the current staircase and sitting
-    /// after the scan position is missing. Cost is one O(log backlog) treap
-    /// step per candidate yielded, plus per (re)bind one table read per
-    /// bucket up to the top edge and a treap step only for the buckets that
-    /// hold a fitting entry but cannot answer from their cached first entry
-    /// — entries outside their stair are pruned by the `min_est`
-    /// augmentation and never touched.
-    pub fn staircase_scan(&self, stairs: &[(u32, f64)]) -> StaircaseScan<'_> {
+    /// A backfill pass is `[(narrow, ∞), (wide, budget)]` (one stair for a
+    /// capacity-only pass) and [`StaircaseScan::tighten`]s it as it commits
+    /// processors; a conservative starter pass hands in the calendar's
+    /// run-length profile ("width `p` stays free for `L(p)` seconds from
+    /// now") and [`StaircaseScan::rebind`]s after every start. Consumers
+    /// re-test each candidate against their own fresh budgets: the index
+    /// only guarantees that no job satisfying the current staircase and
+    /// sitting after the scan position is missing. See the module docs for
+    /// what a scan costs.
+    pub fn staircase_scan(
+        &self,
+        stairs: &[(u32, f64)],
+        after: Option<(f64, u64)>,
+    ) -> StaircaseScan<'_> {
         let mut scan = StaircaseScan {
             queue: self,
             streams: Vec::new(),
-            stairs: Vec::new(),
-            last: None,
+            last: after.map(|(t, id)| (order_bits(t), id)),
         };
         scan.rebind(stairs);
         scan
@@ -1259,21 +1167,13 @@ mod tests {
         }
     }
 
-    /// Ids of a backfill scan that never tightens its bounds.
-    fn scan_ids(
-        q: &JobQueue,
-        wide: u32,
-        est: f64,
-        narrow: u32,
-        after: Option<(f64, u64)>,
-    ) -> Vec<u64> {
-        q.backfill_scan(wide, est, narrow, after)
-            .map(|k| k.id)
-            .collect()
+    /// Ids of a staircase scan that never moves its staircase.
+    fn scan_ids(q: &JobQueue, stairs: &[(u32, f64)], after: Option<(f64, u64)>) -> Vec<u64> {
+        q.staircase_scan(stairs, after).map(|k| k.id).collect()
     }
 
     #[test]
-    fn backfill_scan_prunes_by_procs_and_estimate() {
+    fn staircase_scan_prunes_by_procs_and_estimate() {
         let mut q = JobQueue::new();
         q.push(queued_with(1, 0.0, 4, 50.0));
         q.push(queued_with(2, 1.0, 16, 10.0));
@@ -1281,54 +1181,32 @@ mod tests {
         q.push(queued_with(4, 3.0, 32, 10.0));
         q.push(queued_with(5, 4.0, 1, 1000.0));
         // Capacity only: everything at or under 16 procs, arrival order.
-        assert_eq!(scan_ids(&q, 16, f64::INFINITY, 0, None), vec![1, 2, 3, 5]);
+        assert_eq!(scan_ids(&q, &[(16, f64::INFINITY)], None), vec![1, 2, 3, 5]);
         // Capacity + estimate budget.
-        assert_eq!(scan_ids(&q, 16, 50.0, 0, None), vec![1, 2]);
+        assert_eq!(scan_ids(&q, &[(16, 50.0)], None), vec![1, 2]);
         // Keys carry the exact estimate and procs back out of the index.
-        let keys: Vec<QueueKey> = q.backfill_scan(4, f64::INFINITY, 0, None).collect();
+        let keys: Vec<QueueKey> = q.staircase_scan(&[(4, f64::INFINITY)], None).collect();
         assert_eq!(keys[0].estimate, 50.0);
         assert_eq!(keys[2].procs, 1);
     }
 
     #[test]
-    fn backfill_scan_unions_and_skips_prefix() {
+    fn staircase_scan_unions_and_skips_prefix() {
         let mut q = JobQueue::new();
         q.push(queued_with(1, 0.0, 2, 999.0)); // narrow, long
         q.push(queued_with(2, 1.0, 8, 20.0)); // wide, short
         q.push(queued_with(3, 2.0, 8, 999.0)); // wide, long: excluded
         q.push(queued_with(4, 3.0, 2, 5.0)); // narrow and short
-        assert_eq!(scan_ids(&q, 8, 50.0, 2, None), vec![1, 2, 4]);
+        let pass = backfill_stairs(8, 2, 50.0);
+        assert_eq!(scan_ids(&q, &pass, None), vec![1, 2, 4]);
         // Skip everything at or before job 2's arrival position.
-        assert_eq!(scan_ids(&q, 8, 50.0, 2, Some((1.0, 2))), vec![4]);
+        assert_eq!(scan_ids(&q, &pass, Some((1.0, 2))), vec![4]);
     }
 
-    /// The model the index must agree with: a plain filtered scan of the
-    /// arrival-ordered queue, with estimate bounds compared by total order.
-    fn filtered_scan(
-        q: &JobQueue,
-        wide: u32,
-        wide_est: f64,
-        narrow: u32,
-        after: Option<(f64, u64)>,
-    ) -> Vec<u64> {
-        q.iter()
-            .filter(|j| {
-                after
-                    .is_none_or(|(t, id)| (order_bits(j.queued_at), j.job.id) > (order_bits(t), id))
-            })
-            .filter(|j| {
-                let est_ok = !wide_est.is_finite()
-                    || j.job.estimate.total_cmp(&wide_est) != std::cmp::Ordering::Greater;
-                j.job.procs <= narrow || (j.job.procs <= wide && est_ok)
-            })
-            .map(|j| j.job.id)
-            .collect()
-    }
-
-    /// The staircase model: the queued jobs after `after` whose width has a
-    /// stair (the first whose edge is `>= procs`) and whose estimate is at
-    /// most that stair's bound by total order (any estimate under a
-    /// non-finite bound), in arrival order.
+    /// The model every scan must agree with: the queued jobs after `after`
+    /// whose width has a stair (the first whose edge is `>= procs`) and
+    /// whose estimate is at most that stair's bound by total order (any
+    /// estimate under a non-finite bound), in arrival order.
     fn staircase_model(q: &JobQueue, stairs: &[(u32, f64)], after: Option<(f64, u64)>) -> Vec<u64> {
         q.iter()
             .filter(|j| {
@@ -1336,8 +1214,7 @@ mod tests {
                     .is_none_or(|(t, id)| (order_bits(j.queued_at), j.job.id) > (order_bits(t), id))
             })
             .filter(|j| {
-                let stair = stairs.iter().find(|&&(edge, _)| edge >= j.job.procs);
-                stair.is_some_and(|&(_, bound)| {
+                stair_of(stairs, j.job.procs).is_some_and(|bound| {
                     !bound.is_finite()
                         || j.job.estimate.total_cmp(&bound) != std::cmp::Ordering::Greater
                 })
@@ -1346,23 +1223,48 @@ mod tests {
             .collect()
     }
 
+    /// The estimate bound `stairs` give width `procs`, if any.
+    fn stair_of(stairs: &[(u32, f64)], procs: u32) -> Option<f64> {
+        stairs
+            .iter()
+            .find(|&&(edge, _)| edge >= procs)
+            .map(|&(_, bound)| bound)
+    }
+
+    /// A backfill pass as a staircase: any estimate up to `narrow`
+    /// processors (never above `wide`), `budget` up to `wide`.
+    fn backfill_stairs(wide: u32, narrow: u32, budget: f64) -> [(u32, f64); 2] {
+        [(narrow.min(wide), f64::INFINITY), (wide, budget)]
+    }
+
+    /// The staircase a scan under `cur` is under once tightened by `new`:
+    /// per width, the lower of the two bounds, and no stair above either top
+    /// edge (one stair per width, up to every width the tests draw).
+    fn tightened(cur: &[(u32, f64)], new: &[(u32, f64)]) -> Vec<(u32, f64)> {
+        (1..=25)
+            .map_while(|p| Some((p, stair_of(cur, p)?.min(stair_of(new, p)?))))
+            .collect()
+    }
+
     /// Raw `(edge, estimate)` draws as a staircase: ascending distinct
     /// edges; estimates from 650 up mean "any estimate".
     fn stairs_of(raw: &[(u32, u32)]) -> Vec<(u32, f64)> {
         let mut stairs: Vec<(u32, f64)> = raw
             .iter()
-            .map(|&(edge, est)| {
-                let bound = if est >= 650 {
-                    f64::INFINITY
-                } else {
-                    est as f64 / 4.0
-                };
-                (edge, bound)
-            })
+            .map(|&(edge, est)| (edge, bound_of(est)))
             .collect();
         stairs.sort_by_key(|s| s.0);
         stairs.dedup_by_key(|s| s.0);
         stairs
+    }
+
+    /// A drawn estimate bound: quarter seconds, 650 and up meaning "any".
+    fn bound_of(est: u32) -> f64 {
+        if est >= 650 {
+            f64::INFINITY
+        } else {
+            est as f64 / 4.0
+        }
     }
 
     /// The queue position of a queued job, as scans take it.
@@ -1375,26 +1277,33 @@ mod tests {
         /// tombstoning removal, requeue (a re-push at an old queued_at, which
         /// lands in the late set) and the compactions they trigger — many of
         /// which absorb a non-empty late set — `iter`, `iter_keys` and `get`
-        /// agree with a sorted-map model, and every backfill scan (without
-        /// tightening) yields exactly the filtered arrival-order scan.
+        /// agree with a sorted-map model, and every staircase scan (left
+        /// alone) yields exactly the staircase model, from the queue front
+        /// and from just after its head.
         ///
         /// Scans are also consumed the way their users consume them: as
-        /// EASY does, tightening the bounds with `shrink` after some yields,
-        /// and as the conservative starter pass does, moving the staircase
-        /// either way with `rebind`. Every yield must then be the first job
-        /// of the filtered model over the not-yet-passed suffix under the
-        /// bounds current at that moment.
+        /// EASY does, a backfill pass (`narrow == wide` and `narrow == 0`
+        /// included) handed raw draws to `tighten` after some yields —
+        /// looser ones too, which the model folds in as the per-width
+        /// minimum — and finally an empty staircase; and as the
+        /// conservative starter pass does, moving the staircase either way
+        /// with `rebind`. Every yield must then be the first job of the
+        /// model over the not-yet-passed suffix under the staircase current
+        /// at that moment.
         #[test]
         fn candidates_match_filtered_scan_under_churn(
             ops in proptest::collection::vec(
                 (0u8..8, 0u32..40, 1u32..24, 0u32..600, 0u32..1000),
                 1..300,
             ),
-            queries in proptest::collection::vec(
-                (0u32..26, 0u32..700, 0u32..26, 0u8..2),
+            passes in proptest::collection::vec(
+                (0u32..26, 0u32..26, 0u32..700),
                 1..6,
             ),
-            shrinks in proptest::collection::vec((0u32..26, 0u32..26, 0u8..3), 1..8),
+            tightens in proptest::collection::vec(
+                (0u32..26, 0u32..26, 0u32..700, 0u8..3),
+                1..8,
+            ),
             stair_sets in proptest::collection::vec(
                 proptest::collection::vec((1u32..26, 0u32..700), 1..5),
                 1..5,
@@ -1445,44 +1354,49 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(q.len(), model.len());
             }
-            for (wide, est_num, narrow, bounded) in queries {
-                let wide_est = if bounded == 1 {
-                    est_num as f64 / 4.0
-                } else {
-                    f64::INFINITY
-                };
-                let after = q.iter().next().map(|j| (j.queued_at, j.job.id));
-                for after in [None, after] {
+            let head = q.iter().next().map(|j| (j.queued_at, j.job.id));
+            for raw in &stair_sets {
+                let stairs = stairs_of(raw);
+                for after in [None, head] {
                     proptest::prop_assert_eq!(
-                        scan_ids(&q, wide, wide_est, narrow, after),
-                        filtered_scan(&q, wide, wide_est, narrow, after)
+                        scan_ids(&q, &stairs, after),
+                        staircase_model(&q, &stairs, after)
                     );
                 }
-                // The single-budget query is the narrow = 0 special case.
-                proptest::prop_assert_eq!(
-                    scan_ids(&q, wide, wide_est, 0, None),
-                    filtered_scan(&q, wide, wide_est, 0, None)
-                );
-                // Consumed as EASY consumes it.
-                let mut scan = q.backfill_scan(wide, wide_est, narrow, after);
-                let (mut w, mut n, mut pos) = (wide, narrow, after);
+            }
+            for (wide, narrow, est) in passes {
+                let budget = bound_of(est);
+                let pass = backfill_stairs(wide, narrow, budget);
+                for after in [None, head] {
+                    proptest::prop_assert_eq!(
+                        scan_ids(&q, &pass, after),
+                        staircase_model(&q, &pass, after)
+                    );
+                }
+                // Consumed as EASY consumes it, from just after the head.
+                let mut scan = q.staircase_scan(&pass, head);
+                let (mut stairs, mut pos) = (pass.to_vec(), head);
                 for step in 0.. {
-                    let want = filtered_scan(&q, w, wide_est, n, pos).first().copied();
+                    let want = staircase_model(&q, &stairs, pos).first().copied();
                     let got = scan.next().map(|k| k.id);
                     proptest::prop_assert_eq!(got, want);
                     let Some(id) = got else { break };
                     pos = position(&q, id);
-                    let (sw, sn, act) = shrinks[step % shrinks.len()];
-                    if act > 0 {
-                        scan.shrink(sw, sn);
-                        w = w.min(sw);
-                        n = n.min(sn);
-                    }
+                    let new = match tightens.get(step) {
+                        Some(&(_, _, _, 0)) => continue,
+                        // EASY keeps its budget; a drawn one tightens the
+                        // estimate bounds too.
+                        Some(&(sw, sn, _, 1)) => backfill_stairs(sw, sn, budget).to_vec(),
+                        Some(&(sw, sn, est, _)) => backfill_stairs(sw, sn, bound_of(est)).to_vec(),
+                        None => Vec::new(),
+                    };
+                    scan.tighten(&new);
+                    stairs = tightened(&stairs, &new);
                 }
             }
             // Consumed as the conservative starter pass consumes it.
             let mut stairs = stairs_of(&stair_sets[0]);
-            let mut scan = q.staircase_scan(&stairs);
+            let mut scan = q.staircase_scan(&stairs, None);
             let mut pos = None;
             for step in 1.. {
                 let want = staircase_model(&q, &stairs, pos).first().copied();

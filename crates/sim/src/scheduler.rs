@@ -134,12 +134,12 @@ impl Decision {
 /// requeued jobs back at their original position — maintained structurally by
 /// the engine, so policies never sort it; head-of-queue policies can stop
 /// iterating at the first job that does not fit. Deep-queue policies should
-/// consult the queue's **backlog index** ([`JobQueue::backfill_scan`],
-/// [`JobQueue::staircase_scan`]) instead of scanning: it enumerates, still in
-/// arrival order, only the jobs that can possibly fit a capacity/estimate
-/// budget, so replans stay sub-linear in the backlog depth even under
-/// saturation. The `running` slice, by contrast, is in **no
-/// meaningful order** (the engine uses swap-removal): policies that emit
+/// consult the queue's **backlog index** ([`JobQueue::staircase_scan`])
+/// instead of scanning: it enumerates, still in arrival order, only the jobs
+/// that fit a per-width estimate staircase (a backfill pass's capacity and
+/// shadow budget are a two-stair one), so replans stay sub-linear in the
+/// backlog depth even under saturation. The `running` slice, by contrast, is
+/// in **no meaningful order** (the engine uses swap-removal): policies that emit
 /// per-running-job decisions should order them by job id so results stay
 /// independent of the engine's internal layout.
 #[derive(Debug)]

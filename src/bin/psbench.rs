@@ -830,8 +830,8 @@ fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
                 .join(", ")
         )
     })?;
-    if opts.epoch_len <= 0.0 {
-        return Err("--epoch-len must be positive".to_string());
+    if !opts.epoch_len.is_finite() || opts.epoch_len <= 0.0 {
+        return Err("--epoch-len must be positive and finite".to_string());
     }
     let specs = standard_shard_fleet(opts.sites, &opts.scheduler);
     by_name(&opts.scheduler, opts.machine).map_err(|e| e.to_string())?;

@@ -67,6 +67,24 @@ fn zero_machine_size_is_a_usage_error_not_a_panic() {
 }
 
 #[test]
+fn non_finite_epoch_length_is_a_usage_error_not_a_panic() {
+    for len in ["NaN", "inf"] {
+        let out = psbench(&[
+            "metasim",
+            "model:lublin99",
+            "--sites",
+            "2",
+            "--jobs",
+            "200",
+            "--epoch-len",
+            len,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "--epoch-len {len}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--epoch-len"));
+    }
+}
+
+#[test]
 fn stats_is_deterministic_across_runs_and_thread_counts() {
     let base = ["stats", "model:lublin99", "--jobs", "800", "--seed", "7"];
     let a = stdout_of(&base);
