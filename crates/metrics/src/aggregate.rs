@@ -4,6 +4,19 @@
 //! geometric mean, percentiles, weighted means); the disagreements the paper warns
 //! about (Section 1.2) often come from exactly this choice. This module provides
 //! the standard aggregations plus batch-means confidence intervals.
+//!
+//! A [`Summary`] sums its values in ascending order, so a mean depends only on
+//! the values, never on the order jobs finished in. The values are ordered by
+//! sorting integer keys, not floats: each finite value becomes a `u64` whose
+//! unsigned order is the values' numeric order (the sign bit of a non-negative
+//! value is flipped, every bit of a negative one), +0.0 and −0.0 sort under one
+//! key, and `sort_unstable` orders the keys in one buffer that
+//! [`AggregateMetrics`] reuses across its four summaries. Equal keys stand for
+//! equal bits, except for the two zeros, so the unstable sort yields exactly
+//! the sequence a stable sort by value would; when a −0.0 occurs, the run of
+//! zeros is rewritten from the input in input order, which is where a stable
+//! sort leaves it. Sums, minimum, maximum and percentiles therefore come out
+//! bit for bit as from a stable sort of the values, signed zeros included.
 
 use crate::job::JobOutcome;
 use serde::{Deserialize, Serialize};
@@ -31,44 +44,103 @@ pub struct Summary {
 
 /// Compute a [`Summary`] of a slice of values. Non-finite values are ignored.
 pub fn summarize(values: &[f64]) -> Summary {
-    let mut clean: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if clean.is_empty() {
+    summarize_iter(values.iter().copied())
+}
+
+/// [`summarize`] over a sequence that can be walked more than once, such as a
+/// mapped slice iterator, without collecting it into a slice first.
+pub fn summarize_iter<I>(values: I) -> Summary
+where
+    I: Iterator<Item = f64> + Clone,
+{
+    let mut keys = Vec::with_capacity(values.clone().count());
+    summarize_into(values, &mut keys)
+}
+
+const SIGN: u64 = 1 << 63;
+
+/// The order key of a finite value: keys compare as unsigned integers in the
+/// values' numeric order (−0.0 below +0.0), and [`key_value`] inverts it.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits & SIGN == 0 {
+        bits | SIGN
+    } else {
+        !bits
+    }
+}
+
+/// The value whose [`order_key`] is `key`.
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key & SIGN != 0 { key & !SIGN } else { !key })
+}
+
+/// Summarize `values` in ascending order, sorting their order keys in `keys`
+/// (cleared first, so one buffer serves any number of summaries; callers
+/// size it for the longest sequence once).
+fn summarize_into<I>(values: I, keys: &mut Vec<u64>) -> Summary
+where
+    I: Iterator<Item = f64> + Clone,
+{
+    keys.clear();
+    let mut negative_zero = false;
+    for v in values.clone().filter(|v| v.is_finite()) {
+        negative_zero |= v.to_bits() == (-0.0f64).to_bits();
+        // Both zeros sort as +0.0; a −0.0 gets its sign back below.
+        keys.push(order_key(if v == 0.0 { 0.0 } else { v }));
+    }
+    if keys.is_empty() {
         return Summary::default();
     }
-    clean.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let count = clean.len();
-    let mean = clean.iter().sum::<f64>() / count as f64;
-    let var = clean.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
+    keys.sort_unstable();
+    if negative_zero {
+        // A stable sort leaves the zeros in input order: rewrite them so.
+        let zero = order_key(0.0);
+        let run = keys.partition_point(|&k| k < zero)..keys.partition_point(|&k| k <= zero);
+        for (slot, v) in keys[run].iter_mut().zip(values.filter(|&v| v == 0.0)) {
+            *slot = order_key(v);
+        }
+    }
+    let at = |i: usize| key_value(keys[i]);
+    let ascending = || keys.iter().map(|&k| key_value(k));
+    let count = keys.len();
+    let mean = ascending().sum::<f64>() / count as f64;
+    let var = ascending().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
     Summary {
         count,
         mean,
         std_dev: var.sqrt(),
-        min: clean[0],
-        max: clean[count - 1],
-        median: percentile_sorted(&clean, 50.0),
-        p90: percentile_sorted(&clean, 90.0),
-        p99: percentile_sorted(&clean, 99.0),
+        min: at(0),
+        max: at(count - 1),
+        median: percentile_at(count, 50.0, at),
+        p90: percentile_at(count, 90.0, at),
+        p99: percentile_at(count, 99.0, at),
     }
 }
 
 /// Percentile of a **sorted** slice using linear interpolation between closest ranks.
 /// `p` is in percent (0–100).
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
+    percentile_at(sorted.len(), p, |i| sorted[i])
+}
+
+/// [`percentile_sorted`] of the ascending sequence of `len` values `at(0..len)`.
+fn percentile_at(len: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    if len == 0 {
         return 0.0;
     }
-    if sorted.len() == 1 {
-        return sorted[0];
+    if len == 1 {
+        return at(0);
     }
     let clamped = p.clamp(0.0, 100.0);
-    let rank = clamped / 100.0 * (sorted.len() - 1) as f64;
+    let rank = clamped / 100.0 * (len - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
@@ -90,9 +162,14 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 /// ignored. Returns 0 if no valid pairs remain.
 pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
     assert_eq!(values.len(), weights.len(), "values and weights must align");
+    weighted_mean_pairs(values.iter().copied().zip(weights.iter().copied()))
+}
+
+/// [`weighted_mean`] over `(value, weight)` pairs.
+fn weighted_mean_pairs(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
-    for (&v, &w) in values.iter().zip(weights) {
+    for (v, w) in pairs {
         if v.is_finite() && w.is_finite() && w > 0.0 {
             num += v * w;
             den += w;
@@ -214,19 +291,27 @@ impl AggregateMetrics {
     /// Compute aggregates over a set of job outcomes. Only completed jobs are
     /// included (killed jobs distort response-time statistics).
     pub fn from_outcomes(outcomes: &[JobOutcome]) -> Self {
-        let done: Vec<&JobOutcome> = outcomes.iter().filter(|o| o.completed).collect();
-        let waits: Vec<f64> = done.iter().map(|o| o.wait_time()).collect();
-        let resp: Vec<f64> = done.iter().map(|o| o.response_time()).collect();
-        let slow: Vec<f64> = done.iter().map(|o| o.slowdown()).collect();
-        let bslow: Vec<f64> = done.iter().map(|o| o.bounded_slowdown()).collect();
-        let areas: Vec<f64> = done.iter().map(|o| o.area()).collect();
+        Self::from_outcomes_iter(outcomes.iter().copied())
+    }
+
+    /// [`from_outcomes`](Self::from_outcomes) over a sequence that can be
+    /// walked more than once, without collecting it into a slice first. Each
+    /// summary walks the outcomes once more, and all four sort their keys in
+    /// one reused buffer.
+    pub fn from_outcomes_iter<I>(outcomes: I) -> Self
+    where
+        I: Iterator<Item = JobOutcome> + Clone,
+    {
+        let done = outcomes.filter(|o| o.completed);
+        let jobs = done.clone().count();
+        let mut keys = Vec::with_capacity(jobs);
         AggregateMetrics {
-            jobs: done.len(),
-            wait_time: summarize(&waits),
-            response_time: summarize(&resp),
-            slowdown: summarize(&slow),
-            bounded_slowdown: summarize(&bslow),
-            area_weighted_wait: weighted_mean(&waits, &areas),
+            jobs,
+            wait_time: summarize_into(done.clone().map(|o| o.wait_time()), &mut keys),
+            response_time: summarize_into(done.clone().map(|o| o.response_time()), &mut keys),
+            slowdown: summarize_into(done.clone().map(|o| o.slowdown()), &mut keys),
+            bounded_slowdown: summarize_into(done.clone().map(|o| o.bounded_slowdown()), &mut keys),
+            area_weighted_wait: weighted_mean_pairs(done.map(|o| (o.wait_time(), o.area()))),
         }
     }
 }
@@ -234,6 +319,162 @@ impl AggregateMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The stable-sort implementation the key sort replaced, kept as the
+    /// oracle it must match bit for bit.
+    mod reference {
+        use super::super::{percentile_sorted, weighted_mean, AggregateMetrics, Summary};
+        use crate::job::JobOutcome;
+
+        pub fn summarize(values: &[f64]) -> Summary {
+            let mut clean: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+            if clean.is_empty() {
+                return Summary::default();
+            }
+            clean.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let count = clean.len();
+            let mean = clean.iter().sum::<f64>() / count as f64;
+            let var = clean.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
+            Summary {
+                count,
+                mean,
+                std_dev: var.sqrt(),
+                min: clean[0],
+                max: clean[count - 1],
+                median: percentile_sorted(&clean, 50.0),
+                p90: percentile_sorted(&clean, 90.0),
+                p99: percentile_sorted(&clean, 99.0),
+            }
+        }
+
+        pub fn from_outcomes(outcomes: &[JobOutcome]) -> AggregateMetrics {
+            let done: Vec<&JobOutcome> = outcomes.iter().filter(|o| o.completed).collect();
+            let waits: Vec<f64> = done.iter().map(|o| o.wait_time()).collect();
+            let resp: Vec<f64> = done.iter().map(|o| o.response_time()).collect();
+            let slow: Vec<f64> = done.iter().map(|o| o.slowdown()).collect();
+            let bslow: Vec<f64> = done.iter().map(|o| o.bounded_slowdown()).collect();
+            let areas: Vec<f64> = done.iter().map(|o| o.area()).collect();
+            AggregateMetrics {
+                jobs: done.len(),
+                wait_time: summarize(&waits),
+                response_time: summarize(&resp),
+                slowdown: summarize(&slow),
+                bounded_slowdown: summarize(&bslow),
+                area_weighted_wait: weighted_mean(&waits, &areas),
+            }
+        }
+    }
+
+    /// Every field of a summary as exact bits (`==` would let ±0 and NaN
+    /// through).
+    fn summary_bits(s: &Summary) -> [u64; 8] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.std_dev.to_bits(),
+            s.min.to_bits(),
+            s.max.to_bits(),
+            s.median.to_bits(),
+            s.p90.to_bits(),
+            s.p99.to_bits(),
+        ]
+    }
+
+    fn aggregate_bits(a: &AggregateMetrics) -> Vec<u64> {
+        let mut bits = vec![a.jobs as u64, a.area_weighted_wait.to_bits()];
+        for s in [
+            &a.wait_time,
+            &a.response_time,
+            &a.slowdown,
+            &a.bounded_slowdown,
+        ] {
+            bits.extend(summary_bits(s));
+        }
+        bits
+    }
+
+    /// Values that stress the key order: both zeros, infinities, NaN
+    /// payloads, subnormals, negatives, and a small pool that repeats.
+    fn value() -> impl Strategy<Value = f64> {
+        (0u8..10, 0u64..=u64::MAX, -1.0e6f64..1.0e6).prop_map(|(kind, bits, x)| {
+            let sign = bits & (1 << 63);
+            match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(sign | f64::INFINITY.to_bits()),
+                // A NaN with a non-zero payload.
+                3 => f64::from_bits(sign | 0x7ff0_0000_0000_0001 | (bits & 0x000f_ffff_ffff_ffff)),
+                // A subnormal (or zero) of either sign.
+                4 => f64::from_bits(sign | (bits & 0x000f_ffff_ffff_ffff)),
+                5 | 6 => [-3.0, -1.5, 0.0, 1.0, 2.5, 10.0][(bits % 6) as usize],
+                _ => x,
+            }
+        })
+    }
+
+    fn values() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec(value(), 0..=3),
+            proptest::collection::vec(value(), 0..3000),
+        ]
+    }
+
+    prop_compose! {
+        fn any_outcome()(
+            submit in value(),
+            start in value(),
+            end in value(),
+            zero_runtime in 0u8..4,
+            procs in 0u32..300,
+            completed in 0u8..5,
+        ) -> JobOutcome {
+            JobOutcome {
+                job_id: 0,
+                submit_time: submit,
+                start_time: start,
+                end_time: if zero_runtime == 0 { start } else { end },
+                procs,
+                completed: completed != 0,
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn summarize_matches_the_stable_sort_bit_for_bit(values in values()) {
+            let want = summary_bits(&reference::summarize(&values));
+            prop_assert_eq!(summary_bits(&summarize(&values)), want);
+            prop_assert_eq!(summary_bits(&summarize_iter(values.iter().copied())), want);
+        }
+
+        #[test]
+        fn aggregate_matches_the_stable_sort_bit_for_bit(
+            outcomes in prop_oneof![
+                proptest::collection::vec(any_outcome(), 0..=3),
+                proptest::collection::vec(any_outcome(), 0..2000),
+            ]
+        ) {
+            let want = aggregate_bits(&reference::from_outcomes(&outcomes));
+            prop_assert_eq!(aggregate_bits(&AggregateMetrics::from_outcomes(&outcomes)), want);
+        }
+    }
+
+    #[test]
+    fn signed_zeros_keep_their_input_order() {
+        // A stable sort keeps +0.0 before −0.0 here, so the minimum is +0.0
+        // and the sum starts from it; the other order flips both.
+        for values in [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]] {
+            assert_eq!(
+                summary_bits(&summarize(&values)),
+                summary_bits(&reference::summarize(&values)),
+                "{values:?}"
+            );
+        }
+        assert_eq!(summarize(&[0.0, -0.0]).min.to_bits(), 0.0f64.to_bits());
+        assert_eq!(summarize(&[-0.0, 0.0]).min.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(summarize(&[-0.0, -0.0]).mean.to_bits(), (-0.0f64).to_bits());
+    }
 
     fn outcome(submit: f64, start: f64, end: f64, procs: u32) -> JobOutcome {
         JobOutcome {

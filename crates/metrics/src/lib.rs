@@ -27,8 +27,8 @@ pub mod system;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::aggregate::{
-        batch_means_ci, geometric_mean, percentile_sorted, summarize, weighted_mean,
-        AggregateMetrics, ConfidenceInterval, Summary,
+        batch_means_ci, geometric_mean, percentile_sorted, summarize, summarize_iter,
+        weighted_mean, AggregateMetrics, ConfidenceInterval, Summary,
     };
     pub use crate::job::{outcomes_from_log, JobOutcome, BOUNDED_SLOWDOWN_THRESHOLD};
     pub use crate::objective::{
@@ -39,7 +39,9 @@ pub mod prelude {
         compare_workloads, moments, pearson_correlation, workload_features, ComparisonMatrix, Ecdf,
         Moments, WorkloadFeatures,
     };
-    pub use crate::system::{system_metrics, CostModel, SystemMetrics, SystemObservation};
+    pub use crate::system::{
+        system_metrics, system_metrics_iter, CostModel, SystemMetrics, SystemObservation,
+    };
 }
 
 pub use prelude::*;

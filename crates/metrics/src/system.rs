@@ -45,34 +45,54 @@ pub struct SystemObservation<'a> {
 
 /// Compute system metrics from an observation.
 pub fn system_metrics(obs: &SystemObservation<'_>) -> SystemMetrics {
-    let outcomes = obs.outcomes;
-    if outcomes.is_empty() || obs.machine_size == 0 {
+    system_metrics_iter(
+        obs.outcomes.iter().copied(),
+        obs.machine_size,
+        obs.lost_node_seconds,
+        obs.idle_while_queued,
+    )
+}
+
+/// [`system_metrics`] over a sequence of outcomes that can be walked more
+/// than once, without collecting it into a slice first; the other arguments
+/// are the remaining fields of a [`SystemObservation`].
+pub fn system_metrics_iter<I>(
+    outcomes: I,
+    machine_size: u32,
+    lost_node_seconds: f64,
+    idle_while_queued: Option<f64>,
+) -> SystemMetrics
+where
+    I: Iterator<Item = JobOutcome> + Clone,
+{
+    let jobs = outcomes.clone().count();
+    if jobs == 0 || machine_size == 0 {
         return SystemMetrics::default();
     }
     let first_submit = outcomes
-        .iter()
+        .clone()
         .map(|o| o.submit_time)
         .fold(f64::INFINITY, f64::min);
-    let last_end = outcomes.iter().map(|o| o.end_time).fold(0.0f64, f64::max);
+    let last_end = outcomes.clone().map(|o| o.end_time).fold(0.0f64, f64::max);
     let makespan = (last_end - first_submit).max(0.0);
-    let work: f64 = outcomes.iter().map(|o| o.area()).sum();
-    let capacity = (obs.machine_size as f64 * makespan - obs.lost_node_seconds).max(0.0);
+    let work: f64 = outcomes.map(|o| o.area()).sum();
+    let capacity = (machine_size as f64 * makespan - lost_node_seconds).max(0.0);
     let utilization = if capacity > 0.0 {
         (work / capacity).min(1.0)
     } else {
         0.0
     };
     let throughput = if makespan > 0.0 {
-        outcomes.len() as f64 / makespan * 3600.0
+        jobs as f64 / makespan * 3600.0
     } else {
         0.0
     };
-    let loss = match obs.idle_while_queued {
+    let loss = match idle_while_queued {
         Some(idle) if capacity > 0.0 => (idle / capacity).clamp(0.0, 1.0),
         _ => 0.0,
     };
     SystemMetrics {
-        jobs_finished: outcomes.len(),
+        jobs_finished: jobs,
         makespan,
         utilization,
         throughput_per_hour: throughput,

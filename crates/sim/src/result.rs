@@ -2,7 +2,7 @@
 
 use crate::job::FinishedJob;
 use psbench_metrics::{
-    system_metrics, AggregateMetrics, JobOutcome, SystemMetrics, SystemObservation,
+    summarize_iter, system_metrics_iter, AggregateMetrics, JobOutcome, SystemMetrics,
 };
 use psbench_swf::{CompletionStatus, SwfHeader, SwfLog, SwfRecord};
 use serde::{Deserialize, Serialize};
@@ -44,23 +44,28 @@ pub struct SimulationResult {
 impl SimulationResult {
     /// Per-job outcomes in the metrics crate's format.
     pub fn outcomes(&self) -> Vec<JobOutcome> {
-        self.finished.iter().map(|f| f.to_outcome()).collect()
+        self.outcome_iter().collect()
+    }
+
+    /// [`outcomes`](Self::outcomes) without the vector: the metrics below
+    /// read `finished` through this instead of copying it.
+    fn outcome_iter(&self) -> impl Iterator<Item = JobOutcome> + Clone + '_ {
+        self.finished.iter().map(FinishedJob::to_outcome)
     }
 
     /// User-centric aggregate metrics (wait, response, slowdown, ...).
     pub fn aggregate(&self) -> AggregateMetrics {
-        AggregateMetrics::from_outcomes(&self.outcomes())
+        AggregateMetrics::from_outcomes_iter(self.outcome_iter())
     }
 
     /// System-centric metrics (utilization, throughput, loss of capacity, ...).
     pub fn system(&self) -> SystemMetrics {
-        let outcomes = self.outcomes();
-        system_metrics(&SystemObservation {
-            outcomes: &outcomes,
-            machine_size: self.machine_size,
-            lost_node_seconds: self.lost_node_seconds,
-            idle_while_queued: Some(self.idle_while_queued),
-        })
+        system_metrics_iter(
+            self.outcome_iter(),
+            self.machine_size,
+            self.lost_node_seconds,
+            Some(self.idle_while_queued),
+        )
     }
 
     /// Both metric families packaged for the ranking utilities of experiments E1/E2.
@@ -72,14 +77,16 @@ impl SimulationResult {
         }
     }
 
-    /// Mean response time in seconds (shortcut used by many experiments).
+    /// Mean response time in seconds (shortcut used by many experiments); the
+    /// `response_time.mean` of [`aggregate`](Self::aggregate), computed alone.
     pub fn mean_response_time(&self) -> f64 {
-        self.aggregate().response_time.mean
+        summarize_iter(self.outcome_iter().map(|o| o.response_time())).mean
     }
 
-    /// Mean bounded slowdown (shortcut used by many experiments).
+    /// Mean bounded slowdown (shortcut used by many experiments); the
+    /// `bounded_slowdown.mean` of [`aggregate`](Self::aggregate), computed alone.
     pub fn mean_bounded_slowdown(&self) -> f64 {
-        self.aggregate().bounded_slowdown.mean
+        summarize_iter(self.outcome_iter().map(|o| o.bounded_slowdown())).mean
     }
 
     /// Export the executed schedule as an SWF log, so a simulated run can itself be
@@ -122,6 +129,8 @@ impl SimulationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use psbench_metrics::{system_metrics, Summary, SystemObservation};
     use psbench_swf::validate;
 
     fn finished(id: u64, submit: f64, start: f64, end: f64, procs: u32) -> FinishedJob {
@@ -197,6 +206,96 @@ mod tests {
         let text = psbench_swf::write_string(&log);
         let back = psbench_swf::parse(&text).unwrap();
         assert_eq!(back.jobs, log.jobs);
+    }
+
+    fn summary_bits(s: &Summary) -> Vec<u64> {
+        let floats = [s.mean, s.std_dev, s.min, s.max, s.median, s.p90, s.p99];
+        std::iter::once(s.count as u64)
+            .chain(floats.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn aggregate_bits(a: &AggregateMetrics) -> Vec<u64> {
+        let mut bits = vec![a.jobs as u64, a.area_weighted_wait.to_bits()];
+        for s in [
+            &a.wait_time,
+            &a.response_time,
+            &a.slowdown,
+            &a.bounded_slowdown,
+        ] {
+            bits.extend(summary_bits(s));
+        }
+        bits
+    }
+
+    fn system_bits(s: &SystemMetrics) -> [u64; 5] {
+        [
+            s.jobs_finished as u64,
+            s.makespan.to_bits(),
+            s.utilization.to_bits(),
+            s.throughput_per_hour.to_bits(),
+            s.loss_of_capacity.to_bits(),
+        ]
+    }
+
+    /// Times from a small repeating pool (so waits and runtimes tie and
+    /// cancel to both zeros), non-finite values, and arbitrary ones.
+    fn time() -> impl Strategy<Value = f64> {
+        (0u8..8, -1.0e7f64..1.0e7).prop_map(|(kind, x)| match kind {
+            0 => -0.0,
+            1 => f64::INFINITY,
+            2 => f64::NAN,
+            3..=5 => [0.0, 10.0, 15.5, 3600.0][(x.abs() as usize) % 4],
+            _ => x,
+        })
+    }
+
+    prop_compose! {
+        fn any_job()(
+            id in 0u64..1000,
+            submit in time(),
+            start in time(),
+            end in time(),
+            procs in 0u32..512,
+        ) -> FinishedJob {
+            finished(id, submit, start, end, procs)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn metrics_equal_the_metrics_crate_on_materialized_outcomes(
+            jobs in proptest::collection::vec(any_job(), 0..400),
+            machine_size in 0u32..1024,
+            lost in 0.0f64..1.0e6,
+            idle in 0.0f64..1.0e6,
+        ) {
+            let r = SimulationResult {
+                machine_size,
+                finished: jobs,
+                lost_node_seconds: lost,
+                idle_while_queued: idle,
+                ..sample_result()
+            };
+            let outcomes = r.outcomes();
+            let want = AggregateMetrics::from_outcomes(&outcomes);
+            prop_assert_eq!(aggregate_bits(&r.aggregate()), aggregate_bits(&want));
+            prop_assert_eq!(
+                r.mean_response_time().to_bits(),
+                want.response_time.mean.to_bits()
+            );
+            prop_assert_eq!(
+                r.mean_bounded_slowdown().to_bits(),
+                want.bounded_slowdown.mean.to_bits()
+            );
+            let system = system_metrics(&SystemObservation {
+                outcomes: &outcomes,
+                machine_size,
+                lost_node_seconds: lost,
+                idle_while_queued: Some(idle),
+            });
+            prop_assert_eq!(system_bits(&r.system()), system_bits(&system));
+        }
     }
 
     #[test]

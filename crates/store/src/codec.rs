@@ -96,18 +96,102 @@ fn unescape_name(s: &str) -> String {
     out
 }
 
-/// The digit table behind every float the codec writes.
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Append the 16 lower-case hex digits of `v`'s bit pattern (`{:016x}` of
-/// [`f64::to_bits`]) without allocating.
-fn push_f64_hex(out: &mut String, v: f64) {
-    let bits = v.to_bits();
-    let mut digits = [0u8; 16];
-    for (i, d) in digits.iter_mut().enumerate() {
-        *d = HEX_DIGITS[(bits >> (60 - 4 * i) & 0xf) as usize];
+/// `HEX_PAIRS[b]` is the two lower-case hex digits of byte `b`.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
     }
-    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+    table
+};
+
+/// `DEC_PAIRS[n]` is the two decimal digits of `n < 100`.
+const DEC_PAIRS: [[u8; 2]; 100] = {
+    let mut table = [[0u8; 2]; 100];
+    let mut n = 0;
+    while n < 100 {
+        table[n] = [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+        n += 1;
+    }
+    table
+};
+
+/// The longest `f` line: `f`, a 20-digit id, four 16-digit floats, three
+/// 10-digit `u32`s, eight separators and the newline.
+const JOB_LINE_MAX: usize = 1 + 20 + 4 * 16 + 3 * 10 + 8 + 1;
+
+/// A buffer holding one `f` line of a result encoding, written in place
+/// from the digit tables.
+struct JobLine {
+    bytes: [u8; JOB_LINE_MAX],
+    len: usize,
+}
+
+impl JobLine {
+    /// Replace the buffer's line with the line of `f` and hand it to `emit`
+    /// in five pieces, each as soon as it is written: up to and including
+    /// each of the four floats, then the rest with the newline. A hasher's
+    /// byte-serial chain over one piece thus overlaps the writing of the
+    /// next.
+    fn write(&mut self, f: &FinishedJob, emit: &mut impl FnMut(&[u8])) {
+        self.len = 0;
+        self.push(b"f ");
+        self.push_decimal(f.id);
+        let mut from = 0;
+        for v in [f.submit, f.start, f.first_start, f.end] {
+            self.push(b" ");
+            self.push_hex(v);
+            emit(&self.bytes[from..self.len]);
+            from = self.len;
+        }
+        self.push(b" ");
+        self.push_decimal(f.procs.into());
+        self.push(b" ");
+        self.push_decimal(f.restarts.into());
+        match f.user {
+            Some(u) => {
+                self.push(b" ");
+                self.push_decimal(u.into());
+                self.push(b"\n");
+            }
+            None => self.push(b" -\n"),
+        }
+        emit(&self.bytes[from..self.len]);
+    }
+
+    fn push<const N: usize>(&mut self, bytes: &[u8; N]) {
+        self.bytes[self.len..self.len + N].copy_from_slice(bytes);
+        self.len += N;
+    }
+
+    /// The 16 lower-case hex digits of `v`'s bit pattern (`{:016x}` of
+    /// [`f64::to_bits`]), one table read per byte.
+    fn push_hex(&mut self, v: f64) {
+        let digits = &mut self.bytes[self.len..self.len + 16];
+        for (pair, b) in digits.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+            pair.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
+        }
+        self.len += 16;
+    }
+
+    /// `v` in decimal (`{}`), written backwards from its last digit, two
+    /// digits per table read.
+    fn push_decimal(&mut self, mut v: u64) {
+        let end = self.len + v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut at = end;
+        while v >= 10 {
+            at -= 2;
+            self.bytes[at..at + 2].copy_from_slice(&DEC_PAIRS[(v % 100) as usize]);
+            v /= 100;
+        }
+        if at > self.len {
+            self.bytes[self.len] = b'0' + v as u8;
+        }
+        self.len = end;
+    }
 }
 
 /// A line cursor over an encoded artifact.
@@ -440,64 +524,53 @@ pub fn decode_profile(text: &str) -> Result<WorkloadProfile, CodecError> {
 pub fn encode_result(r: &SimulationResult) -> String {
     // A typical `f` line is ~83 bytes (8.26 MB for 100k jobs), so 96 per job
     // plus the header lines is one allocation that rarely regrows.
-    let mut out = String::with_capacity(256 + 96 * r.finished.len());
-    write_result(r, &mut out, |_| {}).expect("formatting into a String cannot fail");
-    out
+    let mut out = Vec::with_capacity(256 + 96 * r.finished.len());
+    write_result(r, |bytes| out.extend_from_slice(bytes));
+    String::from_utf8(out).expect("the scheduler name is UTF-8 and every other byte ASCII")
 }
 
-/// Write the encoding of `r` into `buf`, calling `line_done` after each
-/// line (the header lines count as one). The callback may consume and clear
-/// `buf`: [`encode_result`] keeps every line, [`result_fingerprint`] hashes
-/// and discards each one.
-fn write_result(
-    r: &SimulationResult,
-    buf: &mut String,
-    mut line_done: impl FnMut(&mut String),
-) -> fmt::Result {
-    use fmt::Write as _;
-    writeln!(buf, "{RESULT_MAGIC}")?;
-    writeln!(buf, "sched_version {SCHED_VERSION}")?;
-    writeln!(buf, "scheduler {}", escape_name(&r.scheduler))?;
-    writeln!(buf, "machine_size {}", r.machine_size)?;
-    writeln!(
-        buf,
-        "counters {} {} {} {} {} {}",
+/// Hand the encoding of `r` to `emit` in order, in pieces: the header lines
+/// at once, each `f` line in the five pieces of [`JobLine::write`], then
+/// `end`. [`encode_result`] appends every piece, [`result_fingerprint`]
+/// hashes and drops each one.
+///
+/// The header is formatted once per result. Each `f` line, the whole cost
+/// of a large result, is written into one fixed [`JobLine`] buffer (at most
+/// 124 bytes) without `core::fmt`: integers two decimal digits per read of
+/// a 200-byte table, floats one byte per read of a 512-byte byte-to-hex
+/// table.
+fn write_result(r: &SimulationResult, mut emit: impl FnMut(&[u8])) {
+    let header = format!(
+        "{RESULT_MAGIC}\n\
+         sched_version {SCHED_VERSION}\n\
+         scheduler {}\n\
+         machine_size {}\n\
+         counters {} {} {} {} {} {}\n\
+         integrals {:016x} {:016x} {:016x} {:016x}\n\
+         finished {}\n",
+        escape_name(&r.scheduler),
+        r.machine_size,
         r.unfinished,
         r.discarded,
         r.kills,
         r.rejected_decisions,
         r.coalesced_wakeups,
-        r.events_processed
-    )?;
-    buf.push_str("integrals");
-    for v in [
-        r.idle_while_queued,
-        r.busy_integral,
-        r.lost_node_seconds,
-        r.end_time,
-    ] {
-        buf.push(' ');
-        push_f64_hex(buf, v);
-    }
-    buf.push('\n');
-    writeln!(buf, "finished {}", r.finished.len())?;
-    line_done(buf);
+        r.events_processed,
+        r.idle_while_queued.to_bits(),
+        r.busy_integral.to_bits(),
+        r.lost_node_seconds.to_bits(),
+        r.end_time.to_bits(),
+        r.finished.len()
+    );
+    emit(header.as_bytes());
+    let mut line = JobLine {
+        bytes: [0; JOB_LINE_MAX],
+        len: 0,
+    };
     for f in &r.finished {
-        write!(buf, "f {}", f.id)?;
-        for v in [f.submit, f.start, f.first_start, f.end] {
-            buf.push(' ');
-            push_f64_hex(buf, v);
-        }
-        write!(buf, " {} {} ", f.procs, f.restarts)?;
-        match f.user {
-            Some(u) => writeln!(buf, "{u}")?,
-            None => buf.push_str("-\n"),
-        }
-        line_done(buf);
+        line.write(f, &mut emit);
     }
-    buf.push_str("end\n");
-    line_done(buf);
-    Ok(())
+    emit(b"end\n");
 }
 
 /// Decode a [`SimulationResult`] from artifact text produced by
@@ -520,8 +593,20 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
     let rest = lines.tagged("counters")?;
     let [unfinished, discarded, kills, rejected, coalesced, events] =
         split_n::<6>(rest, lines.line)?;
+    let line = lines.line;
+    let unfinished = parse_num(unfinished, line, "unfinished")?;
+    let discarded = parse_num(discarded, line, "discarded")?;
+    let kills = parse_num(kills, line, "kills")?;
+    let rejected_decisions = parse_num(rejected, line, "rejected")?;
+    let coalesced_wakeups = parse_num(coalesced, line, "coalesced")?;
+    let events_processed = parse_num(events, line, "events")?;
     let rest = lines.tagged("integrals")?;
     let [idle, busy, lost, end_time] = split_n::<4>(rest, lines.line)?;
+    let line = lines.line;
+    let idle_while_queued = parse_f64_bits(idle, line)?;
+    let busy_integral = parse_f64_bits(busy, line)?;
+    let lost_node_seconds = parse_f64_bits(lost, line)?;
+    let end_time = parse_f64_bits(end_time, line)?;
     let n: usize = parse_num(lines.tagged("finished")?, lines.line, "finished count")?;
     let mut finished = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -548,16 +633,16 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
         scheduler,
         machine_size,
         finished,
-        unfinished: parse_num(unfinished, 3, "unfinished")?,
-        discarded: parse_num(discarded, 3, "discarded")?,
-        idle_while_queued: parse_f64_bits(idle, 4)?,
-        busy_integral: parse_f64_bits(busy, 4)?,
-        lost_node_seconds: parse_f64_bits(lost, 4)?,
-        kills: parse_num(kills, 3, "kills")?,
-        rejected_decisions: parse_num(rejected, 3, "rejected")?,
-        coalesced_wakeups: parse_num(coalesced, 3, "coalesced")?,
-        events_processed: parse_num(events, 3, "events")?,
-        end_time: parse_f64_bits(end_time, 4)?,
+        unfinished,
+        discarded,
+        idle_while_queued,
+        busy_integral,
+        lost_node_seconds,
+        kills,
+        rejected_decisions,
+        coalesced_wakeups,
+        events_processed,
+        end_time,
     })
 }
 
@@ -566,17 +651,12 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
 /// ledgers, and the row fingerprint of the `bench sim` and `bench meta`
 /// snapshots (`BENCH_sim.json`, `BENCH_meta.json`).
 ///
-/// The encoding is streamed, never built: each line is written into one
-/// reused line buffer and fed to the hasher, so the digest equals
+/// The encoding is streamed, never built: each line is fed to the hasher
+/// as it is written, so the digest equals
 /// `fnv1a_64(encode_result(r).as_bytes())` without the whole-result string.
 pub fn result_fingerprint(r: &SimulationResult) -> u64 {
     let mut hash = Fnv64::new();
-    let mut line = String::with_capacity(256);
-    write_result(r, &mut line, |l| {
-        hash.write(l.as_bytes());
-        l.clear();
-    })
-    .expect("formatting into a String cannot fail");
+    write_result(r, |bytes| hash.write(bytes));
     hash.finish()
 }
 
@@ -629,8 +709,9 @@ pub fn encode_meta(m: &MetaSummary) -> String {
 pub fn decode_meta(text: &str) -> Result<MetaSummary, CodecError> {
     // The header is exactly five lines; everything after it is the embedded
     // result's encoding, handed to `decode_result` verbatim.
+    const HEADER_LINES: usize = 5;
     let mut offset = 0usize;
-    for _ in 0..5 {
+    for _ in 0..HEADER_LINES {
         match text[offset..].find('\n') {
             Some(line_end) => offset += line_end + 1,
             None => return err(0, "unexpected end of artifact"),
@@ -645,6 +726,9 @@ pub fn decode_meta(text: &str) -> Result<MetaSummary, CodecError> {
     let dispatch = unescape_name(lines.tagged("dispatch")?);
     let rest = lines.tagged("loop")?;
     let [epochs, dispatched, migrations] = split_n::<3>(rest, lines.line)?;
+    let epochs = parse_num(epochs, lines.line, "epochs")?;
+    let dispatched = parse_num(dispatched, lines.line, "dispatched")?;
+    let migrations = parse_num(migrations, lines.line, "migrations")?;
     let rest = lines.tagged("per_site")?;
     let mut toks = rest.split_ascii_whitespace();
     let n: usize = parse_num(toks.next().unwrap_or(""), lines.line, "per-site count")?;
@@ -659,13 +743,22 @@ pub fn decode_meta(text: &str) -> Result<MetaSummary, CodecError> {
     if toks.next().is_some() {
         return err(lines.line, "trailing per-site counts");
     }
-    let result = decode_result(&text[offset..])?;
+    // Errors inside the embedded result name its lines in the artifact;
+    // line 0 still means the artifact ended early.
+    let result = decode_result(&text[offset..]).map_err(|e| CodecError {
+        line: if e.line == 0 {
+            0
+        } else {
+            e.line + HEADER_LINES
+        },
+        ..e
+    })?;
     Ok(MetaSummary {
         sites,
         dispatch,
-        epochs: parse_num(epochs, 4, "epochs")?,
-        dispatched: parse_num(dispatched, 4, "dispatched")?,
-        migrations: parse_num(migrations, 4, "migrations")?,
+        epochs,
+        dispatched,
+        migrations,
         per_site_finished,
         result,
     })
@@ -674,6 +767,7 @@ pub fn decode_meta(text: &str) -> Result<MetaSummary, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_result() -> SimulationResult {
         SimulationResult {
@@ -830,11 +924,43 @@ mod tests {
             events_processed: u64::MAX,
             ..sample_result()
         };
+        // Every decimal digit-length boundary: 9, 10, 99, 100, ...
+        let boundaries = |max: u64| {
+            let mut v = vec![0, max];
+            let mut p = 10u64;
+            while let Some(next) = p.checked_mul(10) {
+                v.extend([p - 1, p]);
+                p = next;
+            }
+            v.extend([p - 1, p]);
+            v.retain(|&x| x <= max);
+            v
+        };
+        let small = boundaries(u32::MAX.into());
+        let digits = SimulationResult {
+            finished: boundaries(u64::MAX)
+                .into_iter()
+                .enumerate()
+                .map(|(i, id)| {
+                    let pick = |k: usize| small[(i + k) % small.len()] as u32;
+                    FinishedJob {
+                        id,
+                        procs: pick(0),
+                        restarts: pick(7),
+                        user: (i % 5 != 0).then(|| pick(13)),
+                        ..job(id, None, 0, [1.0, 2.0, 2.0, 3.0])
+                    }
+                })
+                .collect(),
+            ..sample_result()
+        };
+        assert!(encode_result(&digits).contains("f 10000000000000000000 "));
+        assert!(encode_result(&digits).contains(" 4294967295"));
         let empty = SimulationResult {
             finished: Vec::new(),
             ..sample_result()
         };
-        for r in [sample_result(), edge, empty] {
+        for r in [sample_result(), edge, digits, empty] {
             let text = encode_result(&r);
             // Bytes, not values: NaN payloads make `==` useless here.
             assert_eq!(text.as_bytes(), reference_encode_result(&r).as_bytes());
@@ -844,6 +970,119 @@ mod tests {
             );
             assert_eq!(encode_result(&decode_result(&text).unwrap()), text);
         }
+    }
+
+    /// Any `u64` (or `u32`) shifted right by a random amount, so that every
+    /// decimal length turns up.
+    fn any_u64() -> impl Strategy<Value = u64> {
+        (0u64..=u64::MAX, 0u32..64).prop_map(|(bits, shift)| bits >> shift)
+    }
+
+    fn any_u32() -> impl Strategy<Value = u32> {
+        (0u32..=u32::MAX, 0u32..32).prop_map(|(bits, shift)| bits >> shift)
+    }
+
+    prop_compose! {
+        fn any_job()(
+            id in any_u64(),
+            floats in proptest::collection::vec(0u64..=u64::MAX, 4),
+            procs in any_u32(),
+            restarts in any_u32(),
+            user in (0u8..4, any_u32()),
+        ) -> FinishedJob {
+            let f = |i: usize| f64::from_bits(floats[i]);
+            FinishedJob {
+                id,
+                submit: f(0),
+                start: f(1),
+                first_start: f(2),
+                end: f(3),
+                procs,
+                restarts,
+                user: (user.0 != 0).then_some(user.1),
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_jobs_encode_to_the_reference_bytes(
+            jobs in proptest::collection::vec(any_job(), 0..64),
+        ) {
+            let r = SimulationResult {
+                finished: jobs,
+                ..sample_result()
+            };
+            let want = reference_encode_result(&r);
+            let text = encode_result(&r);
+            prop_assert_eq!(text.as_bytes(), want.as_bytes());
+            prop_assert_eq!(result_fingerprint(&r), crate::fnv::fnv1a_64(want.as_bytes()));
+            prop_assert_eq!(encode_result(&decode_result(&text).unwrap()), text);
+        }
+    }
+
+    /// `text` with its 1-based line `line` replaced by `with`.
+    fn replace_line(text: &str, line: usize, with: &str) -> String {
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[line - 1] = with;
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn decode_errors_name_the_line_of_the_bad_field() {
+        let r = SimulationResult {
+            finished: vec![sample_result().finished[0]],
+            ..sample_result()
+        };
+        let text = encode_result(&r);
+        let job = text.lines().nth(7).unwrap().to_string();
+        // One bad field on each line of a one-job result artifact.
+        let bad_result: [(usize, String); 10] = [
+            (1, "psbench-result v0".into()),
+            (2, "sched_version one".into()),
+            (3, "schedulr easy".into()),
+            (4, "machine_size sixty-four".into()),
+            (5, "counters x 1 2 4 5 999".into()),
+            (5, "counters 3 1 2 4 5 x".into()),
+            (6, text.lines().nth(5).unwrap().replace(" 4074", " z074")),
+            (7, "finished one".into()),
+            (8, job.replace(" 32 1 7", " 32 x 7")),
+            (9, "ends".into()),
+        ];
+        for (line, with) in &bad_result {
+            let e = decode_result(&replace_line(&text, *line, with)).unwrap_err();
+            assert_eq!(e.line, *line, "{with:?}: {e}");
+        }
+        let m = MetaSummary {
+            sites: 2,
+            dispatch: "round-robin".into(),
+            epochs: 1,
+            dispatched: 2,
+            migrations: 0,
+            per_site_finished: vec![1, 0],
+            result: r,
+        };
+        let meta = encode_meta(&m);
+        let bad_meta = [
+            (1, "psbench-meta v0".to_string()),
+            (2, "sites two".into()),
+            (3, "dispatc round-robin".into()),
+            (4, "loop 1 2 x".into()),
+            (5, "per_site 2 1 x".into()),
+        ];
+        for (line, with) in &bad_meta {
+            let e = decode_meta(&replace_line(&meta, *line, with)).unwrap_err();
+            assert_eq!(e.line, *line, "{with:?}: {e}");
+        }
+        // The embedded result's lines follow the five header lines.
+        for (line, with) in &bad_result {
+            let e = decode_meta(&replace_line(&meta, line + 5, with)).unwrap_err();
+            assert_eq!(e.line, line + 5, "{with:?}: {e}");
+        }
+        // An artifact that ends early still says line 0.
+        let cut = &meta[..meta.find("\nend").unwrap() + 1];
+        assert_eq!(decode_meta(cut).unwrap_err().line, 0);
+        assert_eq!(decode_result(&text[..text.len() - 4]).unwrap_err().line, 0);
     }
 
     #[test]

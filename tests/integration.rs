@@ -207,3 +207,59 @@ fn backfilling_beats_fcfs_on_the_canonical_workload() {
     assert!(easy.mean_response_time() <= fcfs.mean_response_time());
     assert!(easy.system().loss_of_capacity <= fcfs.system().loss_of_capacity + 1e-9);
 }
+
+/// The standard metrics of one canonical EASY run as exact bits. How they are
+/// computed may change; not one of these bits may.
+fn canonical_easy_metric_bits() -> String {
+    let def = WorkloadDef::new(WorkloadKind::Lublin99, 128, 2000, 7);
+    let jobs = SimJob::from_log(&def.generate());
+    let mut easy = by_name("easy", 128).unwrap();
+    let r = Simulation::new(SimConfig::new(128), jobs).run(easy.as_mut());
+    let (agg, sys) = (r.aggregate(), r.system());
+    let mut out = format!(
+        "jobs {}\narea_weighted_wait {:016x}\n",
+        agg.jobs,
+        agg.area_weighted_wait.to_bits()
+    );
+    for (name, s) in [
+        ("wait_time", &agg.wait_time),
+        ("response_time", &agg.response_time),
+        ("slowdown", &agg.slowdown),
+        ("bounded_slowdown", &agg.bounded_slowdown),
+    ] {
+        out += &format!("{name} {}", s.count);
+        for v in [s.mean, s.std_dev, s.min, s.max, s.median, s.p90, s.p99] {
+            out += &format!(" {:016x}", v.to_bits());
+        }
+        out.push('\n');
+    }
+    out += &format!("system {}", sys.jobs_finished);
+    for v in [
+        sys.makespan,
+        sys.utilization,
+        sys.throughput_per_hour,
+        sys.loss_of_capacity,
+    ] {
+        out += &format!(" {:016x}", v.to_bits());
+    }
+    out.push('\n');
+    out
+}
+
+#[test]
+fn canonical_easy_run_metrics_are_pinned_bit_for_bit() {
+    assert_eq!(
+        canonical_easy_metric_bits(),
+        "jobs 2000\n\
+         area_weighted_wait 41134039ab2747d1\n\
+         wait_time 2000 40f2400ce5604189 410202348551a1fd 0000000000000000 \
+         4126621a00000000 40c22fc000000000 410e804000000006 41249eb4b3333333\n\
+         response_time 2000 40f447b6b4395810 4102bc1574865f31 4008000000000000 \
+         41278fe800000000 40cd92c000000000 4110da42ccccccd1 4125615bae147ae2\n\
+         slowdown 2000 404c510da2dc36c8 406bad5990764014 3ff0000000000000 \
+         40b4f62aaaaaaaab 4015c4e351d21f2e 405d0a530d55784f 408a80d82846c5e2\n\
+         bounded_slowdown 2000 404a50904c6f42a8 40655e9e4cde7ec6 3ff0000000000000 \
+         40a9276666666666 4015c4e351d21f2e 405d0a530d55784f 408836d8a2050197\n\
+         system 2000 4140e8cb00000000 3fee202b2fa900c5 4009fd1ff518a4ff 3fa6991d412bd954\n"
+    );
+}
