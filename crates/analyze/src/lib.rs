@@ -17,8 +17,8 @@
 //! * [`distance`] — Kolmogorov–Smirnov and earth-mover's distances between
 //!   marginal histograms, rolled up into a [`distance::FidelityReport`] that
 //!   scores how closely a generated workload matches a reference trace.
-//! * [`report`] — deterministic markdown / CSV / JSON rendering of profiles
-//!   and fidelity reports.
+//! * [`report`] — deterministic markdown / CSV / JSON rendering: the one
+//!   [`report::Table`] renderer, and the profile and fidelity reports.
 //!
 //! ## Example
 //!
@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use crate::profile::{profile_chunked, GroupStats, WorkloadProfile, ACCURACY_SCALE};
     pub use crate::report::{
-        fmt_num, json_escape, json_num, render_fidelity, render_profile, Format,
+        fmt_num, json_escape, json_num, render_fidelity, render_profile, Format, Table,
     };
     pub use crate::sketch::{
         Correlation, Histogram, Histogram2, MarginalSketch, Moments, HISTOGRAM_BINS, JOINT_BINS,

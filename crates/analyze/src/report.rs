@@ -1,4 +1,4 @@
-//! Deterministic rendering of profiles and fidelity reports.
+//! Deterministic rendering of profiles, fidelity reports and report tables.
 //!
 //! Markdown for humans, CSV for spreadsheets, JSON for tooling. All numbers
 //! are formatted with fixed rules from the exact accumulator state, so two
@@ -8,6 +8,7 @@
 use crate::distance::FidelityReport;
 use crate::profile::WorkloadProfile;
 use crate::sketch::MarginalSketch;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Output format of a report.
@@ -32,6 +33,15 @@ impl Format {
             _ => None,
         }
     }
+
+    /// The short name [`Format::parse`] reads back: `md`, `csv` or `json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Format::Markdown => "md",
+            Format::Csv => "csv",
+            Format::Json => "json",
+        }
+    }
 }
 
 /// Format a float for tables: more fractional digits for smaller magnitudes.
@@ -47,46 +57,85 @@ pub fn fmt_num(v: f64) -> String {
     }
 }
 
-/// A rendered section: a title, headers, and string rows. Intermediate form
-/// shared by the markdown and CSV renderers.
-struct Section {
-    title: String,
-    headers: Vec<&'static str>,
-    rows: Vec<Vec<String>>,
+/// A report table: a title, column headers, and string rows. Every table the
+/// workspace prints renders through it: the sections of a profile or
+/// fidelity report, the experiment tables `psbench sweep` prints and
+/// `bench sweep` fingerprints, and the CLI's own tables.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct Table {
+    /// Table title (experiment id and description).
+    pub title: String,
+    /// Column headers.
+    pub headers: Vec<String>,
+    /// Data rows.
+    pub rows: Vec<Vec<String>>,
 }
 
-fn to_markdown(sections: &[Section]) -> String {
-    let mut out = String::new();
-    for s in sections {
-        let _ = writeln!(out, "### {}\n", s.title);
-        let _ = writeln!(out, "| {} |", s.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            s.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &s.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
+impl Table {
+    /// Create an empty table.
+    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+        Table {
+            title: title.into(),
+            headers: headers.iter().map(|h| h.to_string()).collect(),
+            rows: Vec::new(),
         }
-        out.push('\n');
     }
-    out
+
+    /// Append a row.
+    pub fn push_row(&mut self, row: Vec<String>) {
+        self.rows.push(row);
+    }
+
+    /// Render as a GitHub-flavoured markdown table under a `###` title, as
+    /// CSV (headers first, no title), or as one JSON object
+    /// `{"title":…,"headers":[…],"rows":[[…],…]}` of strings.
+    pub fn render(&self, format: Format) -> String {
+        let mut out = String::new();
+        match format {
+            Format::Markdown => {
+                let _ = writeln!(out, "### {}\n", self.title);
+                let _ = writeln!(out, "| {} |", self.headers.join(" | "));
+                let _ = writeln!(out, "|{}|", vec!["---"; self.headers.len()].join("|"));
+                for row in &self.rows {
+                    let _ = writeln!(out, "| {} |", row.join(" | "));
+                }
+            }
+            Format::Csv => {
+                let _ = writeln!(out, "{}", self.headers.join(","));
+                for row in &self.rows {
+                    let _ = writeln!(out, "{}", row.join(","));
+                }
+            }
+            Format::Json => {
+                let strings = |cells: &[String]| {
+                    let quoted: Vec<String> = cells
+                        .iter()
+                        .map(|c| format!("\"{}\"", json_escape(c)))
+                        .collect();
+                    quoted.join(",")
+                };
+                let rows: Vec<String> = self
+                    .rows
+                    .iter()
+                    .map(|r| format!("[{}]", strings(r)))
+                    .collect();
+                let _ = write!(
+                    out,
+                    "{{\"title\":\"{}\",\"headers\":[{}],\"rows\":[{}]}}",
+                    json_escape(&self.title),
+                    strings(&self.headers),
+                    rows.join(",")
+                );
+            }
+        }
+        out
+    }
 }
 
-fn to_csv(sections: &[Section]) -> String {
-    let mut out = String::new();
-    for s in sections {
-        let _ = writeln!(out, "{}", s.headers.join(","));
-        for row in &s.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out.push('\n');
-    }
-    out
+/// The markdown or CSV form of a multi-table report: each table followed by
+/// a blank line.
+fn render_sections(tables: &[Table], format: Format) -> String {
+    tables.iter().map(|t| t.render(format) + "\n").collect()
 }
 
 /// Escape a string for inclusion in a JSON document (quotes, backslashes,
@@ -160,10 +209,14 @@ fn marginals_of(p: &WorkloadProfile) -> [(&'static str, &'static str, &MarginalS
     ]
 }
 
-fn profile_sections(p: &WorkloadProfile) -> Vec<Section> {
-    let overview = Section {
-        title: format!("Workload profile — {}", p.name),
-        headers: vec!["property", "value"],
+/// Arrival-cycle counts joined by `sep`.
+fn joined(counts: &[u64], sep: &str) -> String {
+    let counts: Vec<String> = counts.iter().map(u64::to_string).collect();
+    counts.join(sep)
+}
+
+fn profile_tables(p: &WorkloadProfile) -> Vec<Table> {
+    let overview = Table {
         rows: vec![
             vec!["jobs".into(), p.jobs.to_string()],
             vec!["submit span [s]".into(), p.submit_span().to_string()],
@@ -174,42 +227,31 @@ fn profile_sections(p: &WorkloadProfile) -> Vec<Section> {
                 fmt_num(p.size_runtime.pearson()),
             ],
         ],
+        ..Table::new(
+            format!("Workload profile — {}", p.name),
+            &["property", "value"],
+        )
     };
-    let marginals = Section {
-        title: "Marginal distributions".to_string(),
-        headers: vec![
-            "marginal", "unit", "count", "mean", "cv", "min", "p50", "p95", "max",
-        ],
+    let marginals = Table {
         rows: marginals_of(p)
             .iter()
             .map(|(n, u, m)| marginal_row(n, u, m))
             .collect(),
+        ..Table::new(
+            "Marginal distributions",
+            &[
+                "marginal", "unit", "count", "mean", "cv", "min", "p50", "p95", "max",
+            ],
+        )
     };
-    let cycles = Section {
-        title: "Arrival cycles (submit counts)".to_string(),
-        headers: vec!["cycle", "counts"],
+    let cycles = Table {
         rows: vec![
-            vec![
-                "hour-of-day".into(),
-                p.diurnal
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            ],
-            vec![
-                "day-of-week".into(),
-                p.weekly
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            ],
+            vec!["hour-of-day".into(), joined(&p.diurnal, " ")],
+            vec!["day-of-week".into(), joined(&p.weekly, " ")],
         ],
+        ..Table::new("Arrival cycles (submit counts)", &["cycle", "counts"])
     };
-    let top = Section {
-        title: "Heaviest users".to_string(),
-        headers: vec!["user", "jobs", "area [proc-s]", "mean runtime [s]"],
+    let top = Table {
         rows: p
             .top_users(10)
             .iter()
@@ -222,6 +264,10 @@ fn profile_sections(p: &WorkloadProfile) -> Vec<Section> {
                 ]
             })
             .collect(),
+        ..Table::new(
+            "Heaviest users",
+            &["user", "jobs", "area [proc-s]", "mean runtime [s]"],
+        )
     };
     vec![overview, marginals, cycles, top]
 }
@@ -256,17 +302,11 @@ fn profile_json(p: &WorkloadProfile) -> String {
             if m.count() == 0 { 0 } else { m.moments.max },
         );
     }
-    let nums = |v: &[u64]| {
-        v.iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     let _ = write!(
         out,
         "}},\"diurnal\":[{}],\"weekly\":[{}],\"top_users\":[",
-        nums(&p.diurnal),
-        nums(&p.weekly)
+        joined(&p.diurnal, ","),
+        joined(&p.weekly, ",")
     );
     for (i, (u, s)) in p.top_users(10).iter().enumerate() {
         if i > 0 {
@@ -288,13 +328,12 @@ fn profile_json(p: &WorkloadProfile) -> String {
 /// Render a workload profile in the requested format.
 pub fn render_profile(p: &WorkloadProfile, format: Format) -> String {
     match format {
-        Format::Markdown => to_markdown(&profile_sections(p)),
-        Format::Csv => to_csv(&profile_sections(p)),
         Format::Json => profile_json(p),
+        _ => render_sections(&profile_tables(p), format),
     }
 }
 
-fn fidelity_sections(r: &FidelityReport) -> Vec<Section> {
+fn fidelity_table(r: &FidelityReport) -> Table {
     let mut rows: Vec<Vec<String>> = r
         .marginals
         .iter()
@@ -327,14 +366,16 @@ fn fidelity_sections(r: &FidelityReport) -> Vec<Section> {
         fmt_num(r.mean_chi2()),
         fmt_num(r.mean_ad()),
     ]);
-    vec![Section {
-        title: format!(
-            "Model fidelity — {} vs {} ({} / {} jobs)",
-            r.candidate, r.reference, r.jobs.1, r.jobs.0
-        ),
-        headers: vec!["marginal", "unit", "KS", "EMD", "chi2", "AD"],
+    Table {
         rows,
-    }]
+        ..Table::new(
+            format!(
+                "Model fidelity — {} vs {} ({} / {} jobs)",
+                r.candidate, r.reference, r.jobs.1, r.jobs.0
+            ),
+            &["marginal", "unit", "KS", "EMD", "chi2", "AD"],
+        )
+    }
 }
 
 fn fidelity_json(r: &FidelityReport) -> String {
@@ -377,9 +418,8 @@ fn fidelity_json(r: &FidelityReport) -> String {
 /// Render a fidelity report in the requested format.
 pub fn render_fidelity(r: &FidelityReport, format: Format) -> String {
     match format {
-        Format::Markdown => to_markdown(&fidelity_sections(r)),
-        Format::Csv => to_csv(&fidelity_sections(r)),
         Format::Json => fidelity_json(r),
+        _ => render_sections(&[fidelity_table(r)], format),
     }
 }
 
@@ -394,12 +434,36 @@ mod tests {
     }
 
     #[test]
+    fn table_renders_markdown_csv_and_json() {
+        let mut t = Table::new("demo \"t\"", &["a", "b"]);
+        t.push_row(vec!["1".into(), "2".into()]);
+        t.push_row(vec!["3".into(), "4".into()]);
+        assert_eq!(
+            t.render(Format::Markdown),
+            "### demo \"t\"\n\n| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n"
+        );
+        assert_eq!(t.render(Format::Csv), "a,b\n1,2\n3,4\n");
+        assert_eq!(
+            t.render(Format::Json),
+            r#"{"title":"demo \"t\"","headers":["a","b"],"rows":[["1","2"],["3","4"]]}"#
+        );
+        let empty = Table::new("e", &[]);
+        assert_eq!(
+            empty.render(Format::Json),
+            r#"{"title":"e","headers":[],"rows":[]}"#
+        );
+    }
+
+    #[test]
     fn format_parsing() {
         assert_eq!(Format::parse("md"), Some(Format::Markdown));
         assert_eq!(Format::parse("Markdown"), Some(Format::Markdown));
         assert_eq!(Format::parse("CSV"), Some(Format::Csv));
         assert_eq!(Format::parse("json"), Some(Format::Json));
         assert_eq!(Format::parse("yaml"), None);
+        for f in [Format::Markdown, Format::Csv, Format::Json] {
+            assert_eq!(Format::parse(f.name()), Some(f));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! and the CSV, so any changed cell changes it.
 
 use crate::{best_of, json_str, Row, Scale};
-use psbench_core::{experiment_ids, run_experiment, Scale as ExperimentScale};
+use psbench_core::{experiment_ids, run_experiment, Format, Scale as ExperimentScale};
 use psbench_store::fnv1a_64_hex;
 
 pub(crate) fn ids(_: Scale) -> Vec<String> {
@@ -20,7 +20,7 @@ pub(crate) fn measure(id: &str, scale: Scale, repeat: usize) -> Row {
         || (),
         |()| run_experiment(id, scale).expect("known experiment id"),
     );
-    let rendered = format!("{}\n{}", table.title, table.to_csv());
+    let rendered = format!("{}\n{}", table.title, table.render(Format::Csv));
     Row {
         id: id.to_string(),
         fingerprint: fnv1a_64_hex(rendered.as_bytes()),

@@ -5,64 +5,12 @@ use crate::suite::Scenario;
 use psbench_analyze::WorkloadProfile;
 use psbench_sim::SimulationResult;
 use psbench_swf::{JobSource, ParseError, SwfLog, SwfRecord};
-use serde::{Deserialize, Serialize};
 
-/// A simple report table: a title, column headers, and string rows. Every
-/// experiment renders into this, so `psbench sweep` and `bench sweep` print
-/// and fingerprint the same thing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct Table {
-    /// Table title (experiment id and description).
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Data rows.
-    pub rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Create an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row.
-    pub fn push_row(&mut self, row: Vec<String>) {
-        self.rows.push(row);
-    }
-
-    /// Render as GitHub-flavoured markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
-    /// Render as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",") + "\n";
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
+// Every experiment renders into the report `Table`, so `psbench sweep` and
+// `bench sweep` print and fingerprint the same thing. It lives beside its
+// formats in the analyze crate; re-exported here so existing callers keep
+// their import paths.
+pub use psbench_analyze::{Format, Table};
 
 /// Format a float for tables: more fractional digits for smaller magnitudes.
 /// One rule for the whole workspace — this delegates to the analyze crate's
@@ -166,8 +114,8 @@ pub fn profile_source_parallel<S: JobSource>(
 ///
 /// This is the materialized twin of [`profile_source_parallel`]: the
 /// sketches' exact merge makes both **bit-identical** to the sequential
-/// single pass `WorkloadProfile::of_log` for any thread count (CI asserts
-/// the CLI-level equivalence via `psbench stats --materialize`).
+/// single pass `WorkloadProfile::of_log` for any thread count (the unit
+/// tests below hold them to it; the CLI profiles through the streaming one).
 pub fn profile_parallel(name: &str, log: &SwfLog, threads: usize) -> WorkloadProfile {
     let threads = threads.max(1);
     if threads == 1 {
@@ -213,6 +161,7 @@ pub fn results_table(title: &str, results: &[(Scenario, SimulationResult)]) -> T
 mod tests {
     use super::*;
     use crate::suite::{WorkloadDef, WorkloadKind};
+    use psbench_analyze::render_profile;
 
     fn small_scenarios() -> Vec<Scenario> {
         let def = WorkloadDef::new(WorkloadKind::Lublin99, 64, 80, 5);
@@ -225,14 +174,15 @@ mod tests {
 
     #[test]
     fn table_rendering() {
+        // The report table callers reach through this module's re-export.
         let mut t = Table::new("demo", &["a", "b"]);
         t.push_row(vec!["1".into(), "2".into()]);
         t.push_row(vec!["3".into(), "4".into()]);
-        let md = t.to_markdown();
+        let md = t.render(Format::Markdown);
         assert!(md.contains("### demo"));
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 3 | 4 |"));
-        let csv = t.to_csv();
+        let csv = t.render(Format::Csv);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("a,b"));
     }
@@ -267,7 +217,6 @@ mod tests {
             assert_eq!(par, seq, "threads = {threads}");
         }
         // ... and the rendered report is byte-identical, too.
-        use psbench_analyze::{render_profile, Format};
         assert_eq!(
             render_profile(&profile_parallel("w", &log, 4), Format::Markdown),
             render_profile(&seq, Format::Markdown),
@@ -298,6 +247,6 @@ mod tests {
         let table = results_table("smoke", &results);
         assert_eq!(table.rows.len(), 3);
         assert_eq!(table.headers.len(), 8);
-        assert!(table.to_markdown().contains("easy"));
+        assert!(table.render(Format::Markdown).contains("easy"));
     }
 }

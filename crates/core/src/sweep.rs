@@ -250,7 +250,7 @@ pub fn run_sweep_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{results_table, run_all};
+    use crate::harness::{results_table, run_all, Format};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("psbench-sweep-{name}-{}", std::process::id()));
@@ -318,13 +318,14 @@ mod tests {
         assert_eq!(resumed.computed, 11);
         assert_eq!(resumed.pending, 0);
         let table = results_table("t", &resumed.results);
-        assert_eq!(table.to_csv(), direct.to_csv(), "byte-identical report");
+        let csv = |t: &crate::harness::Table| t.render(Format::Csv);
+        assert_eq!(csv(&table), csv(&direct), "byte-identical report");
 
         // Fully warm: zero computation, still byte-identical.
         let warm = run_sweep_resumable("demo", &cells, &store, 4, None).unwrap();
         assert_eq!(warm.computed, 0);
         assert_eq!(warm.cached, cells.len());
-        assert_eq!(results_table("t", &warm.results).to_csv(), direct.to_csv());
+        assert_eq!(csv(&results_table("t", &warm.results)), csv(&direct));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

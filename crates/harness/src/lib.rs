@@ -39,29 +39,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                results.lock()[i] = Some(value);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every index produces a result"))
-        .collect()
+    // A vector of `()` never allocates: the slice only carries the count.
+    parallel_map_mut(&mut vec![(); n], threads, |i, _| f(i))
 }
 
 /// A `Sync` view over a mutable slice handed out one disjoint element at a
@@ -84,13 +63,14 @@ impl<T> Slots<T> {
 /// Run `f(i, &mut items[i])` for every element of `items` on a work-stealing
 /// pool of scoped threads, returning the per-element results in input order.
 ///
-/// This is the in-place twin of [`parallel_map`] for work items that own
-/// heavy mutable state (e.g. a simulation engine shard): each element is
-/// claimed by exactly one worker via an atomic counter, mutated through a
-/// disjoint `&mut`, and never touched by two threads. With `threads == 1`
-/// this is a plain sequential `for` loop over the slice — the serial twin —
-/// and because elements never interact mid-call, results (and all mutations)
-/// are bit-identical for any thread count.
+/// This is the pool loop itself ([`parallel_map`] runs it over a slice of
+/// `()`), for work items that own heavy mutable state (e.g. a simulation
+/// engine shard): each element is claimed by exactly one worker via an
+/// atomic counter, mutated through a disjoint `&mut`, and never touched by
+/// two threads. With `threads == 1` this is a plain sequential `for` loop
+/// over the slice — the serial twin — and because elements never interact
+/// mid-call, results (and all mutations) are bit-identical for any thread
+/// count.
 ///
 /// # Panics
 /// Propagates a panic from any worker once all threads have been joined.

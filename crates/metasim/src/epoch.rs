@@ -253,9 +253,9 @@ impl MetaResult {
     }
 
     /// Render the deterministic run report: identical bytes for any thread
-    /// count (timing never goes here — the CLI prints it to stderr).
+    /// count (timing never goes here — the CLI prints it to stderr). Of the
+    /// standard metrics it summarizes only the three it prints.
     pub fn render_report(&self) -> String {
-        let agg = self.result.aggregate();
         let sys = self.result.system();
         let (min_fin, max_fin) = self
             .per_site_finished
@@ -280,14 +280,17 @@ impl MetaResult {
             self.result.events_processed
         ));
         out.push_str(&format!("end time: {:.3}\n", self.result.end_time));
-        out.push_str(&format!("mean wait [s]: {:.6}\n", agg.wait_time.mean));
+        out.push_str(&format!(
+            "mean wait [s]: {:.6}\n",
+            self.result.mean_wait_time()
+        ));
         out.push_str(&format!(
             "mean response [s]: {:.6}\n",
-            agg.response_time.mean
+            self.result.mean_response_time()
         ));
         out.push_str(&format!(
             "mean bounded slowdown: {:.6}\n",
-            agg.bounded_slowdown.mean
+            self.result.mean_bounded_slowdown()
         ));
         out.push_str(&format!("utilization: {:.6}\n", sys.utilization));
         out.push_str(&format!(

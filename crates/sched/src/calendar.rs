@@ -342,11 +342,16 @@ impl StepVec {
     /// `to = c + duration` this is the rule [`StepFn::earliest_start`] tests
     /// its candidates `c` by, so a window the search offers always fits.
     pub fn fits(&self, from: f64, to: f64, procs: f64) -> bool {
-        self.capacity_at(from) >= procs
-            && self.steps[self.after(from)..]
-                .iter()
-                .take_while(|s| s.0 < to)
-                .all(|s| s.1 >= procs)
+        self.window_min(from, to) >= procs
+    }
+
+    /// The least capacity over `[from, to)`: the capacity at `from` and at
+    /// every breakpoint in `(from, to)` — the window [`StepVec::fits`] tests.
+    pub fn window_min(&self, from: f64, to: f64) -> f64 {
+        self.steps[self.after(from)..]
+            .iter()
+            .take_while(|s| s.0 < to)
+            .fold(self.capacity_at(from), |min, s| min.min(s.1))
     }
 
     /// Index of the first step strictly after `t`.

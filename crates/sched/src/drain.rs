@@ -8,21 +8,26 @@
 //! overlap.
 
 use crate::backfill::EasyBackfill;
+use crate::calendar::{StepFn, StepVec};
 use psbench_sim::{Decision, Scheduler, SchedulerContext, SchedulerEvent};
 
-/// A known future capacity reduction (announced outage).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CapacityDrop {
-    start: f64,
-    end: f64,
-    procs: u32,
+/// EASY backfilling that drains before announced outages.
+#[derive(Debug, Clone)]
+pub struct DrainingEasy {
+    /// The announced capacity drops as one step function: at each instant,
+    /// minus the processors promised away to outages. Anchored at −∞, so no
+    /// instant before the first drop reads a drop's value.
+    drops: StepVec,
+    inner: EasyBackfill,
 }
 
-/// EASY backfilling that drains before announced outages.
-#[derive(Debug, Clone, Default)]
-pub struct DrainingEasy {
-    announced: Vec<CapacityDrop>,
-    inner: EasyBackfill,
+impl Default for DrainingEasy {
+    fn default() -> Self {
+        DrainingEasy {
+            drops: StepVec::anchored(f64::NEG_INFINITY, 0.0),
+            inner: EasyBackfill::default(),
+        }
+    }
 }
 
 impl DrainingEasy {
@@ -31,37 +36,19 @@ impl DrainingEasy {
         DrainingEasy::default()
     }
 
+    /// Book an announced drop of `procs` processors over `[start, end)`.
+    fn announce(&mut self, start: f64, end: f64, procs: u32) {
+        self.drops.add_range(start, end, -f64::from(procs));
+    }
+
     /// Capacity that is promised away to announced outages during
-    /// `[from, to)`, at its worst instant.
-    ///
-    /// Outage drops are step functions of time, so their combined worst
-    /// instant is found by evaluating the *sum* at every edge inside the
-    /// window — not by adding the separate maxima, which overstates the loss
-    /// whenever the drops never coincide (and made this policy refuse
-    /// backfills that were perfectly safe).
+    /// `[from, to)`, at its worst instant: the least value of the summed
+    /// drops over the window — not the separate maxima added, which
+    /// overstates the loss whenever the drops never coincide (and made this
+    /// policy refuse backfills that were perfectly safe). Sums of whole
+    /// processors are exact in `f64`.
     fn promised_away(&self, from: f64, to: f64) -> f64 {
-        let mut points: Vec<f64> = vec![from];
-        for d in &self.announced {
-            if d.start < to && from < d.end {
-                if d.start > from {
-                    points.push(d.start);
-                }
-                if d.end < to {
-                    points.push(d.end);
-                }
-            }
-        }
-        let mut worst = 0u32;
-        for &t in &points {
-            let outage: u32 = self
-                .announced
-                .iter()
-                .filter(|d| t >= d.start && t < d.end)
-                .map(|d| d.procs)
-                .sum();
-            worst = worst.max(outage);
-        }
-        worst as f64
+        -self.drops.window_min(from, to)
     }
 
     /// Would starting `procs` processors now, for `duration` seconds, collide with a
@@ -89,13 +76,10 @@ impl Scheduler for DrainingEasy {
     fn react(&mut self, ctx: &SchedulerContext<'_>, event: SchedulerEvent) -> Vec<Decision> {
         match event {
             SchedulerEvent::OutageAnnounced { start, end, procs } => {
-                self.announced.push(CapacityDrop { start, end, procs });
+                self.announce(start, end, procs);
             }
-            SchedulerEvent::OutageEnded { .. } => {
-                // Forget drops that are over.
-                let now = ctx.now;
-                self.announced.retain(|d| d.end > now);
-            }
+            // Forget the drops before now.
+            SchedulerEvent::OutageEnded { .. } => self.drops.advance_to(ctx.now),
             _ => {}
         }
         // Ask EASY what it would do, then veto starts that collide with an announced
@@ -142,8 +126,70 @@ impl Scheduler for DrainingEasy {
 mod tests {
     use super::*;
     use crate::backfill::EasyBackfill;
+    use proptest::prelude::*;
     use psbench_sim::{SimConfig, SimJob, Simulation};
     use psbench_swf::outage::{OutageKind, OutageLog, OutageRecord};
+
+    /// The edge sum the step function replaced, kept as its oracle: the
+    /// drops `(start, end, procs)` summed at `from` and at every drop edge
+    /// inside `(from, to)`, the worst of those instants.
+    fn edge_sum(drops: &[(f64, f64, u32)], from: f64, to: f64) -> f64 {
+        let mut points: Vec<f64> = vec![from];
+        for &(start, end, _) in drops {
+            if start < to && from < end {
+                if start > from {
+                    points.push(start);
+                }
+                if end < to {
+                    points.push(end);
+                }
+            }
+        }
+        let mut worst = 0u32;
+        for &t in &points {
+            let outage: u32 = drops
+                .iter()
+                .filter(|d| t >= d.0 && t < d.1)
+                .map(|d| d.2)
+                .sum();
+            worst = worst.max(outage);
+        }
+        worst as f64
+    }
+
+    proptest! {
+        #[test]
+        fn promised_away_matches_the_edge_sum(
+            ops in proptest::collection::vec((0u32..3, 0u32..800, 0u32..400, 0u32..48), 1..80),
+        ) {
+            // Times on a quarter-second grid, so edges often coincide.
+            let mut d = DrainingEasy::new();
+            let mut drops: Vec<(f64, f64, u32)> = Vec::new();
+            let mut now = 0.0;
+            for (kind, a, b, procs) in ops {
+                let (a, b) = (f64::from(a) / 4.0, f64::from(b) / 4.0);
+                match kind {
+                    // Announce, possibly starting before now.
+                    0 => {
+                        let start = now + a - 50.0;
+                        d.announce(start, start + b, procs);
+                        drops.push((start, start + b, procs));
+                    }
+                    // An outage ends: the clock moves on and both forget.
+                    1 => {
+                        now += a;
+                        d.drops.advance_to(now);
+                        drops.retain(|x| x.1 > now);
+                    }
+                    _ => {
+                        let (from, to) = (now + a, now + a + b.max(1.0));
+                        // Equal as numbers (no drop reads −0 here, 0 there).
+                        prop_assert_eq!(d.promised_away(from, to), edge_sum(&drops, from, to));
+                    }
+                }
+            }
+        }
+    }
 
     fn maintenance(announce: i64, start: i64, end: i64, procs: u32) -> OutageLog {
         OutageLog::from_records(vec![OutageRecord {
@@ -216,11 +262,7 @@ mod tests {
         let cluster = psbench_sim::Cluster::new(64);
         let mut d = DrainingEasy::new();
         for (start, end) in [(100.0, 200.0), (300.0, 400.0)] {
-            d.announced.push(CapacityDrop {
-                start,
-                end,
-                procs: 40,
-            });
+            d.announce(start, end, 40);
         }
         let queue = psbench_sim::JobQueue::new();
         let ctx = SchedulerContext {
@@ -238,11 +280,7 @@ mod tests {
         );
         // Overlapping windows still stack to their true combined worst
         // instant: add an outage coinciding with the second one.
-        d.announced.push(CapacityDrop {
-            start: 320.0,
-            end: 380.0,
-            procs: 20,
-        });
+        d.announce(320.0, 380.0, 20);
         assert_eq!(d.promised_away(0.0, 350.0), 60.0);
         assert!(d.collides(&ctx, 16.0, 350.0));
     }

@@ -1,8 +1,8 @@
 //! The TCP server: listener, named session pool, per-connection threads.
 //!
 //! Concurrency model: plain `std::net` blocking I/O, one thread per
-//! connection, with a shared session pool guarded by `parking_lot` mutexes.
-//! Each connection *attaches* to a named slot holding an
+//! connection, with a shared session pool guarded by one `parking_lot`
+//! mutex. Each connection *attaches* to a named slot holding an
 //! `Arc<Mutex<Session>>`; the pool lock is only taken to attach, detach, and
 //! evict, so sessions never contend with each other on the hot path.
 //! `parking_lot` mutexes do not poison, so a panicking connection thread can
@@ -22,12 +22,15 @@
 //! every session by deterministic replay. A journal that fails recovery
 //! poisons its name (attaching reports the error) instead of crashing the
 //! server; the file is left in place for inspection.
+//!
+//! Each pooled name is in exactly one `Slot` state — attached, detached
+//! since an instant, or poisoned — matched rather than inferred from flags.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,11 +90,17 @@ fn journal_path(state_dir: &Path, name: &str) -> PathBuf {
     state_dir.join("sessions").join(format!("{name}.journal"))
 }
 
-/// One pooled session and its attachment state.
-struct Slot {
-    session: Arc<Mutex<Session>>,
-    attached: bool,
-    detached_at: Option<Instant>,
+/// The state of one pooled session name.
+enum Slot {
+    /// A connection is attached to the session.
+    Attached(Arc<Mutex<Session>>),
+    /// No connection since the instant; resumable until the idle timeout
+    /// evicts it.
+    Detached(Arc<Mutex<Session>>, Instant),
+    /// The name's journal failed recovery with this error. Attaching reports
+    /// it, the journal file stays on disk, and the name is never evicted or
+    /// generated.
+    Poisoned(String),
 }
 
 /// A successful attach: the session plus what the hello reply reports.
@@ -104,11 +113,11 @@ struct Attached {
 /// The shared session pool.
 struct SessionPool {
     config: ServeConfig,
+    /// Every known session name's state, under the pool's one lock.
     slots: Mutex<HashMap<String, Slot>>,
-    /// Sessions whose journal failed recovery: name → error. Attaching to a
-    /// poisoned name reports the error; the journal file is left on disk.
-    poisoned: Mutex<HashMap<String, String>>,
-    next_id: Mutex<u64>,
+    /// The number behind the last generated name (`s1`, `s2`, …); only
+    /// advanced under the `slots` lock.
+    last_id: AtomicU64,
 }
 
 impl SessionPool {
@@ -116,27 +125,20 @@ impl SessionPool {
         SessionPool {
             config,
             slots: Mutex::new(HashMap::new()),
-            poisoned: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(0),
+            last_id: AtomicU64::new(0),
         }
     }
 
-    /// Number of currently attached sessions.
-    fn attached(&self) -> usize {
-        self.slots.lock().values().filter(|s| s.attached).count()
+    /// Number of pooled names in the state `is`.
+    fn count(&self, is: fn(&Slot) -> bool) -> usize {
+        self.slots.lock().values().filter(|s| is(s)).count()
     }
 
     /// Drop detached slots that have sat idle past the timeout. Journaled
     /// sessions remain recoverable from disk; unjournaled ones are gone.
     fn evict_idle(slots: &mut HashMap<String, Slot>, idle_timeout: Option<Duration>) {
         let Some(timeout) = idle_timeout else { return };
-        slots.retain(|_, slot| {
-            slot.attached
-                || slot
-                    .detached_at
-                    .map(|at| at.elapsed() < timeout)
-                    .unwrap_or(true)
-        });
+        slots.retain(|_, slot| !matches!(slot, Slot::Detached(_, at) if at.elapsed() >= timeout));
     }
 
     fn shard_config(&self) -> ShardConfig {
@@ -153,24 +155,29 @@ impl SessionPool {
     fn attach(&self, requested: Option<String>) -> Result<Attached, String> {
         let mut slots = self.slots.lock();
         Self::evict_idle(&mut slots, self.config.idle_timeout);
-        let live = slots.values().filter(|s| s.attached).count();
+        let live = slots
+            .values()
+            .filter(|s| matches!(s, Slot::Attached(_)))
+            .count();
         let name = match requested {
             Some(name) => {
-                if let Some(msg) = self.poisoned.lock().get(&name) {
-                    return Err(format!("session {name} failed recovery: {msg}"));
-                }
                 if let Some(slot) = slots.get_mut(&name) {
-                    if slot.attached {
-                        return Err(format!("session {name} is already attached"));
-                    }
+                    let session = match slot {
+                        Slot::Poisoned(msg) => {
+                            return Err(format!("session {name} failed recovery: {msg}"))
+                        }
+                        Slot::Attached(_) => {
+                            return Err(format!("session {name} is already attached"))
+                        }
+                        Slot::Detached(session, _) => session.clone(),
+                    };
                     if live >= self.config.max_sessions {
                         return Err(self.busy());
                     }
-                    slot.attached = true;
-                    slot.detached_at = None;
+                    *slot = Slot::Attached(session.clone());
                     return Ok(Attached {
                         name,
-                        session: slot.session.clone(),
+                        session,
                         resumed: true,
                     });
                 }
@@ -192,7 +199,7 @@ impl SessionPool {
                 match Session::recover(path, self.config.fsync, self.config.store_dir.clone()) {
                     Ok(session) => (session, true),
                     Err(e) => {
-                        self.poisoned.lock().insert(name.clone(), e.to_string());
+                        slots.insert(name.clone(), Slot::Poisoned(e.to_string()));
                         return Err(format!("session {name} failed recovery: {e}"));
                     }
                 }
@@ -206,14 +213,7 @@ impl SessionPool {
             }
         };
         let session = Arc::new(Mutex::new(session));
-        slots.insert(
-            name.clone(),
-            Slot {
-                session: session.clone(),
-                attached: true,
-                detached_at: None,
-            },
-        );
+        slots.insert(name.clone(), Slot::Attached(session.clone()));
         Ok(Attached {
             name,
             session,
@@ -228,23 +228,17 @@ impl SessionPool {
         )
     }
 
-    /// Generate a fresh session name, skipping live slots, poisoned names,
-    /// and journals already on disk.
+    /// Generate a fresh session name, skipping pooled names (poisoned ones
+    /// included) and journals already on disk. Called under the `slots` lock.
     fn generate_name(&self, slots: &HashMap<String, Slot>) -> String {
-        let poisoned = self.poisoned.lock();
         loop {
-            let id = {
-                let mut next = self.next_id.lock();
-                *next += 1;
-                *next
-            };
-            let name = format!("s{id}");
+            let name = format!("s{}", self.last_id.fetch_add(1, Ordering::Relaxed) + 1);
             let on_disk = self
                 .config
                 .state_dir
                 .as_ref()
                 .is_some_and(|dir| journal_path(dir, &name).exists());
-            if !slots.contains_key(&name) && !poisoned.contains_key(&name) && !on_disk {
+            if !slots.contains_key(&name) && !on_disk {
                 return name;
             }
         }
@@ -257,15 +251,15 @@ impl SessionPool {
         let Some(slot) = slots.get_mut(name) else {
             return;
         };
-        slot.attached = false;
-        slot.detached_at = Some(Instant::now());
-        let journal = {
-            let session = slot.session.lock();
-            if !session.drained() {
-                return;
-            }
-            session.journal_path().map(Path::to_path_buf)
+        let Slot::Attached(session) = slot else {
+            return;
         };
+        let session = session.clone();
+        if !session.lock().drained() {
+            *slot = Slot::Detached(session, Instant::now());
+            return;
+        }
+        let journal = session.lock().journal_path().map(Path::to_path_buf);
         slots.remove(name);
         if let Some(path) = journal {
             let _ = std::fs::remove_file(path);
@@ -278,8 +272,10 @@ impl SessionPool {
         let slots = self.slots.lock();
         let mut synced = 0;
         for slot in slots.values() {
-            slot.session.lock().sync_journal()?;
-            synced += 1;
+            if let Slot::Attached(session) | Slot::Detached(session, _) = slot {
+                session.lock().sync_journal()?;
+                synced += 1;
+            }
         }
         Ok(synced)
     }
@@ -300,21 +296,12 @@ impl SessionPool {
             let Some(name) = path.file_stem().and_then(|s| s.to_str()).map(String::from) else {
                 continue;
             };
-            match Session::recover(&path, self.config.fsync, self.config.store_dir.clone()) {
-                Ok(session) => {
-                    slots.insert(
-                        name,
-                        Slot {
-                            session: Arc::new(Mutex::new(session)),
-                            attached: false,
-                            detached_at: Some(Instant::now()),
-                        },
-                    );
-                }
-                Err(e) => {
-                    self.poisoned.lock().insert(name, e.to_string());
-                }
-            }
+            let slot =
+                match Session::recover(&path, self.config.fsync, self.config.store_dir.clone()) {
+                    Ok(session) => Slot::Detached(Arc::new(Mutex::new(session)), Instant::now()),
+                    Err(e) => Slot::Poisoned(e.to_string()),
+                };
+            slots.insert(name, slot);
         }
         Ok(())
     }
@@ -336,12 +323,12 @@ impl ServerHandle {
 
     /// Number of currently attached sessions.
     pub fn active_sessions(&self) -> usize {
-        self.pool.attached()
+        self.pool.count(|s| matches!(s, Slot::Attached(_)))
     }
 
     /// Number of session names whose journal failed recovery.
     pub fn poisoned_sessions(&self) -> usize {
-        self.pool.poisoned.lock().len()
+        self.pool.count(|s| matches!(s, Slot::Poisoned(_)))
     }
 
     /// Fsync every live session journal to disk. Returns how many journals
@@ -676,6 +663,29 @@ mod tests {
         let lines = reply_lines(&writes_for(&attached));
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[1], too_long);
+    }
+
+    #[test]
+    fn a_poisoned_name_is_never_generated_nor_evicted() {
+        let pool = SessionPool::new(ServeConfig {
+            machine: 64,
+            idle_timeout: Some(Duration::ZERO),
+            ..ServeConfig::default()
+        });
+        let poison = Slot::Poisoned("bad journal".into());
+        pool.slots.lock().insert("s1".into(), poison);
+        let fresh = pool.attach(None).unwrap();
+        assert_eq!(fresh.name, "s2", "s1 is poisoned");
+        pool.detach(&fresh.name);
+        // Each attach evicts what has idled past the (zero) timeout: the
+        // detached s2 goes, the poisoned s1 stays and still reports its error.
+        let again = pool.attach(None).unwrap();
+        assert_eq!(again.name, "s3");
+        assert!(!pool.slots.lock().contains_key("s2"), "detached s2 evicted");
+        let err = pool.attach(Some("s1".into())).err().unwrap();
+        assert_eq!(err, "session s1 failed recovery: bad journal");
+        assert_eq!(pool.count(|s| matches!(s, Slot::Poisoned(_))), 1);
+        assert_eq!(pool.count(|s| matches!(s, Slot::Attached(_))), 1);
     }
 
     #[test]

@@ -77,6 +77,12 @@ impl SimulationResult {
         }
     }
 
+    /// Mean wait time in seconds; the `wait_time.mean` of
+    /// [`aggregate`](Self::aggregate), computed alone.
+    pub fn mean_wait_time(&self) -> f64 {
+        summarize_iter(self.outcome_iter().map(|o| o.wait_time())).mean
+    }
+
     /// Mean response time in seconds (shortcut used by many experiments); the
     /// `response_time.mean` of [`aggregate`](Self::aggregate), computed alone.
     pub fn mean_response_time(&self) -> f64 {
@@ -280,6 +286,7 @@ mod tests {
             let outcomes = r.outcomes();
             let want = AggregateMetrics::from_outcomes(&outcomes);
             prop_assert_eq!(aggregate_bits(&r.aggregate()), aggregate_bits(&want));
+            prop_assert_eq!(r.mean_wait_time().to_bits(), want.wait_time.mean.to_bits());
             prop_assert_eq!(
                 r.mean_response_time().to_bits(),
                 want.response_time.mean.to_bits()

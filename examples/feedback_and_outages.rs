@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example feedback_and_outages`
 
-use psbench::core::{run_experiment, Scale};
+use psbench::core::{run_experiment, Format, Scale};
 use psbench::swf::write_string;
 use psbench::workload::{
     dependency_chains, infer_dependencies, InferenceParams, Lublin99, SessionModel, WorkloadModel,
@@ -45,9 +45,9 @@ fn main() {
 
     // 3. What the feedback does to the measurements (experiment E4)...
     let e4 = run_experiment("E4", Scale::quick()).unwrap();
-    println!("\n{}", e4.to_markdown());
+    println!("\n{}", e4.render(Format::Markdown));
 
     // 4. ...and what outages do (experiment E5).
     let e5 = run_experiment("E5", Scale::quick()).unwrap();
-    println!("{}", e5.to_markdown());
+    println!("{}", e5.render(Format::Markdown));
 }

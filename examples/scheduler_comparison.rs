@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example scheduler_comparison`
 
 use psbench::core::{
-    canonical_schedulers, canonical_suite, results_table, run_all_parallel, Scale, Scenario,
+    canonical_schedulers, canonical_suite, results_table, run_all_parallel, Format, Scale, Scenario,
 };
 
 fn main() {
@@ -29,9 +29,9 @@ fn main() {
     );
     let results = run_all_parallel(&scenarios, 8);
     let table = results_table("Canonical suite x canonical schedulers", &results);
-    println!("{}", table.to_markdown());
+    println!("{}", table.render(Format::Markdown));
 
     // The outage experiment: what ignoring outage information costs.
     let e5 = psbench::core::run_experiment("E5", Scale::quick()).unwrap();
-    println!("{}", e5.to_markdown());
+    println!("{}", e5.render(Format::Markdown));
 }

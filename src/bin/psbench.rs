@@ -24,8 +24,10 @@
 //! incrementally and `stats`/`compare` profile them in bounded memory, so a
 //! multi-million-job archive log needs O(chunk) rather than O(log) space.
 //! Reports are rendered deterministically: the same inputs produce
-//! byte-identical output for any `--threads` value and for the streaming and
-//! `--materialize`d paths alike.
+//! byte-identical output for any `--threads` value.
+//!
+//! Each subcommand takes only the flags it reads ([`COMMANDS`] lists them);
+//! any other flag is a usage error.
 //!
 //! With `--store <DIR>`, expensive artifacts are content-addressed on disk:
 //! `stats` caches workload profiles by trace fingerprint, `simulate` and
@@ -33,11 +35,11 @@
 //! and `convert` ingests the converted trace. Cached artifacts decode to
 //! values `==` the originals, so warm reruns render byte-identical reports.
 
-use psbench::analyze::{json_escape, render_fidelity, render_profile, FidelityReport, Format};
+use psbench::analyze::{render_fidelity, render_profile, FidelityReport, Format};
 use psbench::core::{
-    canonical_schedulers, cell_key, default_threads, fmt, profile_parallel,
-    profile_source_parallel, results_table, run_experiment, run_sweep_resumable, trace_cell_key,
-    GridSpec, Scale, Scenario, Table, WorkloadDef, WorkloadKind,
+    canonical_schedulers, cell_key, default_threads, fmt, profile_source_parallel, results_table,
+    run_experiment, run_sweep_resumable, trace_cell_key, GridSpec, Scale, Scenario, Table,
+    WorkloadDef, WorkloadKind,
 };
 use psbench::metasim::{
     run_metasystem, standard_shard_fleet, DispatchPolicy, MetaConfig, MetaResult, SiteOutage,
@@ -47,16 +49,43 @@ use psbench::serve::{run_script_with, serve, ClockMode, ServeConfig};
 use psbench::sim::{SimConfig, SimJob, Simulation, SimulationResult};
 use psbench::store::{fingerprint_source, key_hex, profile_key, ArtifactKind, ArtifactStore};
 use psbench::swf::{
-    convert, record_line, validate, validate_source, write_to, ConvertOptions, Dialect, JobSource,
-    LogSource, ParseError, ParseOptions, RawStream, RecordIter, SourceMeta, SwfRecord,
+    record_line, validate_source, ConvertOptions, Dialect, JobSource, ParseError, ParseOptions,
+    RawStream, RecordIter, SourceMeta, SwfRecord,
 };
 use psbench::workload::GeneratedStream;
 use std::cmp::Ordering;
 use std::io::{BufReader, Write as _};
 use std::process::ExitCode;
 
-/// The usage text, with the live scheduler registry folded in.
+/// A subcommand's entry point.
+type Command = fn(&Opts) -> Result<ExitCode, String>;
+
+/// Every subcommand, its entry point, and the flags it reads (`sweep grid` is
+/// a subcommand of its own). A flag outside a subcommand's list is a usage
+/// error rather than silently ignored.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Command, &str); 11] = [
+    ("stats",      cmd_stats,      "--jobs --seed --machine --strict --threads --store --format --out"),
+    ("compare",    cmd_compare,    "--jobs --seed --machine --strict --threads --format --out"),
+    ("validate",   cmd_validate,   "--jobs --seed --machine --strict --format --out"),
+    ("convert",    cmd_convert,    "--dialect --machine --strict --store --out"),
+    ("simulate",   cmd_simulate,   "--jobs --seed --machine --strict --scheduler --store --format --out --result-out"),
+    ("metasim",    cmd_metasim,    "--jobs --seed --machine --scheduler --sites --dispatch --epoch-len --outages --threads --store --out"),
+    ("sweep",      cmd_sweep,      "--scale --format --out"),
+    ("sweep grid", cmd_sweep_grid, "--models --schedulers --loads --sizes --seeds --jobs --machine --max-cells --threads --store --format --out"),
+    ("store",      cmd_store,      "--store --format --out"),
+    ("serve",      cmd_serve,      "--addr --mode --max-sessions --state-dir --fsync --idle-timeout --scheduler --machine --store"),
+    ("client",     cmd_client,     "--retries --trace-out --report-out"),
+];
+
+/// The usage text, with the live scheduler registry, each subcommand's flags
+/// and the parser's defaults folded in.
 fn usage() -> String {
+    let d = Opts::default();
+    let flags: String = COMMANDS
+        .iter()
+        .map(|(name, _, flags)| format!("    {name:<11} {flags}\n"))
+        .collect();
     format!(
         "\
 psbench — benchmarks and standards for the evaluation of parallel job schedulers
@@ -94,57 +123,78 @@ INPUTS:
     from --jobs / --seed / --machine. Both are consumed through the streaming
     JobSource API; archive files are never materialized whole.
 
+FLAGS EACH SUBCOMMAND TAKES (any other flag is a usage error):
+{flags}
 OPTIONS:
-    --jobs <N>        jobs to generate for model inputs        [default: 1000]
-    --seed <N>        RNG seed for model inputs                [default: 1]
-    --machine <N>     machine size in processors               [default: 128]
-    --format <F>      output format: md, csv, json             [default: md]
-    --threads <N>     analysis worker threads                  [default: all hardware threads]
-    --scheduler <S>   scheduler for `simulate`                 [default: easy]
+    --jobs <N>        jobs to generate for model inputs        [default: {jobs}]
+    --seed <N>        RNG seed for model inputs                [default: {seed}]
+    --machine <N>     machine size in processors               [default: {machine}]
+    --format <F>      output format: md, csv, json             [default: {format}]
+    --threads <N>     worker threads, one per hardware thread  [default: {threads}]
+    --scheduler <S>   scheduler                                [default: {scheduler}]
                       one of: {schedulers}
     --dialect <D>     raw-log dialect for `convert`
-    --scale <S>       experiment scale for `sweep`: quick|full [default: quick]
+    --scale <S>       experiment scale for `sweep`: quick|full [default: {scale}]
     --store <DIR>     content-addressed artifact store: caches profiles (stats),
                       memoizes results (simulate, sweep grid, metasim), ingests
                       traces (convert)
-    --sites <N>       metasim: number of sites in the fleet    [default: 16]
-    --dispatch <P>    metasim: cross-site dispatch policy      [default: least-pressure]
+    --sites <N>       metasim: number of sites in the fleet    [default: {sites}]
+    --dispatch <P>    metasim: cross-site dispatch policy      [default: {dispatch}]
                       one of: round-robin, least-pressure, affinity, reserve
-    --epoch-len <S>   metasim: epoch length in seconds         [default: 3600]
+    --epoch-len <S>   metasim: epoch length in seconds         [default: {epoch_len}]
     --outages <LIST>  metasim: scheduled site outages, comma-separated
                       site:start:end triples (seconds)
-    --models <LIST>   models for `sweep grid`, comma-separated [default: lublin99]
-    --schedulers <L>  schedulers for `sweep grid`              [default: the canonical line-up]
-    --loads <LIST>    interarrival scales for `sweep grid`     [default: 1.0]
-    --sizes <LIST>    machine sizes for `sweep grid`           [default: --machine]
-    --seeds <LIST>    workload seeds for `sweep grid`          [default: 1]
+    --models <LIST>   models for `sweep grid`, comma-separated [default: {models}]
+    --schedulers <L>  schedulers for `sweep grid`              [default: {grid_schedulers}]
+    --loads <LIST>    interarrival scales for `sweep grid`     [default: {loads}]
+    --sizes <LIST>    machine sizes for `sweep grid`; the --machine size when omitted
+    --seeds <LIST>    workload seeds for `sweep grid`          [default: {seeds}]
     --max-cells <N>   compute at most N uncached cells this run, journal them,
                       and leave the rest pending for a resume
     --out <FILE>      write the report to FILE instead of stdout
     --result-out <F>  simulate: also write the canonical encoded SimulationResult
                       to F (byte-comparable with a served session's drain payload)
-    --addr <A>        serve: listen address                     [default: 127.0.0.1:7077]
-    --mode <M>        serve: session clock mode afap|real|scale:<f> [default: afap]
-    --max-sessions <N> serve: concurrent session cap            [default: 256]
+    --addr <A>        serve: listen address                     [default: {addr}]
+    --mode <M>        serve: session clock mode afap|real|scale:<f> [default: {mode}]
+    --max-sessions <N> serve: concurrent session cap            [default: {max_sessions}]
     --state-dir <DIR> serve: write-ahead journal every session under DIR so a
                       killed server recovers them by replay on restart
-    --fsync <P>       serve: journal fsync policy always|off    [default: always]
+    --fsync <P>       serve: journal fsync policy always|off    [default: {fsync}]
     --idle-timeout <S> serve: seconds an idle connection (or detached session)
-                      is kept before timing out; 0 disables     [default: 300]
+                      is kept before timing out; 0 disables     [default: {idle_timeout}]
     --retries <N>     client: retry connect failures and busy servers N times
-                      with exponential backoff                  [default: 0]
+                      with exponential backoff                  [default: {retries}]
     --trace-out <F>   client: write the last `trace` payload to F
     --report-out <F>  client: write the last `drain` payload to F
     --strict          strict parsing / conversion
-    --materialize     collect the input into memory before analysis (debugging
-                      aid; output is byte-identical to the streaming path)
     -h, --help        print this help
 ",
-        schedulers = scheduler_names().join(", ")
+        jobs = d.jobs,
+        seed = d.seed,
+        machine = d.machine,
+        format = d.format.name(),
+        threads = d.threads,
+        scheduler = d.scheduler,
+        schedulers = scheduler_names().join(", "),
+        scale = d.scale,
+        sites = d.sites,
+        dispatch = d.dispatch,
+        epoch_len = d.epoch_len,
+        models = d.models,
+        grid_schedulers = d.grid_schedulers,
+        loads = d.loads,
+        seeds = d.seeds,
+        addr = d.addr,
+        mode = d.mode,
+        max_sessions = d.max_sessions,
+        fsync = d.fsync,
+        idle_timeout = d.idle_timeout,
+        retries = d.retries,
     )
 }
 
-/// Parsed command-line options shared by all subcommands.
+/// Parsed command-line options. Each subcommand reads the fields of the
+/// flags [`COMMANDS`] lists for it; the rest keep their defaults.
 struct Opts {
     positional: Vec<String>,
     jobs: usize,
@@ -156,11 +206,11 @@ struct Opts {
     dialect: Option<String>,
     scale: String,
     store: Option<String>,
-    models: Option<String>,
-    grid_schedulers: Option<String>,
-    loads: Option<String>,
+    models: String,
+    grid_schedulers: String,
+    loads: String,
     sizes: Option<String>,
-    seeds: Option<String>,
+    seeds: String,
     max_cells: Option<usize>,
     sites: usize,
     dispatch: String,
@@ -168,9 +218,8 @@ struct Opts {
     outages: Option<String>,
     out: Option<String>,
     strict: bool,
-    materialize: bool,
     result_out: Option<String>,
-    addr: Option<String>,
+    addr: String,
     mode: String,
     max_sessions: usize,
     state_dir: Option<String>,
@@ -181,93 +230,122 @@ struct Opts {
     report_out: Option<String>,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        positional: Vec::new(),
-        jobs: 1000,
-        seed: 1,
-        machine: 128,
-        format: Format::Markdown,
-        threads: default_threads(),
-        scheduler: "easy".to_string(),
-        dialect: None,
-        scale: "quick".to_string(),
-        store: None,
-        models: None,
-        grid_schedulers: None,
-        loads: None,
-        sizes: None,
-        seeds: None,
-        max_cells: None,
-        sites: 16,
-        dispatch: "least-pressure".to_string(),
-        epoch_len: 3600.0,
-        outages: None,
-        out: None,
-        strict: false,
-        materialize: false,
-        result_out: None,
-        addr: None,
-        mode: "afap".to_string(),
-        max_sessions: 256,
-        state_dir: None,
-        fsync: "always".to_string(),
-        idle_timeout: 300,
-        retries: 0,
-        trace_out: None,
-        report_out: None,
-    };
+/// The defaults: the one place each is written, which `usage` renders.
+impl Default for Opts {
+    fn default() -> Opts {
+        Opts {
+            positional: Vec::new(),
+            jobs: 1000,
+            seed: 1,
+            machine: 128,
+            format: Format::Markdown,
+            threads: default_threads(),
+            scheduler: "easy".to_string(),
+            dialect: None,
+            scale: "quick".to_string(),
+            store: None,
+            models: "lublin99".to_string(),
+            grid_schedulers: canonical_schedulers().join(","),
+            loads: "1.0".to_string(),
+            sizes: None,
+            seeds: "1".to_string(),
+            max_cells: None,
+            sites: 16,
+            dispatch: "least-pressure".to_string(),
+            epoch_len: 3600.0,
+            outages: None,
+            out: None,
+            strict: false,
+            result_out: None,
+            addr: "127.0.0.1:7077".to_string(),
+            mode: "afap".to_string(),
+            max_sessions: 256,
+            state_dir: None,
+            fsync: "always".to_string(),
+            idle_timeout: 300,
+            retries: 0,
+            trace_out: None,
+            report_out: None,
+        }
+    }
+}
+
+/// Parse the arguments after subcommand `sub`, accepting only the flags that
+/// subcommand reads. Returns its entry point and options.
+fn parse_opts(sub: &str, args: &[String]) -> Result<(Command, Opts), String> {
+    let mut opts = Opts::default();
+    // Flags are told from positionals first: `sweep grid` is known by its
+    // first positional, wherever the flags sit.
+    let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
         match arg.as_str() {
-            "--jobs" => opts.jobs = num(&value("--jobs")?)?,
-            "--seed" => opts.seed = num(&value("--seed")?)?,
-            "--machine" => opts.machine = num(&value("--machine")?)?,
-            "--threads" => opts.threads = num::<usize>(&value("--threads")?)?.max(1),
+            "--strict" => flags.push((arg, None)),
+            flag if flag.starts_with('-') => flags.push((arg, it.next())),
+            _ => opts.positional.push(arg.clone()),
+        }
+    }
+    let name = match (sub, opts.positional.first()) {
+        ("sweep", Some(first)) if first == "grid" => "sweep grid",
+        _ => sub,
+    };
+    let &(_, command, accepted) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown subcommand {sub:?}"))?;
+    for (flag, value) in flags {
+        if !accepted.split(' ').any(|f| f == flag) {
+            return Err(format!(
+                "`{name}` does not take {flag}; it takes {accepted}"
+            ));
+        }
+        let value = || {
+            value
+                .cloned()
+                .ok_or_else(|| format!("{flag} expects a value"))
+        };
+        match flag.as_str() {
+            "--jobs" => opts.jobs = num(&value()?)?,
+            "--seed" => opts.seed = num(&value()?)?,
+            "--machine" => opts.machine = num(&value()?)?,
+            "--threads" => opts.threads = num::<usize>(&value()?)?.max(1),
             "--format" => {
-                let v = value("--format")?;
+                let v = value()?;
                 opts.format = Format::parse(&v).ok_or_else(|| format!("unknown format {v:?}"))?;
             }
-            "--scheduler" => opts.scheduler = value("--scheduler")?,
-            "--dialect" => opts.dialect = Some(value("--dialect")?),
-            "--scale" => opts.scale = value("--scale")?,
-            "--store" => opts.store = Some(value("--store")?),
-            "--models" => opts.models = Some(value("--models")?),
-            "--schedulers" => opts.grid_schedulers = Some(value("--schedulers")?),
-            "--loads" => opts.loads = Some(value("--loads")?),
-            "--sizes" => opts.sizes = Some(value("--sizes")?),
-            "--seeds" => opts.seeds = Some(value("--seeds")?),
-            "--max-cells" => opts.max_cells = Some(num(&value("--max-cells")?)?),
-            "--sites" => opts.sites = num::<usize>(&value("--sites")?)?.max(1),
-            "--dispatch" => opts.dispatch = value("--dispatch")?,
-            "--epoch-len" => opts.epoch_len = num(&value("--epoch-len")?)?,
-            "--outages" => opts.outages = Some(value("--outages")?),
-            "--out" => opts.out = Some(value("--out")?),
-            "--result-out" => opts.result_out = Some(value("--result-out")?),
-            "--addr" => opts.addr = Some(value("--addr")?),
-            "--mode" => opts.mode = value("--mode")?,
-            "--max-sessions" => opts.max_sessions = num::<usize>(&value("--max-sessions")?)?.max(1),
-            "--state-dir" => opts.state_dir = Some(value("--state-dir")?),
-            "--fsync" => opts.fsync = value("--fsync")?,
-            "--idle-timeout" => opts.idle_timeout = num(&value("--idle-timeout")?)?,
-            "--retries" => opts.retries = num(&value("--retries")?)?,
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--report-out" => opts.report_out = Some(value("--report-out")?),
+            "--scheduler" => opts.scheduler = value()?,
+            "--dialect" => opts.dialect = Some(value()?),
+            "--scale" => opts.scale = value()?,
+            "--store" => opts.store = Some(value()?),
+            "--models" => opts.models = value()?,
+            "--schedulers" => opts.grid_schedulers = value()?,
+            "--loads" => opts.loads = value()?,
+            "--sizes" => opts.sizes = Some(value()?),
+            "--seeds" => opts.seeds = value()?,
+            "--max-cells" => opts.max_cells = Some(num(&value()?)?),
+            "--sites" => opts.sites = num::<usize>(&value()?)?.max(1),
+            "--dispatch" => opts.dispatch = value()?,
+            "--epoch-len" => opts.epoch_len = num(&value()?)?,
+            "--outages" => opts.outages = Some(value()?),
+            "--out" => opts.out = Some(value()?),
+            "--result-out" => opts.result_out = Some(value()?),
+            "--addr" => opts.addr = value()?,
+            "--mode" => opts.mode = value()?,
+            "--max-sessions" => opts.max_sessions = num::<usize>(&value()?)?.max(1),
+            "--state-dir" => opts.state_dir = Some(value()?),
+            "--fsync" => opts.fsync = value()?,
+            "--idle-timeout" => opts.idle_timeout = num(&value()?)?,
+            "--retries" => opts.retries = num(&value()?)?,
+            "--trace-out" => opts.trace_out = Some(value()?),
+            "--report-out" => opts.report_out = Some(value()?),
             "--strict" => opts.strict = true,
-            "--materialize" => opts.materialize = true,
-            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
-            other => opts.positional.push(other.to_string()),
+            other => unreachable!("{other} is listed in COMMANDS but never parsed"),
         }
     }
     if opts.machine == 0 {
         return Err("--machine must be at least 1 processor".to_string());
     }
-    Ok(opts)
+    Ok((command, opts))
 }
 
 fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
@@ -303,24 +381,29 @@ fn input_name(spec: &str) -> String {
     }
 }
 
+/// The error for an unknown `what` called `name`, listing the `known` names.
+fn unknown<'a>(what: &str, name: &str, known: impl Iterator<Item = &'a str>) -> String {
+    let known: Vec<&str> = known.collect();
+    format!(
+        "unknown {what} {name:?}; expected one of {}",
+        known.join(", ")
+    )
+}
+
+/// The workload model called `name`.
+fn model_kind(name: &str) -> Result<WorkloadKind, String> {
+    WorkloadKind::by_name(name)
+        .ok_or_else(|| unknown("model", name, WorkloadKind::all().iter().map(|k| k.name())))
+}
+
 /// Resolve an input spec — `model:<name>` or a file path — into a streaming
 /// [`JobSource`]: the one ingestion path every subcommand shares. Model specs
 /// become lazy [`GeneratedStream`]s; files are parsed incrementally by
 /// [`RecordIter`], so archive logs are never read or materialized whole.
 fn open_source(spec: &str, opts: &Opts) -> Result<Box<dyn JobSource>, String> {
     if let Some(name) = spec.strip_prefix("model:") {
-        let kind = WorkloadKind::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown model {name:?}; expected one of {}",
-                WorkloadKind::all()
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })?;
-        let stream =
-            GeneratedStream::new(kind.model(opts.machine), opts.jobs, opts.seed).with_name(spec);
+        let model = model_kind(name)?.model(opts.machine);
+        let stream = GeneratedStream::new(model, opts.jobs, opts.seed).with_name(spec);
         return Ok(Box::new(stream));
     }
     let file = std::fs::File::open(spec).map_err(|e| format!("cannot read {spec:?}: {e}"))?;
@@ -378,46 +461,6 @@ impl<S: JobSource> JobSource for MaxProcsTap<S> {
     }
 }
 
-/// Render a harness table in the CLI's output format.
-fn render_table(table: &Table, format: Format) -> String {
-    match format {
-        Format::Markdown => table.to_markdown(),
-        Format::Csv => table.to_csv(),
-        Format::Json => {
-            let mut out = String::new();
-            out.push_str("{\"title\":\"");
-            out.push_str(&json_escape(&table.title));
-            out.push_str("\",\"headers\":[");
-            for (i, h) in table.headers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json_escape(h));
-                out.push('"');
-            }
-            out.push_str("],\"rows\":[");
-            for (i, row) in table.rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (j, cell) in row.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&json_escape(cell));
-                    out.push('"');
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-            out
-        }
-    }
-}
-
 fn emit(opts: &Opts, content: &str) -> Result<(), String> {
     match &opts.out {
         Some(path) => {
@@ -430,18 +473,9 @@ fn emit(opts: &Opts, content: &str) -> Result<(), String> {
     }
 }
 
-/// Profile one input through the streaming path (bounded memory), or through
-/// an explicitly materialized log when `--materialize` is given. Both paths
-/// produce byte-identical reports; CI asserts it.
+/// Profile one input through the streaming path, in bounded memory.
 fn profile_input(spec: &str, opts: &Opts) -> Result<psbench::analyze::WorkloadProfile, String> {
-    let source = open_source(spec, opts)?;
-    if opts.materialize {
-        let name = source.meta().name.clone();
-        let log = source.collect_log().map_err(stream_err(spec))?;
-        Ok(profile_parallel(&name, &log, opts.threads))
-    } else {
-        profile_source_parallel(source, opts.threads).map_err(stream_err(spec))
-    }
+    profile_source_parallel(open_source(spec, opts)?, opts.threads).map_err(stream_err(spec))
 }
 
 fn cmd_stats(opts: &Opts) -> Result<ExitCode, String> {
@@ -499,14 +533,8 @@ fn cmd_validate(opts: &Opts) -> Result<ExitCode, String> {
     // The per-record rules run incrementally over the stream; only the
     // minimal cross-record state (summary ids and runtimes, partial sums,
     // unresolved dependency references) is retained, so archive-scale logs
-    // validate in bounded memory. `--materialize` keeps the collect-then-
-    // validate route as an A/B debugging aid; both produce the same report.
-    let report = if opts.materialize {
-        let log = source.collect_log().map_err(stream_err(spec))?;
-        validate(&log)
-    } else {
-        validate_source(source).map_err(stream_err(spec))?
-    };
+    // validate in bounded memory.
+    let report = validate_source(source).map_err(stream_err(spec))?;
     let mut table = Table::new(
         format!("SWF conformance — {name}"),
         &["records", "violations", "clean?"],
@@ -516,7 +544,7 @@ fn cmd_validate(opts: &Opts) -> Result<ExitCode, String> {
         report.violations.len().to_string(),
         report.is_clean().to_string(),
     ]);
-    let mut out = render_table(&table, opts.format);
+    let mut out = table.render(opts.format);
     if !report.is_clean() && opts.format != Format::Json {
         out.push('\n');
         for v in report.violations.iter().take(20) {
@@ -568,51 +596,19 @@ fn cmd_convert(opts: &Opts) -> Result<ExitCode, String> {
         .find(|d| d.name() == dialect_name)
         .copied()
         .ok_or_else(|| {
-            format!(
-                "unknown dialect {dialect_name:?}; expected one of {}",
-                Dialect::all()
-                    .iter()
-                    .map(|d| d.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+            unknown(
+                "dialect",
+                dialect_name,
+                Dialect::all().iter().map(|d| d.name()),
             )
         })?;
     let convert_opts = ConvertOptions {
         strict: opts.strict,
     };
     let store = open_store(opts)?;
-    if opts.materialize {
-        // Collect-then-convert: the A/B debugging aid. Output is
-        // byte-identical to the streaming default below; CI asserts it.
-        let raw =
-            std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec:?}: {e}"))?;
-        let conversion = convert(&raw, dialect, Some(opts.machine), &convert_opts)
-            .map_err(|e| format!("conversion failed: {e}"))?;
-        warn_skipped(conversion.skipped);
-        if let Some(store) = &store {
-            let outcome = store
-                .ingest(LogSource::new(input_name(spec), &conversion.log))
-                .map_err(|e| format!("cannot ingest converted log: {e}"))?;
-            report_ingest(&outcome);
-        }
-        match &opts.out {
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-                write_to(&conversion.log, std::io::BufWriter::new(file))
-                    .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            }
-            None => {
-                let stdout = std::io::stdout();
-                write_to(&conversion.log, stdout.lock())
-                    .map_err(|e| format!("cannot write to stdout: {e}"))?;
-            }
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    // Streaming conversion (the default): the header is known up front, so
-    // raw lines flow straight to clean SWF lines in bounded memory — the log
-    // is never materialized, whatever its size.
+    // Streaming conversion: the header is known up front, so raw lines flow
+    // straight to clean SWF lines in bounded memory — the log is never
+    // materialized, whatever its size.
     let file = std::fs::File::open(spec).map_err(|e| format!("cannot read {spec:?}: {e}"))?;
     let mut stream = RawStream::new(
         input_name(spec),
@@ -701,12 +697,8 @@ fn simulate_memoized(
     store: &ArtifactStore,
 ) -> Result<(String, u32, SimulationResult), String> {
     let (key, machine) = if spec.starts_with("model:") {
-        // Validates the model name with open_source's standard error.
-        drop(open_source(spec, opts)?);
-        let kind = WorkloadKind::by_name(spec.trim_start_matches("model:"))
-            .expect("model name validated by open_source");
         let workload = WorkloadDef {
-            kind,
+            kind: model_kind(spec.trim_start_matches("model:"))?,
             machine_size: opts.machine,
             jobs: opts.jobs,
             seed: opts.seed,
@@ -768,7 +760,7 @@ fn cmd_simulate(opts: &Opts) -> Result<ExitCode, String> {
         fmt(sys.utilization),
         fmt(sys.loss_of_capacity),
     ]);
-    emit(opts, &render_table(&table, opts.format))?;
+    emit(opts, &table.render(opts.format))?;
     if let Some(path) = &opts.result_out {
         std::fs::write(path, psbench::store::encode_result(&result))
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
@@ -809,26 +801,10 @@ fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
     let name = spec
         .strip_prefix("model:")
         .ok_or("metasim expects a model input (model:<name>)")?;
-    let kind = WorkloadKind::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown model {name:?}; expected one of {}",
-            WorkloadKind::all()
-                .iter()
-                .map(|k| k.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    })?;
+    let kind = model_kind(name)?;
     let dispatch = DispatchPolicy::parse(&opts.dispatch).ok_or_else(|| {
-        format!(
-            "unknown dispatch policy {:?}; expected one of {}",
-            opts.dispatch,
-            DispatchPolicy::all()
-                .iter()
-                .map(|p| p.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
+        let known = DispatchPolicy::all().iter().map(|p| p.name());
+        unknown("dispatch policy", &opts.dispatch, known)
     })?;
     if !opts.epoch_len.is_finite() || opts.epoch_len <= 0.0 {
         return Err("--epoch-len must be positive and finite".to_string());
@@ -971,7 +947,7 @@ fn cmd_serve(opts: &Opts) -> Result<ExitCode, String> {
             secs => Some(std::time::Duration::from_secs(secs)),
         },
     };
-    let addr = opts.addr.as_deref().unwrap_or("127.0.0.1:7077");
+    let addr = opts.addr.as_str();
     term_signal::install();
     let handle = serve(addr, config).map_err(|e| format!("cannot bind {addr:?}: {e}"))?;
     if handle.poisoned_sessions() > 0 {
@@ -1050,23 +1026,11 @@ fn cmd_client(opts: &Opts) -> Result<ExitCode, String> {
 fn cmd_sweep_grid(opts: &Opts) -> Result<ExitCode, String> {
     let store = open_store(opts)?
         .ok_or("sweep grid requires --store <DIR> for its memoized results and journal")?;
-    let models = match &opts.models {
-        Some(list) => parse_list(list, |t| {
-            WorkloadKind::by_name(t).ok_or_else(|| format!("unknown model {t:?}"))
-        })?,
-        None => vec![WorkloadKind::Lublin99],
-    };
-    let schedulers: Vec<String> = match &opts.grid_schedulers {
-        Some(list) => parse_list(list, |t| Ok(t.to_string()))?,
-        None => canonical_schedulers()
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
-    let loads = match &opts.loads {
-        Some(list) => parse_list(list, num::<f64>)?,
-        None => vec![1.0],
-    };
+    let models = parse_list(&opts.models, |t| {
+        WorkloadKind::by_name(t).ok_or_else(|| format!("unknown model {t:?}"))
+    })?;
+    let schedulers = parse_list(&opts.grid_schedulers, |t| Ok(t.to_string()))?;
+    let loads = parse_list(&opts.loads, num::<f64>)?;
     if loads.iter().any(|l| !l.is_finite() || *l <= 0.0) {
         return Err("--loads entries must be positive and finite".to_string());
     }
@@ -1077,10 +1041,7 @@ fn cmd_sweep_grid(opts: &Opts) -> Result<ExitCode, String> {
     if machine_sizes.contains(&0) {
         return Err("--sizes entries must be at least 1 processor".to_string());
     }
-    let seeds = match &opts.seeds {
-        Some(list) => parse_list(list, num::<u64>)?,
-        None => vec![1],
-    };
+    let seeds = parse_list(&opts.seeds, num::<u64>)?;
     // Scenario::run panics on unknown schedulers (it runs on pool workers),
     // so the whole line-up is validated up front.
     for s in &schedulers {
@@ -1104,15 +1065,14 @@ fn cmd_sweep_grid(opts: &Opts) -> Result<ExitCode, String> {
         outcome.computed,
         outcome.pending
     );
-    let table = results_table("Grid sweep", &outcome.results);
-    emit(opts, &render_table(&table, opts.format))?;
+    emit(
+        opts,
+        &results_table("Grid sweep", &outcome.results).render(opts.format),
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_sweep(opts: &Opts) -> Result<ExitCode, String> {
-    if opts.positional.first().map(String::as_str) == Some("grid") {
-        return cmd_sweep_grid(opts);
-    }
     let scale = match opts.scale.as_str() {
         "quick" => Scale::quick(),
         "full" => Scale::full(),
@@ -1142,7 +1102,7 @@ fn cmd_sweep(opts: &Opts) -> Result<ExitCode, String> {
                 '\n'
             });
         }
-        out.push_str(&render_table(&table, opts.format));
+        out.push_str(&table.render(opts.format));
         if opts.format != Format::Json {
             out.push('\n');
         }
@@ -1175,7 +1135,7 @@ fn cmd_store(opts: &Opts) -> Result<ExitCode, String> {
                     e.bytes.to_string(),
                 ]);
             }
-            emit(opts, &render_table(&table, opts.format))?;
+            emit(opts, &table.render(opts.format))?;
             Ok(ExitCode::SUCCESS)
         }
         "gc" => {
@@ -1221,20 +1181,8 @@ fn run() -> Result<ExitCode, String> {
         print!("{}", usage());
         return Ok(ExitCode::SUCCESS);
     }
-    let opts = parse_opts(&args[1..])?;
-    match sub.as_str() {
-        "stats" => cmd_stats(&opts),
-        "compare" => cmd_compare(&opts),
-        "validate" => cmd_validate(&opts),
-        "convert" => cmd_convert(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "metasim" => cmd_metasim(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "store" => cmd_store(&opts),
-        "serve" => cmd_serve(&opts),
-        "client" => cmd_client(&opts),
-        other => Err(format!("unknown subcommand {other:?}")),
-    }
+    let (command, opts) = parse_opts(sub, &args[1..])?;
+    command(&opts)
 }
 
 fn main() -> ExitCode {
@@ -1264,5 +1212,32 @@ fn main() -> ExitCode {
             }
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_flag_is_parsed() {
+        // A flag listed in COMMANDS but missing from the parser's match
+        // would panic here instead of reaching its subcommand.
+        for (name, _, flags) in COMMANDS {
+            let mut words = name.split(' ');
+            let sub = words.next().unwrap();
+            for flag in flags.split(' ') {
+                let args: Vec<String> =
+                    words.clone().chain([flag, "1"]).map(String::from).collect();
+                let parsed = parse_opts(sub, &args).map(|_| ());
+                // `--format 1` names no format; every other value parses.
+                assert!(
+                    parsed.is_ok() || flag == "--format",
+                    "{name} {flag}: {parsed:?}"
+                );
+            }
+        }
+        let foreign = parse_opts("sweep", &["grid".into(), "--scale".into(), "full".into()]);
+        assert!(foreign.is_err_and(|e| e.starts_with("`sweep grid` does not take --scale")));
     }
 }

@@ -155,14 +155,27 @@ fn compare_scores_lublin99_against_a_reference_trace() {
 
 #[test]
 fn stats_streaming_and_materialized_paths_are_byte_identical() {
-    // The acceptance property of the JobSource redesign: the bounded-memory
-    // streaming pipeline and the explicitly materialized one can never
-    // disagree, for file and model inputs, in every format, at any thread
-    // count.
+    // The acceptance property of the JobSource redesign: the CLI's
+    // bounded-memory streaming pipeline can never disagree with the
+    // sequential profile of the materialized log, for file and model inputs,
+    // in every format, at any thread count.
+    use psbench::analyze::{render_profile, Format, WorkloadProfile};
+    use psbench::swf::JobSource;
     let path = write_reference_trace("stream-vs-mat.swf", 700, 99);
     let p = path.to_str().unwrap();
-    for input in [p, "model:lublin99"] {
+    let file_log = psbench::swf::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let stem = path.file_stem().unwrap().to_str().unwrap();
+    let model = psbench::core::WorkloadKind::Lublin99.model(128);
+    let model_log = psbench::workload::GeneratedStream::new(model, 700, 99)
+        .collect_log()
+        .unwrap();
+    for (input, name, log) in [
+        (p, stem, &file_log),
+        ("model:lublin99", "model:lublin99", &model_log),
+    ] {
+        let materialized = WorkloadProfile::of_log(name, log);
         for format in ["md", "csv", "json"] {
+            let expected = render_profile(&materialized, Format::parse(format).unwrap());
             for threads in ["1", "6"] {
                 let base = [
                     "stats",
@@ -176,16 +189,79 @@ fn stats_streaming_and_materialized_paths_are_byte_identical() {
                     "--threads",
                     threads,
                 ];
-                let streaming = stdout_of(&base);
-                let materialized = stdout_of(&[&base[..], &["--materialize"]].concat());
                 assert_eq!(
-                    streaming, materialized,
+                    stdout_of(&base),
+                    expected,
                     "paths diverge for {input} / {format} / {threads} threads"
                 );
             }
         }
     }
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_flag_the_subcommand_does_not_read_is_a_usage_error() {
+    let store = scratch("unused-store");
+    let store = store.to_str().unwrap();
+    // Each case: the arguments, and the one flag its subcommand does not read.
+    let cases: [(&[&str], &str); 8] = [
+        (&["simulate", "model:lublin99", "--sites", "9"], "--sites"),
+        (
+            &["metasim", "model:lublin99", "--format", "json"],
+            "--format",
+        ),
+        (&["sweep", "E3", "--threads", "3"], "--threads"),
+        (
+            &[
+                "compare",
+                "model:lublin99",
+                "model:jann97",
+                "--store",
+                store,
+            ],
+            "--store",
+        ),
+        (&["client", "127.0.0.1:9", "--jobs", "5"], "--jobs"),
+        (
+            &["stats", "model:lublin99", "--materialize"],
+            "--materialize",
+        ),
+        (
+            &["validate", "model:lublin99", "--materialize"],
+            "--materialize",
+        ),
+        (
+            &[
+                "convert",
+                "--dialect",
+                "nasa-ipsc860",
+                "raw.log",
+                "--materialize",
+            ],
+            "--materialize",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = psbench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("`{}` does not take {flag}", args[0]);
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    assert!(
+        !std::path::Path::new(store).exists(),
+        "compare must not create the store"
+    );
+    // `sweep grid` is its own subcommand, with its own flags.
+    let grid = psbench(&["sweep", "grid", "--scale", "full"]);
+    assert_eq!(grid.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&grid.stderr);
+    assert!(
+        stderr.contains("`sweep grid` does not take --scale"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole workspace: model → SWF → simulator →
 //! metrics → experiment harness, exercised through the public facade crate.
 
-use psbench::core::{run_experiment, Scale, Scenario, WorkloadDef, WorkloadKind};
+use psbench::core::{run_experiment, Format, Scale, Scenario, WorkloadDef, WorkloadKind};
 use psbench::metrics::{outcomes_from_log, AggregateMetrics};
 use psbench::sched::{by_name, standard_schedulers};
 use psbench::sim::{SimConfig, SimJob, Simulation};
@@ -131,7 +131,7 @@ fn experiment_catalogue_smoke() {
         let table = run_experiment(id, tiny_scale()).unwrap();
         assert!(!table.rows.is_empty(), "experiment {id}");
         assert!(!table.headers.is_empty(), "experiment {id}");
-        assert!(table.to_markdown().contains(&table.title));
+        assert!(table.render(Format::Markdown).contains(&table.title));
     }
 }
 
