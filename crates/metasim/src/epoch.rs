@@ -313,8 +313,9 @@ impl MetaResult {
 ///
 /// # Panics
 ///
-/// If `cfg.epoch_len` is not positive and finite, `specs` is empty, or two
-/// jobs share an id.
+/// If `cfg.epoch_len` is not positive and finite, `specs` is empty, an
+/// outage in `cfg.outages` names a site outside the fleet, or two jobs share
+/// an id.
 pub fn run_metasystem(
     specs: &[ShardSpec],
     jobs: &[SimJob],
@@ -325,6 +326,13 @@ pub fn run_metasystem(
         "epoch length must be positive and finite"
     );
     assert!(!specs.is_empty(), "metasystem has no sites");
+    if let Some(o) = cfg.outages.iter().find(|o| o.site as usize >= specs.len()) {
+        panic!(
+            "outage names site {}, but the fleet has {} sites",
+            o.site,
+            specs.len()
+        );
+    }
     let mut shards = specs
         .iter()
         .cloned()
@@ -416,7 +424,7 @@ pub fn run_metasystem(
         while ei < ends.len() && ends[ei].0 <= t0 {
             let site = ends[ei].1 as usize;
             ei += 1;
-            if site < n && down_count[site] > 0 {
+            if down_count[site] > 0 {
                 down_count[site] -= 1;
                 if down_count[site] == 0 {
                     down[site] = false;
@@ -429,9 +437,6 @@ pub fn run_metasystem(
         while si < starts.len() && starts[si].0 <= t0 {
             let site = starts[si].1 as usize;
             si += 1;
-            if site >= n {
-                continue;
-            }
             down_count[site] += 1;
             if down_count[site] == 1 {
                 down[site] = true;
@@ -778,6 +783,18 @@ mod tests {
         let specs = standard_shard_fleet(1, "fcfs");
         let cfg = MetaConfig::new(DispatchPolicy::RoundRobin);
         let _ = run_metasystem(&specs, &duplicate_id_stream(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "outage names site 2, but the fleet has 2 sites")]
+    fn an_outage_outside_the_fleet_panics() {
+        let specs = standard_shard_fleet(2, "fcfs");
+        let cfg = MetaConfig::new(DispatchPolicy::RoundRobin).with_outages(vec![SiteOutage {
+            site: 2,
+            start: 100.0,
+            end: 1000.0,
+        }]);
+        let _ = run_metasystem(&specs, &stream(10, 1), &cfg);
     }
 
     #[test]

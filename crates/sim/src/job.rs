@@ -1,5 +1,6 @@
 //! Job descriptions and runtime job state used by the simulator.
 
+use crate::idhash::IdSet;
 use psbench_swf::{JobSource, ParseError, SwfLog, SwfRecord};
 use psbench_workload::flexible::{DowneySpeedup, SpeedupModel};
 use serde::{Deserialize, Serialize};
@@ -114,7 +115,7 @@ impl SimJob {
     /// Dirty archive logs can repeat job numbers; the simulator requires
     /// unique ids, so only the first record of each id is kept.
     pub fn from_log(log: &SwfLog) -> Vec<SimJob> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         log.summaries()
             .filter_map(SimJob::from_swf)
             .filter(|j| seen.insert(j.id))
@@ -127,7 +128,7 @@ impl SimJob {
     /// collected log, including its duplicate-id policy (first record kept).
     pub fn from_source<S: JobSource>(mut source: S) -> Result<Vec<SimJob>, ParseError> {
         let mut jobs = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(rec) = source.next_record() {
             let rec = rec?;
             if rec.is_summary() {

@@ -10,7 +10,8 @@
 //! * [`engine`] — the event loop, with rate-based execution (space *and* time
 //!   sharing), closed-loop feedback submission, and outage handling.
 //! * [`queue`] — the arrival-ordered wait queue and its backlog index.
-//! * [`idhash`] — the keyed hasher of every job-id map on the hot paths.
+//! * [`idhash`] — the keyed hasher of every job-id map on the hot paths, defined in
+//!   `psbench-swf` (log assembly uses it too) and re-exported here.
 //! * [`result`] — per-run results, metric extraction, and SWF export of the executed
 //!   schedule.
 //!
@@ -20,11 +21,12 @@
 
 pub mod cluster;
 pub mod engine;
-pub mod idhash;
 pub mod job;
 pub mod queue;
 pub mod result;
 pub mod scheduler;
+
+pub use psbench_swf::idhash;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

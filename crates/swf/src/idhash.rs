@@ -1,12 +1,18 @@
-//! The hasher behind every job-id-keyed map and set on the simulation's hot
-//! paths: the engine's running index, cancelled and online ids, dependents,
-//! wakeups and duplicate check, the queue's id indexes, and the conservative
-//! planners' slot and running maps.
+//! The hasher behind every job-id-keyed map and set, in log assembly and on
+//! the simulation's hot paths. Logs use it to renumber jobs
+//! ([`SwfLog::renumber`](crate::log::SwfLog::renumber)), to map old ids to
+//! new ones and find orphan partial lines and dangling dependencies in
+//! [`clean`](crate::validate::clean), and to drop repeated ids when a log
+//! becomes a simulator job list. The simulator (which re-exports this module
+//! as `psbench_sim::idhash`) uses it for the engine's running index,
+//! cancelled and online ids, dependents, wakeups and duplicate check, the
+//! queue's id indexes, and the conservative planners' slot and running maps.
 //!
 //! The standard library's SipHash-1-3 costs tens of nanoseconds per id, and
-//! these maps are touched on every queue push, lookup and removal and every
-//! start and finish. An unkeyed multiply (FxHash) would be cheaper still but
-//! is not safe here: `serve` takes job ids from clients, and ids that share
+//! these maps are touched once per record while a log is assembled and on
+//! every queue push, lookup and removal and every start and finish. An
+//! unkeyed multiply (FxHash) would be cheaper still but is not safe here:
+//! ids come from SWF files and from `serve` clients, and ids that share
 //! their low bits (multiples of 2^32, say) would all land in one bucket.
 //! [`IdHash`] instead mixes each word with a **per-process random key**
 //! through a **full-avalanche 64-bit finalizer** (MurmurHash3's `fmix64`):

@@ -21,6 +21,8 @@
 //!   incremental via [`parse::RecordIter`]), canonical serialization.
 //! * [`mod@validate`] — the standard's consistency rules, plus a cleaner that repairs logs.
 //! * [`anonymize`] — densification of user/group/executable identifiers.
+//! * [`idhash`] — the keyed hasher of every job-id map and set, here and in
+//!   the simulator.
 //! * [`checkpoint`] — multi-line records for checkpointed / swapped jobs.
 //! * [`mod@convert`] — converters from raw accounting-log dialects to SWF.
 //! * [`outage`] — the standard outage format (announced/start/end, type, nodes).
@@ -49,6 +51,7 @@ pub mod checkpoint;
 pub mod convert;
 pub mod error;
 pub mod header;
+pub mod idhash;
 pub mod log;
 pub mod outage;
 pub mod parse;

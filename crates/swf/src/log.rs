@@ -1,6 +1,7 @@
 //! A complete standard workload: header plus job records.
 
 use crate::header::SwfHeader;
+use crate::idhash::IdMap;
 use crate::record::{CompletionStatus, SwfRecord};
 use crate::source::LogSource;
 use serde::{Deserialize, Serialize};
@@ -108,10 +109,45 @@ impl SwfLog {
         users.len()
     }
 
-    /// Sort records by ascending submit time, breaking ties by job id. A conforming
+    /// Sort records by ascending submit time, breaking ties by job id; records
+    /// that tie on both (a checkpointed job's partial lines share their
+    /// summary's id and submit time) keep their relative order. A conforming
     /// log is already sorted; this restores the invariant after edits.
+    ///
+    /// The sort moves keys, not records. It sorts one 24-byte
+    /// `(submit_time, job_id, index)` key per record; the index makes every key
+    /// unique, so an unstable sort yields the stable order. It then applies
+    /// that permutation in place by following its cycles, so each record moves
+    /// once and no second buffer of records is allocated. A sorted log is
+    /// checked in one pass and left alone.
     pub fn sort_by_submit(&mut self) {
-        self.jobs.sort_by_key(|j| (j.submit_time, j.job_id));
+        let sorted = self
+            .jobs
+            .windows(2)
+            .all(|w| (w[0].submit_time, w[0].job_id) <= (w[1].submit_time, w[1].job_id));
+        if sorted {
+            return;
+        }
+        // `order[k].2` names the record that belongs at position k. Each cycle
+        // is filled hole by hole from its source, and every filled position is
+        // marked done by pointing its entry at itself.
+        let mut order = submit_order(&self.jobs);
+        for start in 0..order.len() {
+            if order[start].2 == start {
+                continue;
+            }
+            let first = self.jobs[start].clone();
+            let mut hole = start;
+            loop {
+                let src = std::mem::replace(&mut order[hole].2, hole);
+                if src == start {
+                    self.jobs[hole] = first;
+                    break;
+                }
+                self.jobs[hole] = self.jobs[src].clone();
+                hole = src;
+            }
+        }
     }
 
     /// Shift all submit times so the earliest submit becomes zero, as the standard
@@ -129,8 +165,7 @@ impl SwfLog {
     /// references accordingly. Partial-execution lines keep the id of their summary
     /// line (identified by sharing the old id).
     pub fn renumber(&mut self) {
-        use std::collections::HashMap;
-        let mut mapping: HashMap<u64, u64> = HashMap::new();
+        let mut mapping: IdMap<u64> = IdMap::default();
         let mut next = 1u64;
         for j in &mut self.jobs {
             let new_id = *mapping.entry(j.job_id).or_insert_with(|| {
@@ -181,16 +216,13 @@ impl SwfLog {
     /// submit time is preserved.
     pub fn scale_interarrivals(&mut self, factor: f64) {
         assert!(factor > 0.0, "interarrival scale factor must be positive");
-        if self.jobs.is_empty() {
+        let order = submit_order(&self.jobs);
+        let Some(&(base, _, _)) = order.first() else {
             return;
-        }
-        let mut sorted_idx: Vec<usize> = (0..self.jobs.len()).collect();
-        sorted_idx.sort_by_key(|&i| (self.jobs[i].submit_time, self.jobs[i].job_id));
-        let base = self.jobs[sorted_idx[0]].submit_time;
+        };
         let mut prev_orig = base;
         let mut prev_new = base as f64;
-        for &i in &sorted_idx {
-            let orig = self.jobs[i].submit_time;
+        for &(orig, _, i) in &order {
             let gap = (orig - prev_orig) as f64;
             let new = prev_new + gap * factor;
             prev_orig = orig;
@@ -198,6 +230,18 @@ impl SwfLog {
             self.jobs[i].submit_time = new.round() as i64;
         }
     }
+}
+
+/// The `(submit_time, job_id, index)` key of every record, sorted: the order
+/// in which a stable sort by `(submit_time, job_id)` leaves the records.
+fn submit_order(jobs: &[SwfRecord]) -> Vec<(i64, u64, usize)> {
+    let mut keys: Vec<(i64, u64, usize)> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, j)| (j.submit_time, j.job_id, i))
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::error::ParseError;
 use crate::header::SwfHeader;
+use crate::idhash::{IdMap, IdSet};
 use crate::log::SwfLog;
 use crate::record::{CompletionStatus, SwfRecord};
 use crate::source::JobSource;
@@ -471,15 +472,17 @@ pub fn clean(log: &mut SwfLog) -> CleaningReport {
     let before = log.jobs.len();
     log.jobs
         .retain(|j| !(j.is_summary() && j.procs().is_none()));
-    // Drop orphan partial records.
-    let ids: std::collections::HashSet<u64> = log
-        .jobs
-        .iter()
-        .filter(|j| j.is_summary())
-        .map(|j| j.job_id)
-        .collect();
-    log.jobs
-        .retain(|j| j.is_summary() || ids.contains(&j.job_id));
+    // Drop orphan partial records (only a log with partial lines can hold one).
+    if log.jobs.iter().any(|j| !j.is_summary()) {
+        let ids: IdSet = log
+            .jobs
+            .iter()
+            .filter(|j| j.is_summary())
+            .map(|j| j.job_id)
+            .collect();
+        log.jobs
+            .retain(|j| j.is_summary() || ids.contains(&j.job_id));
+    }
     report.dropped = before - log.jobs.len();
 
     // Sort and rebase.
@@ -509,7 +512,7 @@ pub fn clean(log: &mut SwfLog) -> CleaningReport {
         // the new id of the summary that carried their old id, and preceding-job
         // references are remapped or dropped.
         let mut next = 1u64;
-        let mut old_to_new: HashMap<u64, u64> = HashMap::new();
+        let mut old_to_new: IdMap<u64> = IdMap::default();
         let mut new_ids = vec![0u64; log.jobs.len()];
         for (i, j) in log.jobs.iter().enumerate() {
             if j.is_summary() {
@@ -574,20 +577,23 @@ pub fn clean(log: &mut SwfLog) -> CleaningReport {
         }
     }
 
-    // Drop dependencies pointing at later or missing jobs.
-    let summary_ids: std::collections::HashSet<u64> = log
-        .jobs
-        .iter()
-        .filter(|j| j.is_summary())
-        .map(|j| j.job_id)
-        .collect();
-    for j in &mut log.jobs {
-        if let Some(p) = j.preceding_job {
-            let bad = !summary_ids.contains(&p) || (j.is_summary() && p >= j.job_id);
-            if bad {
-                j.preceding_job = None;
-                j.think_time = None;
-                report.dropped_dependencies += 1;
+    // Drop dependencies pointing at later or missing jobs (only a log whose
+    // records name preceding jobs can hold one).
+    if log.jobs.iter().any(|j| j.preceding_job.is_some()) {
+        let summary_ids: IdSet = log
+            .jobs
+            .iter()
+            .filter(|j| j.is_summary())
+            .map(|j| j.job_id)
+            .collect();
+        for j in &mut log.jobs {
+            if let Some(p) = j.preceding_job {
+                let bad = !summary_ids.contains(&p) || (j.is_summary() && p >= j.job_id);
+                if bad {
+                    j.preceding_job = None;
+                    j.think_time = None;
+                    report.dropped_dependencies += 1;
+                }
             }
         }
     }

@@ -128,8 +128,10 @@ pub fn assemble_log<R: Rng + ?Sized>(
     common: &CommonParams,
     jobs: Vec<GeneratedJob>,
 ) -> SwfLog {
+    let users = ZipfTable::new(common.users.max(1));
+    let executables = ZipfTable::new(common.executables.max(1));
     let mut records: Vec<SwfRecord> = Vec::with_capacity(jobs.len());
-    for (i, j) in jobs.iter().enumerate() {
+    for (i, j) in jobs.into_iter().enumerate() {
         let runtime = j.run_time.clamp(1, common.max_runtime);
         let procs = j.procs.clamp(1, common.machine_size);
         let mut rec = SwfRecord::rigid(i as u64 + 1, j.submit_time, runtime, procs);
@@ -137,10 +139,10 @@ pub fn assemble_log<R: Rng + ?Sized>(
             .estimates
             .estimate(rng, runtime, Some(common.max_runtime));
         // Users follow a skewed (zipf-ish) popularity: a few users submit most jobs.
-        let u = zipf_like(rng, common.users.max(1));
+        let u = users.draw(rng);
         rec.user_id = Some(u);
         rec.group_id = Some((u - 1) / 8 + 1);
-        rec.executable_id = Some(zipf_like(rng, common.executables.max(1)));
+        rec.executable_id = Some(executables.draw(rng));
         rec.queue_id = Some(if j.interactive { 0 } else { 1 });
         rec.partition_id = Some(1);
         rec.status = psbench_swf::CompletionStatus::Completed;
@@ -160,20 +162,38 @@ pub fn assemble_log<R: Rng + ?Sized>(
 /// Draw a user / executable index from 1..=n with a skewed, roughly Zipf-like
 /// popularity (index 1 is the most popular).
 pub fn zipf_like<R: Rng + ?Sized>(rng: &mut R, n: u32) -> u32 {
-    if n <= 1 {
-        return 1;
+    ZipfTable::new(n).draw(rng)
+}
+
+/// The Zipf-like popularity weights `1/k` of indices 1..=n and their sum,
+/// built once so that a log's many draws do not re-sum them.
+struct ZipfTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl ZipfTable {
+    fn new(n: u32) -> Self {
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / k as f64).collect();
+        let total = weights.iter().sum();
+        ZipfTable { weights, total }
     }
-    // Inverse-transform on weights 1/k using the harmonic approximation.
-    let h: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-    let mut x = rng.gen_range(0.0..h);
-    for k in 1..=n {
-        let w = 1.0 / k as f64;
-        if x < w {
-            return k;
+
+    /// Draw an index by inverse transform on the weights. A table of at most
+    /// one index returns 1 without touching `rng`.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        if self.weights.len() <= 1 {
+            return 1;
         }
-        x -= w;
+        let mut x = rng.gen_range(0.0..self.total);
+        for (k, &w) in (1..).zip(&self.weights) {
+            if x < w {
+                return k;
+            }
+            x -= w;
+        }
+        self.weights.len() as u32
     }
-    n
 }
 
 /// Convenience wrapper: seed a [`StdRng`] for a model run.
@@ -185,6 +205,7 @@ pub fn model_rng(seed: u64) -> StdRng {
 mod tests {
     use super::*;
     use psbench_swf::validate;
+    use rand::RngCore;
 
     #[test]
     fn estimate_models() {
@@ -219,6 +240,43 @@ mod tests {
         assert!(counts[0] > counts[7]);
         assert!(counts[0] > counts[15] * 3);
         assert_eq!(zipf_like(&mut rng, 1), 1);
+    }
+
+    /// Reference draw: the same inverse transform, re-summing the weights on
+    /// every call.
+    fn summing_zipf_like<R: Rng + ?Sized>(rng: &mut R, n: u32) -> u32 {
+        if n <= 1 {
+            return 1;
+        }
+        let h: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
+        let mut x = rng.gen_range(0.0..h);
+        for k in 1..=n {
+            let w = 1.0 / k as f64;
+            if x < w {
+                return k;
+            }
+            x -= w;
+        }
+        n
+    }
+
+    #[test]
+    fn zipf_table_draws_what_the_summing_draw_did() {
+        // Two copies of one stream, advanced in lockstep across every n: the
+        // draws must agree, and so must the number of values each consumed.
+        let (mut a, mut b) = (model_rng(26), model_rng(26));
+        for n in 1..=200u32 {
+            let table = ZipfTable::new(n);
+            for _ in 0..64 {
+                assert_eq!(table.draw(&mut a), summing_zipf_like(&mut b, n), "n = {n}");
+            }
+            assert_eq!(
+                zipf_like(&mut a, n),
+                summing_zipf_like(&mut b, n),
+                "n = {n}"
+            );
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

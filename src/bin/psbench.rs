@@ -143,7 +143,7 @@ OPTIONS:
                       one of: round-robin, least-pressure, affinity, reserve
     --epoch-len <S>   metasim: epoch length in seconds         [default: {epoch_len}]
     --outages <LIST>  metasim: scheduled site outages, comma-separated
-                      site:start:end triples (seconds)
+                      site:start:end triples (seconds; sites count from 0)
     --models <LIST>   models for `sweep grid`, comma-separated [default: {models}]
     --schedulers <L>  schedulers for `sweep grid`              [default: {grid_schedulers}]
     --loads <LIST>    interarrival scales for `sweep grid`     [default: {loads}]
@@ -323,7 +323,7 @@ fn parse_opts(sub: &str, args: &[String]) -> Result<(Command, Opts), String> {
             "--sizes" => opts.sizes = Some(value()?),
             "--seeds" => opts.seeds = value()?,
             "--max-cells" => opts.max_cells = Some(num(&value()?)?),
-            "--sites" => opts.sites = num::<usize>(&value()?)?.max(1),
+            "--sites" => opts.sites = num(&value()?)?,
             "--dispatch" => opts.dispatch = value()?,
             "--epoch-len" => opts.epoch_len = num(&value()?)?,
             "--outages" => opts.outages = Some(value()?),
@@ -344,6 +344,9 @@ fn parse_opts(sub: &str, args: &[String]) -> Result<(Command, Opts), String> {
     }
     if opts.machine == 0 {
         return Err("--machine must be at least 1 processor".to_string());
+    }
+    if opts.sites == 0 {
+        return Err("--sites must be at least 1 site".to_string());
     }
     Ok((command, opts))
 }
@@ -768,8 +771,9 @@ fn cmd_simulate(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parse the `--outages` list: comma-separated `site:start:end` triples.
-fn parse_outage_list(list: &str) -> Result<Vec<SiteOutage>, String> {
+/// Parse the `--outages` list: comma-separated `site:start:end` triples, each
+/// naming one of the fleet's `sites` sites.
+fn parse_outage_list(list: &str, sites: usize) -> Result<Vec<SiteOutage>, String> {
     parse_list(list, |item| {
         let parts: Vec<&str> = item.split(':').collect();
         let [site, start, end] = parts.as_slice() else {
@@ -784,6 +788,13 @@ fn parse_outage_list(list: &str) -> Result<Vec<SiteOutage>, String> {
         if !well_ordered {
             return Err(format!("outage {item:?} must end after it starts"));
         }
+        if outage.site as usize >= sites {
+            return Err(format!(
+                "--outages names site {}, but the fleet has {sites} sites (0 to {})",
+                outage.site,
+                sites - 1
+            ));
+        }
         Ok(outage)
     })
 }
@@ -794,7 +805,8 @@ fn parse_outage_list(list: &str) -> Result<Vec<SiteOutage>, String> {
 /// are compressed by `1/--sites` so the offered load scales with the fleet.
 /// With `--store`, runs are memoized under the canonical
 /// (workload, fleet, dispatch, config) cell key and warm reruns render
-/// byte-identical reports. Timing goes to stderr, never into the report.
+/// byte-identical reports. Timing (the stream's generation and the run
+/// itself) goes to stderr, never into the report.
 fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
     let default_spec = "model:lublin99".to_string();
     let spec = opts.positional.first().unwrap_or(&default_spec);
@@ -812,7 +824,7 @@ fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
     let specs = standard_shard_fleet(opts.sites, &opts.scheduler);
     by_name(&opts.scheduler, opts.machine).map_err(|e| e.to_string())?;
     let outages = match &opts.outages {
-        Some(list) => parse_outage_list(list)?,
+        Some(list) => parse_outage_list(list, specs.len())?,
         None => Vec::new(),
     };
     let cfg = MetaConfig::new(dispatch)
@@ -830,7 +842,9 @@ fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
         interarrival_scale: 1.0 / opts.sites as f64,
     };
     let run = || -> Result<MetaResult, String> {
+        let started = std::time::Instant::now();
         let mut jobs = SimJob::from_log(&workload.generate());
+        let generated = started.elapsed().as_secs_f64();
         // The metasystem routes an open-loop stream of unique ids below the
         // migration band; model streams satisfy this after renumbering.
         for (i, job) in jobs.iter_mut().enumerate() {
@@ -842,7 +856,8 @@ fn cmd_metasim(opts: &Opts) -> Result<ExitCode, String> {
         let meta = run_metasystem(&specs, &jobs, &cfg).map_err(|e| e.to_string())?;
         let elapsed = started.elapsed().as_secs_f64();
         eprintln!(
-            "metasim: {} sites x {} jobs under {} in {elapsed:.3}s ({:.0} events/sec, {} threads)",
+            "metasim: {} sites x {} jobs under {} in {elapsed:.3}s ({:.0} events/sec, {} threads); \
+             stream generated in {generated:.3}s",
             specs.len(),
             jobs.len(),
             cfg.dispatch.name(),

@@ -85,6 +85,30 @@ fn non_finite_epoch_length_is_a_usage_error_not_a_panic() {
 }
 
 #[test]
+fn metasim_outages_and_sites_outside_the_fleet_are_usage_errors() {
+    let base = ["metasim", "--sites", "2", "--jobs", "2000"];
+    for site in ["5", "2"] {
+        let outage = format!("{site}:100:100000");
+        let out = psbench(&[&base[..], &["--outages", &outage]].concat());
+        assert_eq!(out.status.code(), Some(2), "--outages {outage}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("--outages names site {site}, but the fleet has 2 sites");
+        assert!(stderr.contains(&message), "{stderr}");
+        assert!(out.stdout.is_empty(), "--outages {outage} ran anyway");
+    }
+    let out = psbench(&["metasim", "--sites", "0", "--jobs", "2000"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--sites"));
+    assert!(out.stdout.is_empty(), "--sites 0 ran anyway");
+    // An outage of a site in the fleet still takes effect.
+    let report = stdout_of(&[&base[..], &["--outages", "1:100:100000"]].concat());
+    assert!(
+        report.lines().any(|l| l == "fingerprint: 94e3b0cfa79f3fd9"),
+        "{report}"
+    );
+}
+
+#[test]
 fn stats_is_deterministic_across_runs_and_thread_counts() {
     let base = ["stats", "model:lublin99", "--jobs", "800", "--seed", "7"];
     let a = stdout_of(&base);

@@ -263,3 +263,44 @@ fn canonical_easy_run_metrics_are_pinned_bit_for_bit() {
          system 2000 4140e8cb00000000 3fee202b2fa900c5 4009fd1ff518a4ff 3fa6991d412bd954\n"
     );
 }
+
+/// `fnv1a_64` of the canonical SWF text of every workload kind's log, one
+/// line each, for seeds 1 and 2 and once more with interarrivals compressed
+/// 1000-fold (which reorders the log and moves many submits together).
+fn model_log_digests() -> String {
+    use psbench::store::fnv1a_64;
+    let mut out = String::new();
+    for &kind in WorkloadKind::all() {
+        for (seed, scale) in [(1, 1.0), (2, 1.0), (1, 0.001)] {
+            let def = WorkloadDef {
+                interarrival_scale: scale,
+                ..WorkloadDef::new(kind, 128, 10_000, seed)
+            };
+            let digest = fnv1a_64(write_string(&def.generate()).as_bytes());
+            out += &format!("{} {seed} {scale} {digest:016x}\n", kind.name());
+        }
+    }
+    out
+}
+
+#[test]
+fn every_model_log_is_pinned_byte_for_byte() {
+    assert_eq!(
+        model_log_digests(),
+        "feitelson96 1 1 579d67da975c78b6\n\
+         feitelson96 2 1 e9dfd8ef73afceb2\n\
+         feitelson96 1 0.001 9c7fdd8f2ea5a02e\n\
+         jann97 1 1 ac8bc24d4d57f1ea\n\
+         jann97 2 1 7a501c9fb334acd4\n\
+         jann97 1 0.001 b0ccb3961c3c4a8a\n\
+         downey97 1 1 4c7951e231ba530d\n\
+         downey97 2 1 8a26e170051275fc\n\
+         downey97 1 0.001 550a830df753db2d\n\
+         lublin99 1 1 7539fcd02eb07e61\n\
+         lublin99 2 1 19489472483b9331\n\
+         lublin99 1 0.001 a4431219243269d9\n\
+         sessions 1 1 cb2ccde82efda84f\n\
+         sessions 2 1 61566efb882fe78a\n\
+         sessions 1 0.001 2b9be8c6fbf41990\n"
+    );
+}
