@@ -330,9 +330,9 @@ impl EasyBackfill {
                     }
                     min_backfill_end = min_backfill_end.min(ctx.now + q.estimate.max(1.0));
                     out.push(Decision::start(q.id));
-                    // Tighten the scan to the new budgets: bucket streams that
-                    // can no longer produce a start are dropped, so the rest
-                    // of their backlog entries are never touched.
+                    // Tighten the scan to the new budgets: the streams of
+                    // widths that can no longer produce a start are dropped,
+                    // so the rest of their runs are never read.
                     scan.tighten(&stairs(free_floor, extra_floor));
                 }
             }

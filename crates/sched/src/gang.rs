@@ -202,7 +202,7 @@ impl Scheduler for GangScheduler {
             if bound >= 1 {
                 // Stream lazily and tighten the bound as admissions fill the
                 // rows; admissions into a full matrix only reduce its slack,
-                // so a dropped (too-wide) bucket can never become admissible
+                // so a dropped (too-wide) width can never become admissible
                 // again within this react.
                 let mut scan = ctx.queue.staircase_scan(&[(bound, f64::INFINITY)], after);
                 while let Some(q) = scan.next() {

@@ -427,6 +427,9 @@ pub struct Simulation {
     pending_wakeups: IdSet,
     finished: Vec<FinishedJob>,
     discarded: Vec<u64>,
+    /// The ids completing at the current instant; empty between instants,
+    /// kept only so its allocation is reused.
+    completed: Vec<u64>,
     dependents: IdMap<Vec<usize>>,
     idle_while_queued: f64,
     busy_integral: f64,
@@ -487,6 +490,7 @@ impl Simulation {
             pending_wakeups: IdSet::default(),
             finished: Vec::with_capacity(jobs.len()),
             discarded: Vec::new(),
+            completed: Vec::new(),
             dependents: IdMap::default(),
             idle_while_queued: 0.0,
             busy_integral: 0.0,
@@ -811,9 +815,9 @@ impl Simulation {
         self.finished.push(finished);
     }
 
-    /// Complete every job due at the current instant, in `start_seq` order.
-    fn collect_completions(&mut self) -> Vec<u64> {
-        let mut completed = Vec::new();
+    /// Complete every job due at the current instant, in `start_seq` order,
+    /// appending their ids to `completed`.
+    fn collect_completions(&mut self, completed: &mut Vec<u64>) {
         match self.kind {
             EngineKind::Calendar => {
                 // Entries surface in (eta, start_seq) order; live entries are
@@ -829,7 +833,7 @@ impl Simulation {
                     }
                     let e = self.calendar.pop().unwrap();
                     let idx = self.rmeta[e.slot as usize].idx;
-                    self.finish_running(idx, &mut completed);
+                    self.finish_running(idx, completed);
                 }
             }
             EngineKind::Reference => {
@@ -840,12 +844,11 @@ impl Simulation {
                 due.sort_unstable();
                 for (_, id) in due {
                     let idx = self.running_index[&id];
-                    self.finish_running(idx, &mut completed);
+                    self.finish_running(idx, completed);
                 }
             }
         }
         self.events_processed += completed.len() as u64;
-        completed
     }
 
     /// The dispatch counter of the running job at `idx`.
@@ -1097,8 +1100,9 @@ impl Simulation {
         // `JobCompleted` for a lone completion, one `CompletionBatch` for
         // a simultaneous group — a mass completion under saturation costs
         // a single replan instead of N. The consult's context carries the
-        // completed ids either way.
-        let completed = self.collect_completions();
+        // completed ids either way, from the engine's reused buffer.
+        let mut completed = std::mem::take(&mut self.completed);
+        self.collect_completions(&mut completed);
         let event = match completed.as_slice() {
             [] => None,
             [job_id] => Some(SchedulerEvent::JobCompleted { job_id: *job_id }),
@@ -1107,6 +1111,8 @@ impl Simulation {
         if let Some(event) = event {
             self.consult_completed(scheduler, event, &completed);
         }
+        completed.clear();
+        self.completed = completed;
 
         // External events due now.
         while let Some((time, seeded)) = self.peek_event() {
@@ -1494,6 +1500,7 @@ impl Simulation {
             pending_wakeups: self.pending_wakeups.clone(),
             finished: Vec::new(),
             discarded: Vec::new(),
+            completed: Vec::new(),
             dependents: self.dependents.clone(),
             idle_while_queued: self.idle_while_queued,
             busy_integral: self.busy_integral,

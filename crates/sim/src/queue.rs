@@ -47,14 +47,28 @@
 //! saturation: every completion-time replan walks the whole backlog even
 //! though almost nothing in a deep queue can fit the freed capacity. The queue
 //! therefore also maintains a **secondary index over the scheduling keys**:
-//! one **treap per requested-`procs` value**, keyed by the arrival pair
-//! `(queued_at, id)` and augmented with the **minimum estimate of every
-//! subtree**, kept incrementally consistent with the arrival-ordered array by
-//! every mutation (push/tombstone/requeue; compaction never touches it, the
-//! index is keyed by job values, not slot positions). The augmentation is the
-//! load-bearing part: "the next job of this width, in arrival order, whose
-//! estimate fits a budget" is a single O(log n) descent — the estimate-
-//! unfitting entries in between are pruned wholesale, never visited.
+//! one **run per requested-`procs` value**, a flat vector of that width's
+//! queued jobs as `(queued_at, id, estimate)` entries in arrival order, cut
+//! into blocks of 32 entries that each carry a live mask and the minimum
+//! estimate of their live entries. Every mutation keeps it consistent with
+//! the arrival-ordered array (compaction of the slots never touches it: the
+//! index is keyed by job values, not slot positions):
+//!
+//! * **an arrival appends** to its run in O(1), as it appends to the slots;
+//! * **a removal tombstones**: a binary search finds the entry, its live bit
+//!   clears, and its block's minimum is recomputed (at most 32 entries) only
+//!   if the entry held it; once a run's tombstones outnumber its live entries
+//!   by more than a block, one pass local to that run drops them;
+//! * **a requeue returns to its arrival position**: a binary search finds
+//!   it, and while the job's own tombstone is still there (its run has not
+//!   compacted since the job left) the tombstone is revived in O(1);
+//!   otherwise a memmove of the run's tail makes room, shifting the live
+//!   masks one place and updating the minima of the blocks it crosses.
+//!
+//! The block minima are the load-bearing part: "the next job of this width,
+//! in arrival order, whose estimate fits a budget" is a binary search to the
+//! position plus a walk that skips every block whose minimum exceeds the
+//! budget — 32 estimate-unfitting entries per read, never visited one by one.
 //!
 //! [`JobQueue::staircase_scan`] consults the index to stream, **in arrival
 //! order**, exactly the queued jobs that fit a per-width estimate staircase
@@ -69,59 +83,61 @@
 //!
 //! ## The width table and what a scan costs
 //!
-//! The buckets live in one vector sorted by `procs`, the **width table**.
-//! Besides its treap root, each bucket caches the root's min-estimate and
-//! its first entry in arrival order (the treap's leftmost), both maintained
-//! by every push and removal. A scan walks the table's prefix up to the
-//! staircase's top edge alongside the stairs (both ascending) and seeds one
-//! stream per bucket that can contribute:
+//! The runs live in one vector sorted by `procs`, the **width table**.
+//! Besides its entries, each run caches its minimum estimate and its first
+//! live entry, both maintained by every push and removal. A scan walks the
+//! table's prefix up to the staircase's top edge alongside the stairs (both
+//! ascending) and seeds one stream per run that can contribute:
 //!
-//! * a bucket whose min-estimate exceeds its estimate bound is rejected
-//!   without touching the treap arena;
-//! * a bucket whose cached first entry lies after the scan position and fits
-//!   its bound — every narrow bucket whose first job is behind the position,
+//! * a run whose min-estimate exceeds its estimate bound is rejected
+//!   without touching its entries;
+//! * a run whose cached first entry lies after the scan position and fits
+//!   its bound — every narrow run whose first job is behind the position,
 //!   the common case — is seeded from that entry in O(1);
-//! * any other bucket costs one O(log n) treap descent.
+//! * any other run costs a block walk, after a binary search to the scan
+//!   position if its first entry lies at or before it.
 //!
 //! The seeded streams (a handful even under saturation) are merged by a
-//! linear pick of the smallest head, not a heap. A stream is refilled — one
-//! treap successor query under its current bound — only when the next
-//! candidate is pulled, so a bucket the consumer has meanwhile dropped
+//! linear pick of the smallest head, not a heap. A stream keeps its head's
+//! position in the run, so a refill is a block walk onward from there under
+//! the stream's current bound, with no search; and it happens only when the
+//! next candidate is pulled, so a run the consumer has meanwhile dropped
 //! ([`StaircaseScan::tighten`]) or a scan the consumer abandons costs no
-//! descent. A scan therefore costs one table read per width up to its top
-//! edge, a descent per bucket that cannot answer from its cache, and one
-//! descent per candidate yielded; a [`StaircaseScan::rebind`] costs what
-//! seeding a fresh scan at the last yielded position does, into the stream
-//! vector the scan already holds.
+//! walk. A scan therefore costs one table read per width up to its top edge,
+//! a walk per run that cannot answer from its cache, and a walk per
+//! candidate yielded; a [`StaircaseScan::rebind`] costs what seeding a fresh
+//! scan at the last yielded position does. The stream vector belongs to the
+//! queue: each scan borrows it and hands it back when dropped, so scans stop
+//! allocating once it has grown to the most streams a scan has seeded.
 //!
 //! ## Index invariants
 //!
-//! * Every live queue entry appears in exactly one bucket treap — that of its
+//! * Every live queue entry is live in exactly one run — that of its
 //!   requested `procs` — as `(queued_at bits, id, estimate bits)`, where
-//!   "bits" is a [`f64::total_cmp`]-compatible unsigned encoding;
-//!   tombstoned entries appear in no treap.
-//! * Buckets are never empty: the last removal from a bucket removes the
-//!   bucket itself, so a candidates query touches only `procs` values that
-//!   are actually present in the backlog. The width table is sorted by
-//!   `procs`, and each bucket's cached min-estimate and first entry equal
-//!   its treap root's `min_est` and its treap's leftmost entry.
-//! * Treaps are keyed by `(queued_at bits, id)` — the order of
-//!   [`JobQueue::iter`] — so in-order traversal is arrival order and bucket
-//!   streams merge into
-//!   global arrival order without sorting; every node's `min_est` equals the
-//!   exact minimum estimate bits of its subtree (checked, together with the
-//!   heap property, by the debug invariants).
+//!   "bits" is a [`f64::total_cmp`]-compatible unsigned encoding. A
+//!   tombstone keeps its entry, so the run stays sorted for the binary
+//!   search, and is marked only by the clear bit in its block's live mask:
+//!   no estimate, NaN included, can pass for one.
+//! * Runs are never empty: the last removal from a run removes the run
+//!   itself, so a scan touches only `procs` values actually present in the
+//!   backlog. The width table is sorted by `procs`.
+//! * A run's entries, tombstones included, strictly ascend by `(queued_at
+//!   bits, id)` — the order of [`JobQueue::iter`] — so run streams merge
+//!   into global arrival order without sorting.
+//! * Each block's minimum is the exact minimum estimate bits of its live
+//!   entries (`u64::MAX` if it has none); each run's live count, cached
+//!   min-estimate and cached first entry (with its position) are exact, and
+//!   its tombstones never outnumber its live entries by more than a block
+//!   (all checked by the debug invariants).
 //! * Estimate bounds compare by **total order** (`total_cmp`), which agrees
 //!   with `<=` for every pair of non-NaN estimates except the irrelevant
 //!   `0.0 == -0.0` corner; callers that must reproduce an exact `<=`
 //!   comparison (EASY's shadow test) re-test gathered candidates and rely on
 //!   the index only never to *miss* a viable one.
-//! * Treap priorities are a deterministic hash of the entry key, so tree
-//!   shape (irrelevant to results, which depend only on the key order) is
-//!   reproducible run to run.
 
 use crate::idhash::IdMap;
 use crate::job::QueuedJob;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// The compact per-job scheduling key carried alongside each queue slot: the
@@ -183,8 +199,8 @@ fn key_of(q: &QueuedJob) -> (u64, u64) {
 }
 
 /// One backlog-index entry: `(queued_at bits, id, estimate bits)`. Arrival
-/// key first, so every bucket iterates in arrival order and bucket streams
-/// merge lazily without a sort; the estimate rides along for budget tests.
+/// key first, so every run is in arrival order and run streams merge lazily
+/// without a sort; the estimate rides along for budget tests.
 type IndexEntry = (u64, u64, u64);
 
 /// The arrival key `(queued_at bits, id)` of an index entry.
@@ -200,323 +216,321 @@ fn index_entry(q: &QueuedJob) -> IndexEntry {
     )
 }
 
-/// Deterministic mixer for treap priorities (splitmix64 finalizer). Seeded
-/// from the entry's own key, so the tree shape — while irrelevant to any
-/// result — is reproducible run to run.
-fn prio_of(arr: u64, id: u64) -> u64 {
-    let mut z = arr ^ id.rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Entries per run block (the width of a block's live mask).
+const BLOCK: usize = 32;
 
-/// Sentinel "no node" arena slot.
-const NIL: u32 = u32::MAX;
-
-/// One node of a bucket treap: keyed by the arrival pair `(arr, id)`, heap
-/// ordered by `prio`, augmented with the minimum estimate bits of its subtree.
+/// The summary of one block of a run's entries.
 #[derive(Debug, Clone, Copy)]
-struct TreapNode {
-    arr: u64,
-    id: u64,
-    est: u64,
-    /// min(est) over this node's whole subtree.
+struct Block {
+    /// Bit `j` is set when entry `j` of the block is live; a clear bit is a
+    /// tombstone, or a position past the run's end.
+    live: u32,
+    /// The smallest estimate bits among the block's live entries
+    /// (`u64::MAX` when it has none).
     min_est: u64,
-    prio: u64,
-    left: u32,
-    right: u32,
 }
 
-/// Arena storage shared by all bucket treaps, with a free list so backlog
-/// churn reuses slots instead of reallocating.
-#[derive(Debug, Clone, Default)]
-struct Arena {
-    nodes: Vec<TreapNode>,
-    free: Vec<u32>,
+/// The positions of the set bits of a live mask, ascending.
+fn live_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
 }
 
-impl Arena {
-    fn alloc(&mut self, (arr, id, est): IndexEntry) -> u32 {
-        let node = TreapNode {
-            arr,
-            id,
-            est,
-            min_est: est,
-            prio: prio_of(arr, id),
-            left: NIL,
-            right: NIL,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    fn key(&self, t: u32) -> (u64, u64) {
-        let n = &self.nodes[t as usize];
-        (n.arr, n.id)
-    }
-
-    /// The first entry in arrival order of the non-empty treap at `t`.
-    fn leftmost(&self, mut t: u32) -> IndexEntry {
-        while self.nodes[t as usize].left != NIL {
-            t = self.nodes[t as usize].left;
-        }
-        let n = &self.nodes[t as usize];
-        (n.arr, n.id, n.est)
-    }
-
-    /// Recompute a node's subtree minimum from its children.
-    fn pull(&mut self, t: u32) {
-        let (l, r) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right)
-        };
-        let mut m = self.nodes[t as usize].est;
-        if l != NIL {
-            m = m.min(self.nodes[l as usize].min_est);
-        }
-        if r != NIL {
-            m = m.min(self.nodes[r as usize].min_est);
-        }
-        self.nodes[t as usize].min_est = m;
-    }
-
-    /// Split into `(keys < key, keys >= key)`.
-    fn split_lt(&mut self, t: u32, key: (u64, u64)) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.key(t) < key {
-            let (a, b) = self.split_lt(self.nodes[t as usize].right, key);
-            self.nodes[t as usize].right = a;
-            self.pull(t);
-            (t, b)
-        } else {
-            let (a, b) = self.split_lt(self.nodes[t as usize].left, key);
-            self.nodes[t as usize].left = b;
-            self.pull(t);
-            (a, t)
-        }
-    }
-
-    /// Merge two treaps where every key of `a` precedes every key of `b`.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio >= self.nodes[b as usize].prio {
-            let m = self.merge(self.nodes[a as usize].right, b);
-            self.nodes[a as usize].right = m;
-            self.pull(a);
-            a
-        } else {
-            let m = self.merge(a, self.nodes[b as usize].left);
-            self.nodes[b as usize].left = m;
-            self.pull(b);
-            b
-        }
-    }
-
-    /// Insert an entry (keys are unique) and return the new root.
-    fn insert(&mut self, root: u32, entry: IndexEntry) -> u32 {
-        let n = self.alloc(entry);
-        let key = (entry.0, entry.1);
-        let (l, r) = self.split_lt(root, key);
-        let lr = self.merge(l, n);
-        self.merge(lr, r)
-    }
-
-    /// Remove the entry with the given arrival key and return the new root.
-    fn remove(&mut self, root: u32, key: (u64, u64)) -> u32 {
-        if root == NIL {
-            return NIL;
-        }
-        if self.key(root) == key {
-            let (l, r) = {
-                let n = &self.nodes[root as usize];
-                (n.left, n.right)
-            };
-            self.free.push(root);
-            return self.merge(l, r);
-        }
-        if key < self.key(root) {
-            let nl = self.remove(self.nodes[root as usize].left, key);
-            self.nodes[root as usize].left = nl;
-        } else {
-            let nr = self.remove(self.nodes[root as usize].right, key);
-            self.nodes[root as usize].right = nr;
-        }
-        self.pull(root);
-        root
-    }
-
-    /// The first entry in arrival order with key strictly greater than
-    /// `after` (if given) and estimate bits at most `bound`. The `min_est`
-    /// augmentation prunes subtrees with nothing inside the budget, so the
-    /// query is O(depth) — this is what lets a backfill replan step through
-    /// only viable candidates no matter how deep the backlog is.
-    fn first_fitting(&self, t: u32, after: Option<(u64, u64)>, bound: u64) -> Option<IndexEntry> {
-        if t == NIL || self.nodes[t as usize].min_est > bound {
-            return None;
-        }
-        let n = self.nodes[t as usize];
-        if after.is_some_and(|a| (n.arr, n.id) <= a) {
-            // This node and its whole left subtree are at or before `after`.
-            return self.first_fitting(n.right, after, bound);
-        }
-        if let Some(hit) = self.first_fitting(n.left, after, bound) {
-            return Some(hit);
-        }
-        if n.est <= bound {
-            return Some((n.arr, n.id, n.est));
-        }
-        self.first_fitting(n.right, after, bound)
-    }
-
-    /// In-order traversal of the entries after `after` with estimate bits at
-    /// most `bound`, appending to `out` (debug helper; O(n)).
-    #[cfg(any(test, debug_assertions))]
-    fn gather(&self, t: u32, after: Option<(u64, u64)>, bound: u64, out: &mut Vec<IndexEntry>) {
-        if t == NIL || self.nodes[t as usize].min_est > bound {
-            return;
-        }
-        let n = self.nodes[t as usize];
-        if after.is_some_and(|a| (n.arr, n.id) <= a) {
-            return self.gather(n.right, after, bound, out);
-        }
-        self.gather(n.left, after, bound, out);
-        if n.est <= bound {
-            out.push((n.arr, n.id, n.est));
-        }
-        self.gather(n.right, after, bound, out);
-    }
-
-    /// Number of nodes in the subtree (debug helper; O(n)).
-    #[cfg(any(test, debug_assertions))]
-    fn count(&self, t: u32) -> usize {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        1 + self.count(n.left) + self.count(n.right)
-    }
-
-    /// Verify every node's `min_est` equals the true subtree minimum and the
-    /// heap property holds (debug helper; O(n)).
-    #[cfg(any(test, debug_assertions))]
-    fn check_min_est(&self, t: u32) -> u64 {
-        if t == NIL {
-            return u64::MAX;
-        }
-        let n = &self.nodes[t as usize];
-        for c in [n.left, n.right] {
-            if c != NIL {
-                assert!(
-                    self.nodes[c as usize].prio <= n.prio,
-                    "treap heap property violated"
-                );
-            }
-        }
-        let want = n
-            .est
-            .min(self.check_min_est(n.left))
-            .min(self.check_min_est(n.right));
-        assert_eq!(n.min_est, want, "min_est pull-up drifted");
-        want
-    }
-}
-
-/// One backlog-index bucket: every queued job of one requested width. The
-/// queue keeps its buckets in one vector sorted by `procs` (the width
-/// table), each carrying what a scan asks of it first, so seeding a bucket
-/// rarely touches the treap arena.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
+/// Every queued job of one requested width: one entry of the width table.
+/// Besides its arrival-ordered entries, a run caches what a scan asks of it
+/// first, so seeding a run rarely touches its entries.
+#[derive(Debug, Clone)]
+struct Run {
     procs: u32,
-    /// The bucket treap's root in the arena (never [`NIL`]: an emptied
-    /// bucket leaves the table).
-    root: u32,
-    /// The root's `min_est`: the smallest estimate bits in the bucket.
+    /// The smallest estimate bits among the live entries.
     min_est: u64,
-    /// The bucket's first entry in arrival order (its treap's leftmost).
+    /// The first live entry in arrival order.
     first: IndexEntry,
+    /// `first`'s position in `entries`; every entry before it is a tombstone.
+    head: usize,
+    /// Live entries (never 0: an emptied run leaves the table).
+    live: usize,
+    /// The entries, tombstones included, in arrival order.
+    entries: Vec<IndexEntry>,
+    /// One summary per [`BLOCK`] entries.
+    blocks: Vec<Block>,
 }
 
-impl Bucket {
-    /// The bucket's first entry after `after` with estimate bits at most
-    /// `bound`. O(1) when the bucket's min-estimate already exceeds the bound
-    /// (the arena is not touched) or its cached first entry qualifies;
-    /// otherwise one O(log n) treap descent.
-    fn first_fitting(
-        &self,
-        arena: &Arena,
-        after: Option<(u64, u64)>,
-        bound: u64,
-    ) -> Option<IndexEntry> {
+impl Run {
+    fn new(procs: u32, e: IndexEntry) -> Run {
+        Run {
+            procs,
+            min_est: e.2,
+            first: e,
+            head: 0,
+            live: 1,
+            entries: vec![e],
+            blocks: vec![Block {
+                live: 1,
+                min_est: e.2,
+            }],
+        }
+    }
+
+    /// The smallest estimate bits among block `b`'s entries in `live`.
+    fn block_min(&self, b: usize, live: u32) -> u64 {
+        live_bits(live)
+            .map(|j| self.entries[b * BLOCK + j].2)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The first live entry at position `from` or later whose estimate bits
+    /// are at most `bound`, with its position: a walk that skips every block
+    /// whose minimum exceeds the bound and, inside a block, every tombstone.
+    fn fitting_from(&self, from: usize, bound: u64) -> Option<(usize, IndexEntry)> {
+        let mut b = from / BLOCK;
+        let mut mask = self.blocks.get(b)?.live & (!0 << (from % BLOCK));
+        loop {
+            if self.blocks[b].min_est <= bound {
+                for j in live_bits(mask) {
+                    let e = self.entries[b * BLOCK + j];
+                    if e.2 <= bound {
+                        return Some((b * BLOCK + j, e));
+                    }
+                }
+            }
+            b += 1;
+            mask = self.blocks.get(b)?.live;
+        }
+    }
+
+    /// The first live entry after `after` (if given) whose estimate bits are
+    /// at most `bound`, with its position. O(1) when the run's min-estimate
+    /// already exceeds the bound or its cached first entry qualifies;
+    /// otherwise a block walk, after a binary search if `after` lies past
+    /// the first entry.
+    fn first_fitting(&self, after: Option<(u64, u64)>, bound: u64) -> Option<(usize, IndexEntry)> {
         if self.min_est > bound {
             return None;
         }
-        let first = self.first;
-        if first.2 <= bound && after.is_none_or(|a| arrival_key(first) > a) {
-            return Some(first);
+        let from = match after {
+            Some(a) if arrival_key(self.first) <= a => {
+                self.head + self.entries[self.head..].partition_point(|&e| arrival_key(e) <= a)
+            }
+            _ if self.first.2 <= bound => return Some((self.head, self.first)),
+            _ => self.head + 1,
+        };
+        self.fitting_from(from, bound)
+    }
+
+    /// Insert an entry whose arrival key no live entry has. O(1) when it
+    /// sorts last, as arrivals do, or when it finds its own tombstone, as a
+    /// job requeued before the run compacted does; otherwise a binary search
+    /// and a memmove of the tail, whose live bits shift one place with it,
+    /// block by block.
+    fn insert(&mut self, e: IndexEntry) {
+        let key = arrival_key(e);
+        let at = match self.entries.last() {
+            Some(&last) if arrival_key(last) >= key => {
+                self.entries.partition_point(|&x| arrival_key(x) < key)
+            }
+            _ => self.entries.len(),
+        };
+        if self.entries.get(at).is_some_and(|&x| arrival_key(x) == key) {
+            self.entries[at] = e;
+            let b = &mut self.blocks[at / BLOCK];
+            b.live |= 1 << (at % BLOCK);
+            b.min_est = b.min_est.min(e.2);
+        } else {
+            self.shift_in(at, e);
         }
-        arena.first_fitting(self.root, after, bound)
+        self.live += 1;
+        self.min_est = self.min_est.min(e.2);
+        if at <= self.head {
+            self.head = at;
+            self.first = e;
+        }
+    }
+
+    /// Insert `e` at position `at`, moving the entries from there up one
+    /// place together with their live bits.
+    fn shift_in(&mut self, at: usize, e: IndexEntry) {
+        self.entries.insert(at, e);
+        if self.blocks.len() * BLOCK < self.entries.len() {
+            self.blocks.push(Block {
+                live: 0,
+                min_est: u64::MAX,
+            });
+        }
+        // Into each block from `at`'s on comes one entry (the new one, then
+        // the previous block's last) and out goes its last entry; only a
+        // block whose minimum left with it needs its live entries reread.
+        let (mut bit, mut carry) = (at % BLOCK, 1);
+        for b in at / BLOCK..self.blocks.len() {
+            let Block { live, min_est } = self.blocks[b];
+            let below = (1 << bit) - 1;
+            let out = live >> 31;
+            let live = (live & below) | (carry << bit) | ((live & !below) << 1);
+            let left = out == 1 && self.entries[(b + 1) * BLOCK].2 == min_est;
+            let min_est = if left {
+                self.block_min(b, live)
+            } else if carry == 1 {
+                min_est.min(self.entries[b * BLOCK + bit].2)
+            } else {
+                min_est
+            };
+            self.blocks[b] = Block { live, min_est };
+            (bit, carry) = (0, out);
+        }
+    }
+
+    /// Tombstone the live entry with arrival key `key`, compacting the run
+    /// once its tombstones outnumber its live entries by more than a block.
+    /// Returns false when that leaves the run empty.
+    fn remove(&mut self, key: (u64, u64)) -> bool {
+        let at = self.head + self.entries[self.head..].partition_point(|&e| arrival_key(e) < key);
+        let est = self.entries[at].2;
+        let b = at / BLOCK;
+        debug_assert_eq!(arrival_key(self.entries[at]), key, "not in its run");
+        debug_assert!(
+            self.blocks[b].live >> (at % BLOCK) & 1 == 1,
+            "removed twice"
+        );
+        self.blocks[b].live &= !(1 << (at % BLOCK));
+        self.live -= 1;
+        if self.live == 0 {
+            return false;
+        }
+        if self.blocks[b].min_est == est {
+            self.blocks[b].min_est = self.block_min(b, self.blocks[b].live);
+        }
+        if self.min_est == est {
+            self.min_est = self.blocks[self.head / BLOCK..]
+                .iter()
+                .map(|b| b.min_est)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        if at == self.head {
+            (self.head, self.first) = self
+                .fitting_from(at + 1, u64::MAX)
+                .expect("a live entry follows the first");
+        }
+        if self.entries.len() - self.live > self.live + BLOCK {
+            self.compact();
+        }
+        true
+    }
+
+    /// Drop the tombstones: slide the live entries to the front and rebuild
+    /// the block summaries.
+    fn compact(&mut self) {
+        let mut w = 0;
+        for b in self.head / BLOCK..self.blocks.len() {
+            for j in live_bits(self.blocks[b].live) {
+                self.entries[w] = self.entries[b * BLOCK + j];
+                w += 1;
+            }
+        }
+        self.entries.truncate(w);
+        self.blocks.clear();
+        self.blocks
+            .extend(self.entries.chunks(BLOCK).map(|c| Block {
+                live: u32::MAX >> (BLOCK - c.len()),
+                min_est: c.iter().map(|e| e.2).min().unwrap_or(u64::MAX),
+            }));
+        self.head = 0;
+    }
+
+    /// Verify the run's cached fields and block summaries against its
+    /// entries, and return its live entries (debug helper; O(n)).
+    #[cfg(any(test, debug_assertions))]
+    fn check(&self) -> Vec<IndexEntry> {
+        let procs = self.procs;
+        assert!(
+            self.entries
+                .windows(2)
+                .all(|w| arrival_key(w[0]) < arrival_key(w[1])),
+            "run {procs} out of arrival order"
+        );
+        assert_eq!(
+            self.blocks.len(),
+            self.entries.len().div_ceil(BLOCK),
+            "run {procs} block count"
+        );
+        let mut live = Vec::new();
+        for (b, (block, chunk)) in self
+            .blocks
+            .iter()
+            .zip(self.entries.chunks(BLOCK))
+            .enumerate()
+        {
+            assert_eq!(
+                u64::from(block.live) >> chunk.len(),
+                0,
+                "run {procs} block {b} marks positions past the end"
+            );
+            let mine: Vec<IndexEntry> = live_bits(block.live).map(|j| chunk[j]).collect();
+            let min = mine.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
+            assert_eq!(block.min_est, min, "run {procs} block {b} minimum drifted");
+            live.extend(mine);
+        }
+        assert_eq!(self.live, live.len(), "run {procs} live count drifted");
+        assert!(
+            self.entries.len() - self.live <= self.live + BLOCK,
+            "run {procs} holds too many tombstones"
+        );
+        let min = live.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
+        assert_eq!(self.min_est, min, "run {procs} cached min-estimate stale");
+        assert_eq!(
+            Some(self.first),
+            live.first().copied(),
+            "run {procs} cached first entry stale"
+        );
+        assert!(
+            self.fitting_from(0, u64::MAX) == Some((self.head, self.first)),
+            "run {procs} has a live entry before its head"
+        );
+        live
     }
 }
 
-/// One bucket's cursor in a scan: the bucket's next candidate under the
-/// estimate bound the bucket is currently subject to.
+/// One run's cursor in a scan: the run's next candidate under the estimate
+/// bound the run is currently subject to.
 #[derive(Debug, Clone, Copy)]
 struct Stream {
     /// The next candidate; once yielded (or outgrown by a tightened bound),
     /// the position the stream resumes strictly after.
     head: IndexEntry,
+    /// `head`'s position in its run.
+    at: usize,
+    /// The run's index in the width table.
+    run: usize,
     procs: u32,
-    root: u32,
-    /// Estimate bits a candidate of this bucket must not exceed.
+    /// Estimate bits a candidate of this run must not exceed.
     bound: u64,
-    /// `head` no longer competes: fetch the bucket's next fitting entry
-    /// after it before picking the next candidate.
+    /// `head` no longer competes: fetch the run's next fitting entry after
+    /// it before picking the next candidate.
     stale: bool,
-}
-
-impl Stream {
-    fn seed(arena: &Arena, b: &Bucket, after: Option<(u64, u64)>, bound: u64) -> Option<Stream> {
-        b.first_fitting(arena, after, bound).map(|head| Stream {
-            head,
-            procs: b.procs,
-            root: b.root,
-            bound,
-            stale: false,
-        })
-    }
 }
 
 /// Take the next candidate in arrival order across `streams`: refill the
 /// stale streams under their current bounds (dropping exhausted ones), then
-/// pick the smallest head. A scan has a few streams (one per bucket with a
+/// pick the smallest head. A scan has a few streams (one per run with a
 /// fitting entry), so a linear pick beats a heap, and a stream is refilled
 /// only when the next candidate is wanted — after the consumer has had the
 /// chance to tighten or drop its bound.
-fn next_candidate(arena: &Arena, streams: &mut Vec<Stream>) -> Option<(IndexEntry, QueueKey)> {
+fn next_candidate(widths: &[Run], streams: &mut Vec<Stream>) -> Option<(IndexEntry, QueueKey)> {
     let mut best: Option<usize> = None;
     let mut i = 0;
     while i < streams.len() {
         let s = &mut streams[i];
         if s.stale {
-            match arena.first_fitting(s.root, Some(arrival_key(s.head)), s.bound) {
-                Some(head) => {
+            match widths[s.run].fitting_from(s.at + 1, s.bound) {
+                Some((at, head)) => {
                     s.head = head;
+                    s.at = at;
                     s.stale = false;
                 }
                 None => {
@@ -543,13 +557,13 @@ fn next_candidate(arena: &Arena, streams: &mut Vec<Stream>) -> Option<(IndexEntr
 
 /// The lazy arrival-ordered backlog scan behind [`JobQueue::staircase_scan`].
 ///
-/// A merge of one stream per `procs` bucket up to the staircase's top edge,
-/// where a stream step is a treap successor query under the bucket's
-/// *current* estimate bound, so the entries outside it are never touched.
-/// The consumer moves the staircase mid-scan in one of two ways:
+/// A merge of one stream per `procs` run up to the staircase's top edge,
+/// where a stream step is a block walk under the run's *current* estimate
+/// bound, so the blocks outside it are skipped unread. The consumer moves
+/// the staircase mid-scan in one of two ways:
 ///
 /// * [`StaircaseScan::tighten`] lowers the bounds in place and drops the
-///   buckets above the new top edge: a backfill pass commits processors, so
+///   runs above the new top edge: a backfill pass commits processors, so
 ///   its budgets only shrink and an entry the scan passed never qualifies
 ///   again.
 /// * [`StaircaseScan::rebind`] reseeds every stream from just after the last
@@ -561,6 +575,7 @@ fn next_candidate(arena: &Arena, streams: &mut Vec<Stream>) -> Option<(IndexEntr
 #[derive(Debug)]
 pub struct StaircaseScan<'a> {
     queue: &'a JobQueue,
+    /// Taken from the queue until the scan is dropped.
     streams: Vec<Stream>,
     /// `(queued_at bits, id)` of the last yielded candidate (before the
     /// first yield, the scan's exclusive start position); a rebind resumes
@@ -569,14 +584,14 @@ pub struct StaircaseScan<'a> {
 }
 
 impl StaircaseScan<'_> {
-    /// Lower each live bucket stream's bound to the lower of its current
-    /// bound and its stair in `stairs`, and drop the streams above the new
-    /// top edge. Bounds only fall: the scan never revisits entries, so a
-    /// looser stair cannot be honoured and is ignored.
+    /// Lower each live run stream's bound to the lower of its current bound
+    /// and its stair in `stairs`, and drop the streams above the new top
+    /// edge. Bounds only fall: the scan never revisits entries, so a looser
+    /// stair cannot be honoured and is ignored.
     pub fn tighten(&mut self, stairs: &[(u32, f64)]) {
         self.streams.retain_mut(|s| {
             let Some(&(_, est)) = stairs.iter().find(|&&(edge, _)| edge >= s.procs) else {
-                // Above the top edge; bounds only fall, so the bucket's
+                // Above the top edge; bounds only fall, so the run's
                 // remaining entries can never qualify.
                 return false;
             };
@@ -587,29 +602,44 @@ impl StaircaseScan<'_> {
         });
     }
 
-    /// Replace the staircase and reseed every bucket stream from just after
+    /// Replace the staircase and reseed every run stream from just after
     /// the last yielded candidate. Call this whenever the capacity profile
     /// behind the staircase changed (in either direction); the scan position
     /// is preserved, so each queued job still gets exactly one arrival-order
     /// turn.
     ///
     /// The width table and the stairs are both ascending, so one merged walk
-    /// pairs each bucket up to the top edge with its stair, converting each
-    /// stair's bound once; a bucket whose min-estimate is above its stair,
-    /// or whose cached first entry fits, is settled without a treap descent.
+    /// pairs each run up to the top edge with its stair, converting each
+    /// stair's bound once; a run whose min-estimate is above its stair, or
+    /// whose cached first entry fits, is settled without reading its entries.
     pub fn rebind(&mut self, stairs: &[(u32, f64)]) {
         self.streams.clear();
-        let queue = self.queue;
         let mut stairs = stairs.iter().map(|&(edge, est)| (edge, est_bound(est)));
         let mut stair = stairs.next();
-        for b in &queue.widths {
-            while stair.is_some_and(|(edge, _)| edge < b.procs) {
+        for (i, run) in self.queue.widths.iter().enumerate() {
+            while stair.is_some_and(|(edge, _)| edge < run.procs) {
                 stair = stairs.next();
             }
             let Some((_, bound)) = stair else { break };
-            self.streams
-                .extend(Stream::seed(&queue.arena, b, self.last, bound));
+            if let Some((at, head)) = run.first_fitting(self.last, bound) {
+                self.streams.push(Stream {
+                    head,
+                    at,
+                    run: i,
+                    procs: run.procs,
+                    bound,
+                    stale: false,
+                });
+            }
         }
+    }
+}
+
+impl Drop for StaircaseScan<'_> {
+    fn drop(&mut self) {
+        let mut streams = std::mem::take(&mut self.streams);
+        streams.clear();
+        self.queue.streams.replace(streams);
     }
 }
 
@@ -629,7 +659,7 @@ impl Iterator for StaircaseScan<'_> {
 
     /// The next candidate under the current staircase, in arrival order.
     fn next(&mut self) -> Option<QueueKey> {
-        let (entry, q) = next_candidate(&self.queue.arena, &mut self.streams)?;
+        let (entry, q) = next_candidate(&self.queue.widths, &mut self.streams)?;
         self.last = Some(arrival_key(entry));
         Some(q)
     }
@@ -658,15 +688,15 @@ pub struct JobQueue {
     index: IdMap<usize>,
     /// Late job id → its `queued_at` bits, the rest of its late-set key.
     late_at: IdMap<u64>,
-    /// The backlog index's width table: one [`Bucket`] per queued `procs`
-    /// value, ascending, each holding the root of a treap (in `arena`) with
-    /// one entry per live job of that width, keyed by arrival order and
-    /// augmented with subtree minimum estimates (see the module docs for
-    /// the invariants). Keyed by job values only, so slot compaction never
-    /// has to touch it.
-    widths: Vec<Bucket>,
-    /// Node storage shared by all bucket treaps.
-    arena: Arena,
+    /// The backlog index's width table: one [`Run`] per queued `procs`
+    /// value, ascending, each holding that width's live jobs in arrival
+    /// order with block minimum estimates (see the module docs for the
+    /// invariants). Keyed by job values only, so slot compaction never has
+    /// to touch it.
+    widths: Vec<Run>,
+    /// The stream vector each scan takes and hands back, emptied, when
+    /// dropped, so scans allocate only while it grows.
+    streams: RefCell<Vec<Stream>>,
     /// Total processors demanded by all live queued jobs — the O(1)
     /// aggregate behind load-adaptive cross-site dispatch.
     demanded: u64,
@@ -763,7 +793,7 @@ impl JobQueue {
         self.demanded
     }
 
-    /// A lazy arrival-ordered merge over the backlog index's bucket streams
+    /// A lazy arrival-ordered merge over the backlog index's run streams
     /// under a **per-width estimate staircase**, after the exclusive
     /// `(queued_at, id)` position `after`: `stairs` is a list of `(inclusive
     /// procs upper edge, max estimate)` pairs, ascending by procs, and a job
@@ -788,7 +818,7 @@ impl JobQueue {
     ) -> StaircaseScan<'_> {
         let mut scan = StaircaseScan {
             queue: self,
-            streams: Vec::new(),
+            streams: self.streams.take(),
             last: after.map(|(t, id)| (order_bits(t), id)),
         };
         scan.rebind(stairs);
@@ -800,32 +830,17 @@ impl JobQueue {
     /// case) appends to the slot vector in amortized O(1); any other key — a
     /// requeue returning to its original position, or an out-of-order
     /// same-instant release — is filed in the late set in O(log n), where it
-    /// stays until a compaction merges it into the slots. Either way the
-    /// backlog index takes its O(log n) insert.
+    /// stays until a compaction merges it into the slots. The backlog index
+    /// appends to the job's run in O(1); an out-of-order key costs it a
+    /// binary search, then an O(1) revival of the job's own tombstone or a
+    /// memmove of the run's tail.
     pub(crate) fn push(&mut self, q: QueuedJob) {
         let procs = q.job.procs;
         self.demanded += procs as u64;
         let entry = index_entry(&q);
-        match self.widths.binary_search_by_key(&procs, |b| b.procs) {
-            Ok(i) => {
-                let root = self.arena.insert(self.widths[i].root, entry);
-                let b = &mut self.widths[i];
-                b.root = root;
-                b.min_est = b.min_est.min(entry.2);
-                if arrival_key(entry) < arrival_key(b.first) {
-                    b.first = entry;
-                }
-            }
-            Err(i) => {
-                let root = self.arena.insert(NIL, entry);
-                let bucket = Bucket {
-                    procs,
-                    root,
-                    min_est: entry.2,
-                    first: entry,
-                };
-                self.widths.insert(i, bucket);
-            }
+        match self.widths.binary_search_by_key(&procs, |r| r.procs) {
+            Ok(i) => self.widths[i].insert(entry),
+            Err(i) => self.widths.insert(i, Run::new(procs, entry)),
         }
         let key = key_of(&q);
         if self.max_key.is_none_or(|m| key > m) {
@@ -841,8 +856,9 @@ impl JobQueue {
         }
     }
 
-    /// Remove a job by id. O(log n) amortized (tombstone or late-set removal
-    /// plus backlog-index removal plus occasional compaction).
+    /// Remove a job by id. O(log n) amortized (tombstone or late-set removal,
+    /// plus a binary search in the job's run and at most one block's
+    /// minimum recomputed, plus occasional compaction).
     pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
         let q = match self.index.remove(&id)? {
             LATE => {
@@ -861,18 +877,9 @@ impl JobQueue {
         if let Some(job) = &q {
             let procs = job.job.procs;
             self.demanded -= procs as u64;
-            if let Ok(i) = self.widths.binary_search_by_key(&procs, |b| b.procs) {
-                let key = key_of(job);
-                let root = self.arena.remove(self.widths[i].root, key);
-                if root == NIL {
+            if let Ok(i) = self.widths.binary_search_by_key(&procs, |r| r.procs) {
+                if !self.widths[i].remove(key_of(job)) {
                     self.widths.remove(i);
-                } else {
-                    let b = &mut self.widths[i];
-                    b.root = root;
-                    b.min_est = self.arena.nodes[root as usize].min_est;
-                    if arrival_key(b.first) == key {
-                        b.first = self.arena.leftmost(root);
-                    }
                 }
             }
         }
@@ -953,9 +960,15 @@ impl JobQueue {
         // Late-set invariants: sorted by each entry's own key, below the
         // high-water key, and every late job indexed as late.
         assert_eq!(self.late_at.len(), self.late.len(), "stale late keys");
+        // Keys compare bit for bit, so a NaN estimate equals itself.
+        let bits = |k: &QueueKey| (k.id, k.estimate.to_bits(), k.procs);
         for (&key, (k, q)) in &self.late {
             assert_eq!(key, key_of(q), "late entry filed under a foreign key");
-            assert_eq!(*k, QueueKey::of(q), "late key out of sync with its job");
+            assert_eq!(
+                bits(k),
+                bits(&QueueKey::of(q)),
+                "late key out of sync with its job"
+            );
             assert!(
                 self.max_key.is_some_and(|m| key <= m),
                 "late key above the high-water key"
@@ -968,65 +981,33 @@ impl JobQueue {
         }
         for (s, k) in self.slots.iter().zip(self.keys.iter()) {
             assert_eq!(
-                s.as_ref().map(QueueKey::of).unwrap_or(QueueKey::TOMBSTONE),
-                *k,
+                bits(&s.as_ref().map(QueueKey::of).unwrap_or(QueueKey::TOMBSTONE)),
+                bits(k),
                 "keys out of sync with slots"
             );
         }
-        // Backlog-index invariants: a width table sorted by procs with no
-        // empty bucket, each bucket's cached root min-estimate and first
-        // entry equal to its treap's; one treap entry per live job in its
-        // procs bucket, no stale entries, exact min_est pull-ups,
-        // arrival-sorted in-order traversal.
+        // Backlog-index invariants: a width table sorted by procs, each run
+        // consistent with its entries (see `Run::check`), and together the
+        // runs' live entries are exactly the live jobs' index entries.
         assert!(
             self.widths.windows(2).all(|w| w[0].procs < w[1].procs),
             "width table out of order"
         );
-        let indexed: usize = self.widths.iter().map(|b| self.arena.count(b.root)).sum();
-        assert_eq!(indexed, self.index.len(), "backlog index size drifted");
         let live_demand: u64 = live.iter().map(|q| q.job.procs as u64).sum();
         assert_eq!(
             self.demanded, live_demand,
             "demanded-procs aggregate drifted"
         );
-        for b in &self.widths {
-            let procs = b.procs;
-            assert!(b.root != NIL, "empty backlog-index bucket {procs} retained");
-            let mut entries = Vec::new();
-            self.arena.gather(b.root, None, u64::MAX, &mut entries);
-            assert!(
-                entries
-                    .windows(2)
-                    .all(|w| arrival_key(w[0]) < arrival_key(w[1])),
-                "bucket {procs} treap out of arrival order"
-            );
-            let min = entries.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
-            assert_eq!(
-                self.arena.nodes[b.root as usize].min_est, min,
-                "bucket {procs} min_est drifted"
-            );
-            assert_eq!(b.min_est, min, "bucket {procs} cached min-estimate stale");
-            assert_eq!(
-                Some(b.first),
-                entries.first().copied(),
-                "bucket {procs} cached first entry stale"
-            );
-            self.arena.check_min_est(b.root);
-        }
-        for q in self.iter() {
-            let entry = index_entry(q);
-            let pos = self.widths.binary_search_by_key(&q.job.procs, |b| b.procs);
-            assert!(
-                pos.is_ok_and(|i| {
-                    let mut hits = Vec::new();
-                    self.arena
-                        .gather(self.widths[i].root, None, u64::MAX, &mut hits);
-                    hits.contains(&entry)
-                }),
-                "job {} missing from the backlog index",
-                q.job.id
-            );
-        }
+        let mut indexed: Vec<(u32, IndexEntry)> = self
+            .widths
+            .iter()
+            .flat_map(|r| r.check().into_iter().map(|e| (r.procs, e)))
+            .collect();
+        let mut want: Vec<(u32, IndexEntry)> =
+            live.iter().map(|q| (q.job.procs, index_entry(q))).collect();
+        indexed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(indexed, want, "backlog index drifted from the live jobs");
     }
 }
 
@@ -1272,6 +1253,72 @@ mod tests {
         q.get(id).map(|j| (j.queued_at, id))
     }
 
+    #[test]
+    fn nan_and_infinite_estimates_pass_only_an_infinite_stair() {
+        // The NaN whose order bits are all ones, the infinite stair's bound:
+        // a tombstone marked by an estimate value would collide with it.
+        let nan = f64::from_bits(0x7fff_ffff_ffff_ffff);
+        assert_eq!(order_bits(nan), u64::MAX);
+        let mut q = JobQueue::new();
+        for (id, est) in [(1, nan), (2, f64::INFINITY), (3, 10.0), (4, nan), (5, 20.0)] {
+            let mut j = queued_with(id, id as f64, 4, 0.0);
+            j.job.estimate = est;
+            q.push(j);
+        }
+        // Job 4 leaves a NaN-estimate tombstone mid-run.
+        assert!(q.remove(4).is_some());
+        q.check_invariants();
+        assert_eq!(scan_ids(&q, &[(4, f64::INFINITY)], None), vec![1, 2, 3, 5]);
+        assert_eq!(scan_ids(&q, &[(4, f64::MAX)], None), vec![3, 5]);
+        assert_eq!(scan_ids(&q, &[(4, 15.0)], None), vec![3]);
+        // The yielded keys carry both estimates back bit for bit.
+        let keys: Vec<QueueKey> = q.staircase_scan(&[(4, f64::INFINITY)], None).collect();
+        assert_eq!(keys[0].estimate.to_bits(), nan.to_bits());
+        assert_eq!(keys[1].estimate, f64::INFINITY);
+    }
+
+    /// Every scan of `q` under the drawn staircases yields what the model
+    /// does: left alone, from the front, from the head and from the middle
+    /// of the queue; tightened after every yield, as a backfill pass
+    /// tightens; and rebound after every yield, as a conservative starter
+    /// pass rebinds.
+    fn assert_scans_match(q: &JobQueue, stair_sets: &[Vec<(u32, f64)>]) {
+        let ids: Vec<u64> = q.iter().map(|j| j.job.id).collect();
+        let mid = ids.get(ids.len() / 2).and_then(|&id| position(q, id));
+        let head = ids.first().and_then(|&id| position(q, id));
+        for stairs in stair_sets {
+            for after in [None, head, mid] {
+                assert_eq!(
+                    scan_ids(q, stairs, after),
+                    staircase_model(q, stairs, after)
+                );
+            }
+        }
+        let (mut stairs, mut pos) = (stair_sets[0].clone(), mid);
+        let mut scan = q.staircase_scan(&stairs, pos);
+        for step in 1.. {
+            let want = staircase_model(q, &stairs, pos).first().copied();
+            let got = scan.next().map(|k| k.id);
+            assert_eq!(got, want);
+            let Some(id) = got else { break };
+            pos = position(q, id);
+            let new = &stair_sets[step % stair_sets.len()];
+            scan.tighten(new);
+            stairs = tightened(&stairs, new);
+        }
+        let (mut stairs, mut pos) = (stair_sets[0].clone(), None);
+        let mut scan = q.staircase_scan(&stairs, pos);
+        for step in 1.. {
+            let want = staircase_model(q, &stairs, pos).first().copied();
+            let got = scan.next().map(|k| k.id);
+            assert_eq!(got, want);
+            let Some(id) = got else { break };
+            pos = position(q, id);
+            stairs = stair_sets[step % stair_sets.len()].clone();
+            scan.rebind(&stairs);
+        }
+    }
+
     proptest::proptest! {
         /// Queue integrity under requeue-heavy churn: after every push,
         /// tombstoning removal, requeue (a re-push at an old queued_at, which
@@ -1409,6 +1456,72 @@ mod tests {
                     scan.rebind(&stairs);
                 }
             }
+        }
+
+        /// Runs longer than one block. Procs drawn from 1..4 pile each
+        /// width's run up over several 32-entry blocks; removals leave
+        /// tombstones mid-run and set off run compactions; requeues return
+        /// mid-run, to their own tombstone or, once a compaction has dropped
+        /// it, by a memmove across block edges; and a rare drain removes
+        /// every job of one width, so its run leaves the width table and the
+        /// next arrival or requeue of that width re-creates it. The
+        /// invariants (every run's order, block masks and minima, cached
+        /// first entry and min-estimate, live and tombstone counts) hold
+        /// after every op, and every 50 ops the scans match the model.
+        #[test]
+        fn long_runs_match_filtered_scan_under_churn(
+            ops in proptest::collection::vec(
+                (0u8..64, 0u32..40, 1u32..4, 0u32..600, 0u32..1000),
+                1000..1200,
+            ),
+            stair_sets in proptest::collection::vec(
+                proptest::collection::vec((1u32..5, 0u32..700), 1..4),
+                1..4,
+            ),
+        ) {
+            let stair_sets: Vec<Vec<(u32, f64)>> = stair_sets.iter().map(|raw| stairs_of(raw)).collect();
+            let mut q = JobQueue::new();
+            let mut model: BTreeMap<(u64, u64), QueuedJob> = BTreeMap::new();
+            let mut clock = 0.0f64;
+            let mut next_id = 1u64;
+            let mut removed: Vec<QueuedJob> = Vec::new();
+            for (step, (op, dt, procs, est, pick)) in ops.into_iter().enumerate() {
+                let gone: Vec<u64> = match op {
+                    0..=26 => {
+                        clock += dt as f64 / 8.0;
+                        let j = queued_with(next_id, clock, procs, est as f64 / 4.0);
+                        model.insert(key_of(&j), j.clone());
+                        q.push(j);
+                        next_id += 1;
+                        Vec::new()
+                    }
+                    27..=44 => {
+                        let live: Vec<u64> = q.iter().map(|j| j.job.id).collect();
+                        live.get(pick as usize % live.len().max(1)).copied().into_iter().collect()
+                    }
+                    45..=62 => {
+                        if !removed.is_empty() {
+                            let j = removed.swap_remove(pick as usize % removed.len());
+                            model.insert(key_of(&j), j.clone());
+                            q.push(j);
+                        }
+                        Vec::new()
+                    }
+                    // Drain one width: its run leaves the table.
+                    _ => q.iter().filter(|j| j.job.procs == procs).map(|j| j.job.id).collect(),
+                };
+                for id in gone {
+                    let j = q.remove(id).unwrap();
+                    model.remove(&key_of(&j));
+                    removed.push(j);
+                }
+                q.check_invariants();
+                proptest::prop_assert_eq!(q.iter().collect::<Vec<_>>(), model.values().collect::<Vec<_>>());
+                if step % 50 == 49 {
+                    assert_scans_match(&q, &stair_sets);
+                }
+            }
+            assert_scans_match(&q, &stair_sets);
         }
     }
 }

@@ -137,8 +137,9 @@ impl Decision {
 /// consult the queue's **backlog index** ([`JobQueue::staircase_scan`])
 /// instead of scanning: it enumerates, still in arrival order, only the jobs
 /// that fit a per-width estimate staircase (a backfill pass's capacity and
-/// shadow budget are a two-stair one), so replans stay sub-linear in the
-/// backlog depth even under saturation. The `running` slice, by contrast, is
+/// shadow budget are a two-stair one), skipping 32 queued jobs at a time
+/// wherever none of them fits, so a replan under saturation reads the jobs
+/// it can start, not the backlog. The `running` slice, by contrast, is
 /// in **no meaningful order** (the engine uses swap-removal): policies that emit
 /// per-running-job decisions should order them by job id so results stay
 /// independent of the engine's internal layout.
