@@ -126,17 +126,31 @@ impl SimJob {
     /// (summary records only), without materializing an intermediate
     /// [`SwfLog`]. The job list is identical to [`SimJob::from_log`] over the
     /// collected log, including its duplicate-id policy (first record kept).
+    ///
+    /// While the kept ids ascend, each new id exceeds every kept one and
+    /// needs no lookup; the duplicate-id set is built at the first id that
+    /// does not exceed the last one kept, from every id kept so far, so an
+    /// ascending trace never hashes.
     pub fn from_source<S: JobSource>(mut source: S) -> Result<Vec<SimJob>, ParseError> {
-        let mut jobs = Vec::new();
-        let mut seen = IdSet::default();
+        let mut jobs: Vec<SimJob> = Vec::new();
+        let mut seen: Option<IdSet> = None;
         while let Some(rec) = source.next_record() {
             let rec = rec?;
-            if rec.is_summary() {
-                if let Some(job) = SimJob::from_swf(&rec) {
-                    if seen.insert(job.id) {
-                        jobs.push(job);
-                    }
-                }
+            if !rec.is_summary() {
+                continue;
+            }
+            let Some(job) = SimJob::from_swf(&rec) else {
+                continue;
+            };
+            let fresh = match (&mut seen, jobs.last()) {
+                (Some(seen), _) => seen.insert(job.id),
+                (None, Some(last)) if job.id <= last.id => seen
+                    .insert(jobs.iter().map(|j| j.id).collect())
+                    .insert(job.id),
+                (None, _) => true,
+            };
+            if fresh {
+                jobs.push(job);
             }
         }
         Ok(jobs)
@@ -263,6 +277,7 @@ impl FinishedJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use psbench_swf::SwfRecordBuilder;
 
     #[test]
@@ -356,6 +371,82 @@ mod tests {
         assert_eq!(from_log.len(), 1);
         assert_eq!(from_log[0].work, 100.0);
         assert_eq!(from_log, SimJob::from_source(log.as_source("dup")).unwrap());
+    }
+
+    /// Ids that ascend by steps of 1 to 4 from `first`.
+    fn ascending(first: u64, steps: &[u64]) -> Vec<u64> {
+        steps
+            .iter()
+            .scan(first, |id, step| {
+                let this = *id;
+                *id += step;
+                Some(this)
+            })
+            .collect()
+    }
+
+    fn arb_id_sequence() -> impl Strategy<Value = Vec<u64>> {
+        let steps = || prop::collection::vec(1u64..5, 1..80);
+        prop_oneof![
+            // Ascending.
+            steps().prop_map(|s| ascending(1, &s)),
+            // Ascending, then a repeat of an earlier id.
+            (steps(), 0usize..80).prop_map(|(s, k)| {
+                let mut ids = ascending(1, &s);
+                ids.push(ids[k % ids.len()]);
+                ids
+            }),
+            // A descent after a long ascending prefix, then ids that may
+            // repeat the prefix's.
+            (
+                prop::collection::vec(1u64..3, 40..80),
+                prop::collection::vec(1u64..200, 1..20)
+            )
+                .prop_map(|(s, tail)| {
+                    let mut ids = ascending(100, &s);
+                    ids.extend(tail);
+                    ids
+                }),
+            // A repeat of the first id.
+            steps().prop_map(|s| {
+                let mut ids = ascending(7, &s);
+                ids.insert(ids.len() / 2, 7);
+                ids.push(7);
+                ids
+            }),
+            // All ids equal.
+            (1u64..100, 1usize..20).prop_map(|(id, n)| vec![id; n]),
+            // Small ids, many repeats, in any order.
+            prop::collection::vec(0u64..12, 0..60),
+        ]
+    }
+
+    proptest! {
+        /// `from_source` hashes ids only once they stop ascending; on every
+        /// id sequence, with partial lines and unrunnable records among the
+        /// summaries, it keeps the jobs `from_log`'s id set keeps, in order.
+        #[test]
+        fn from_source_keeps_the_jobs_the_id_set_keeps(
+            ids in arb_id_sequence(),
+            kinds in prop::collection::vec(0u8..8, 80),
+        ) {
+            let mut log = SwfLog::default();
+            for (i, (&id, &kind)) in ids.iter().zip(kinds.iter().cycle()).enumerate() {
+                let mut rec = SwfRecordBuilder::new(id, i as i64)
+                    .run_time(10 + i as i64)
+                    .allocated_procs(1 + kind as u32)
+                    .build();
+                match kind {
+                    0 => rec.status = psbench_swf::CompletionStatus::PartialContinued,
+                    1 => rec.status = psbench_swf::CompletionStatus::PartialFailed,
+                    2 => rec.run_time = None,
+                    _ => {}
+                }
+                log.jobs.push(rec);
+            }
+            let streamed = SimJob::from_source(log.as_source("ids")).unwrap();
+            prop_assert_eq!(streamed, SimJob::from_log(&log));
+        }
     }
 
     #[test]

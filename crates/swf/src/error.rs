@@ -52,6 +52,11 @@ pub enum ParseError {
         /// The offending value.
         value: String,
     },
+    /// A line of the input is not valid UTF-8.
+    InvalidUtf8 {
+        /// 1-based line number in the input.
+        line: usize,
+    },
     /// The input was empty (no data lines at all) and the parser was asked to require jobs.
     EmptyLog,
     /// An I/O error occurred while reading the input.
@@ -94,6 +99,7 @@ impl fmt::Display for ParseError {
                     "line {line}: invalid value for header {label:?}: {value:?}"
                 )
             }
+            ParseError::InvalidUtf8 { line } => write!(f, "line {line}: invalid UTF-8"),
             ParseError::EmptyLog => write!(f, "log contains no job records"),
             ParseError::Io(msg) => write!(f, "i/o error: {msg}"),
             ParseError::Convert(e) => write!(f, "{e}"),
@@ -265,6 +271,14 @@ mod tests {
         };
         assert!(e.to_string().contains("-7"));
         assert!(e.to_string().contains(">= -1"));
+    }
+
+    #[test]
+    fn invalid_utf8_display_names_the_line() {
+        assert_eq!(
+            ParseError::InvalidUtf8 { line: 2 }.to_string(),
+            "line 2: invalid UTF-8"
+        );
     }
 
     #[test]

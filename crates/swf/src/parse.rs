@@ -6,10 +6,18 @@
 //! mode that enforces the format exactly, and a lenient mode that tolerates common
 //! deviations found in archive logs (extra whitespace, floating point tokens which
 //! are truncated, unknown completion codes).
+//!
+//! Files are read by [`RecordIter`], one line at a time into a buffer it
+//! reuses: its memory is the reader's buffer plus the longest line. Each line
+//! is checked for UTF-8 (an invalid one is [`ParseError::InvalidUtf8`] naming
+//! it). A data line is tokenized over its bytes: a plain integer token
+//! (`-?[0-9]{1,18}`) is accumulated directly and any other token goes through
+//! `str::parse`, so values and errors are those of the standard library's
+//! parsers.
 
 use crate::error::ParseError;
 use crate::log::SwfLog;
-use crate::record::{CompletionStatus, SwfRecord, FIELD_COUNT};
+use crate::record::{CompletionStatus, SwfRecord, FIELD_COUNT, UNKNOWN};
 use crate::source::{JobSource, SourceMeta};
 use std::io::BufRead;
 
@@ -75,38 +83,43 @@ pub(crate) fn split_exact<'a, const N: usize>(
 /// `line_no` is used only for error reporting. In lenient mode fractional values are
 /// truncated towards zero and out-of-range values map to unknown.
 ///
-/// This is the parser's hot path: fields are consumed as borrowed `&str`
-/// slices from an ASCII whitespace split, with no per-line heap allocation.
+/// Fields are separated by ASCII whitespace. This is the tokenizer of every
+/// data line [`RecordIter`] and [`parse_str`] read, and it allocates nothing
+/// unless a line fails.
 pub fn parse_record_line(
     line: &str,
     line_no: usize,
     opts: &ParseOptions,
 ) -> Result<SwfRecord, ParseError> {
-    let mut raw = [crate::record::UNKNOWN; FIELD_COUNT];
+    let mut raw = [UNKNOWN; FIELD_COUNT];
     let mut count = 0usize;
-    for (idx, tok) in line.split_ascii_whitespace().enumerate() {
-        if idx >= FIELD_COUNT {
-            count = idx + 1;
+    let mut rest = line.as_bytes();
+    while let [first, tail @ ..] = rest {
+        if first.is_ascii_whitespace() {
+            rest = tail;
             continue;
         }
-        let value = match tok.parse::<i64>() {
-            Ok(v) => v,
-            Err(_) => {
-                // Archive logs occasionally contain floating point seconds.
-                match tok.parse::<f64>() {
-                    Ok(f) if !opts.strict && f.is_finite() => f.trunc() as i64,
-                    _ => {
-                        return Err(ParseError::InvalidInteger {
-                            line: line_no,
-                            field: idx,
-                            token: tok.to_string(),
-                        })
-                    }
+        let field = count;
+        count += 1;
+        rest = match plain_integer(rest) {
+            Some((value, after)) if field < FIELD_COUNT => {
+                raw[field] = value;
+                after
+            }
+            _ => {
+                // The token is cut at ASCII bytes, so it is a str slice.
+                let start = line.len() - rest.len();
+                let len = rest
+                    .iter()
+                    .position(u8::is_ascii_whitespace)
+                    .unwrap_or(rest.len());
+                // A token after the last field is counted, never parsed.
+                if field < FIELD_COUNT {
+                    raw[field] = parse_token(&line[start..start + len], field, line_no, opts)?;
                 }
+                &rest[len..]
             }
         };
-        raw[idx] = value;
-        count = idx + 1;
     }
     if count != FIELD_COUNT {
         return Err(ParseError::WrongFieldCount {
@@ -117,6 +130,70 @@ pub fn parse_record_line(
     }
     validate_raw(&raw, line_no, opts)?;
     Ok(SwfRecord::from_raw(&raw))
+}
+
+/// The most digits a plain integer token may have: any 18 digits fit an `i64`.
+const PLAIN_DIGITS: usize = 18;
+
+/// The plain integer token at the start of `bytes`, `-?[0-9]{1,18}` ending at
+/// ASCII whitespace or the end of `bytes`: its value (the one
+/// `str::parse::<i64>` gives) and the bytes after the token and its
+/// terminator, or `None` for any other token.
+#[inline]
+fn plain_integer(bytes: &[u8]) -> Option<(i64, &[u8])> {
+    let mut rest = bytes.iter();
+    let mut b = *rest.next()?;
+    let negative = b == b'-';
+    if negative {
+        b = *rest.next()?;
+    }
+    let mut digit = b.wrapping_sub(b'0');
+    if digit > 9 {
+        return None;
+    }
+    // Wrapping, so that a long token cannot overflow before it is counted;
+    // up to PLAIN_DIGITS digits the value is exact.
+    let mut value = 0u64;
+    let mut digits = 0usize;
+    loop {
+        value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+        digits += 1;
+        let Some(&b) = rest.next() else { break };
+        digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            if !b.is_ascii_whitespace() {
+                return None;
+            }
+            break;
+        }
+    }
+    if digits > PLAIN_DIGITS {
+        return None;
+    }
+    let value = value as i64;
+    Some((if negative { -value } else { value }, rest.as_slice()))
+}
+
+/// Parse a token that is not a plain integer: `str::parse::<i64>`, then, in
+/// lenient mode, a finite `f64` truncated towards zero.
+fn parse_token(
+    token: &str,
+    field: usize,
+    line_no: usize,
+    opts: &ParseOptions,
+) -> Result<i64, ParseError> {
+    if let Ok(value) = token.parse::<i64>() {
+        return Ok(value);
+    }
+    // Archive logs occasionally contain floating point seconds.
+    match token.parse::<f64>() {
+        Ok(f) if !opts.strict && f.is_finite() => Ok(f.trunc() as i64),
+        _ => Err(ParseError::InvalidInteger {
+            line: line_no,
+            field,
+            token: token.to_string(),
+        }),
+    }
 }
 
 fn validate_raw(
@@ -193,10 +270,9 @@ fn classify(line: &str) -> Line<'_> {
     Line::Data(line)
 }
 
-/// The line-by-line parsing state machine shared by the one-shot parsers and
-/// the incremental [`RecordIter`]: classifies each line, folds header comments
-/// into the [`crate::header::SwfHeader`] carried by a [`SourceMeta`], and
-/// turns data lines into records.
+/// The line-by-line parsing state machine behind [`RecordIter`]: classifies
+/// each line, folds header comments into the [`crate::header::SwfHeader`]
+/// carried by a [`SourceMeta`], and turns data lines into records.
 struct LineParser {
     opts: ParseOptions,
     meta: SourceMeta,
@@ -204,17 +280,21 @@ struct LineParser {
 }
 
 impl LineParser {
-    fn new(opts: ParseOptions, name: String) -> Self {
+    fn new(opts: ParseOptions) -> Self {
         LineParser {
             opts,
-            meta: SourceMeta::named(name),
+            meta: SourceMeta::named("swf"),
             data_lines: 0,
         }
     }
 
     /// Feed one input line; `Ok(Some(record))` for data lines, `Ok(None)` for
-    /// header/comment/blank lines.
-    fn feed(&mut self, line: &str, line_no: usize) -> Result<Option<SwfRecord>, ParseError> {
+    /// header/comment/blank lines, and [`ParseError::InvalidUtf8`] for a line
+    /// that is not UTF-8.
+    fn feed(&mut self, line: &[u8], line_no: usize) -> Result<Option<SwfRecord>, ParseError> {
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Err(ParseError::InvalidUtf8 { line: line_no });
+        };
         match classify(line) {
             Line::Blank => Ok(None),
             Line::HeaderLabel { label, value } => {
@@ -256,6 +336,10 @@ impl LineParser {
 /// [`BufRead`] and yields records as they are parsed, never holding more than
 /// the current line in memory.
 ///
+/// Each line is checked for UTF-8: a line that is not valid UTF-8 is
+/// [`ParseError::InvalidUtf8`] naming it, and a failed read is
+/// [`ParseError::Io`].
+///
 /// `RecordIter` is the streaming half of the parser ([`parse_str`] and
 /// [`parse_reader`] are thin collecting wrappers over it) and the file-backed
 /// implementation of [`JobSource`]: `psbench stats` profiles multi-million-job
@@ -278,7 +362,7 @@ pub struct RecordIter<R> {
     reader: R,
     parser: LineParser,
     line_no: usize,
-    buf: String,
+    buf: Vec<u8>,
     done: bool,
 }
 
@@ -287,9 +371,9 @@ impl<R: BufRead> RecordIter<R> {
     pub fn new(reader: R, opts: ParseOptions) -> Self {
         RecordIter {
             reader,
-            parser: LineParser::new(opts, "swf".to_string()),
+            parser: LineParser::new(opts),
             line_no: 0,
-            buf: String::new(),
+            buf: Vec::new(),
             done: false,
         }
     }
@@ -301,7 +385,8 @@ impl<R: BufRead> RecordIter<R> {
     }
 
     /// 1-based number of the last line read (0 before the first read), for
-    /// progress reporting on long streams.
+    /// progress reporting on long streams. After an error it is the line the
+    /// error names, if it names one.
     pub fn line_no(&self) -> usize {
         self.line_no
     }
@@ -312,7 +397,7 @@ impl<R: BufRead> RecordIter<R> {
         }
         loop {
             self.buf.clear();
-            let n = match self.reader.read_line(&mut self.buf) {
+            let n = match self.reader.read_until(b'\n', &mut self.buf) {
                 Ok(n) => n,
                 Err(e) => {
                     self.done = true;
@@ -359,19 +444,10 @@ impl<R: BufRead> Iterator for RecordIter<R> {
 
 /// Parse a complete SWF file from a string.
 ///
-/// A thin collecting wrapper over the same state machine that drives
-/// [`RecordIter`]; the resulting [`SwfLog`] is simply the materialized sink of
-/// the record stream.
+/// A thin collecting wrapper over [`RecordIter`]; the resulting [`SwfLog`] is
+/// simply the materialized sink of the record stream.
 pub fn parse_str(input: &str, opts: &ParseOptions) -> Result<SwfLog, ParseError> {
-    let mut parser = LineParser::new(*opts, String::new());
-    let mut jobs: Vec<SwfRecord> = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        if let Some(rec) = parser.feed(line, i + 1)? {
-            jobs.push(rec);
-        }
-    }
-    parser.finish()?;
-    Ok(SwfLog::new(parser.meta.header, jobs))
+    RecordIter::new(input.as_bytes(), *opts).collect_log()
 }
 
 /// Parse a complete SWF file from any buffered reader, streaming line by line
@@ -386,11 +462,13 @@ pub fn parse(input: &str) -> Result<SwfLog, ParseError> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::UNKNOWN;
 
-    const SAMPLE: &str = "\
+    pub(super) const SAMPLE: &str = "\
 ;Computer: iPSC/860
 ;MaxNodes: 128
 ;Version: 2
@@ -602,6 +680,58 @@ mod tests {
             .map(|r| r.unwrap().job_id)
             .collect();
         assert_eq!(ids, vec![1, 2]);
+    }
+
+    #[test]
+    fn invalid_utf8_names_its_line() {
+        let input = b"1 0 -1 10 1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n\xff\n";
+        for capacity in [1, 8192] {
+            let reader = std::io::BufReader::with_capacity(capacity, &input[..]);
+            let mut iter = RecordIter::new(reader, ParseOptions::default());
+            assert_eq!(iter.next_record().unwrap().unwrap().job_id, 1);
+            let err = iter.next_record().unwrap().unwrap_err();
+            assert_eq!(err, ParseError::InvalidUtf8 { line: 2 });
+            assert_eq!(err.to_string(), "line 2: invalid UTF-8");
+            assert_eq!(iter.line_no(), 2);
+            assert!(iter.next_record().is_none());
+        }
+        // A comment is checked too, and a valid non-ASCII line is not an error.
+        let mut iter = RecordIter::new(&b"; caf\xc3\xa9\n; caf\xc3\n"[..], ParseOptions::default());
+        assert_eq!(
+            iter.next_record().unwrap().unwrap_err(),
+            ParseError::InvalidUtf8 { line: 2 }
+        );
+        assert_eq!(iter.meta().header.raw_lines[0].text, "café");
+    }
+
+    #[test]
+    fn plain_integer_tokens_read_as_str_parse_reads_them() {
+        for token in [
+            "0",
+            "-0",
+            "007",
+            "-1",
+            "123456789012345678",
+            "-999999999999999999",
+        ] {
+            let (value, rest) = plain_integer(token.as_bytes()).unwrap();
+            assert_eq!(value, token.parse::<i64>().unwrap(), "{token}");
+            assert!(rest.is_empty());
+        }
+        // Anything else is left to `str::parse`.
+        for token in [
+            "",
+            "-",
+            "+1",
+            "1234567890123456789",
+            "1.5",
+            "5-",
+            "1\u{b}",
+            "--1",
+        ] {
+            assert_eq!(plain_integer(token.as_bytes()), None, "{token:?}");
+        }
+        assert_eq!(plain_integer(b"42\t7"), Some((42, &b"7"[..])));
     }
 
     #[test]

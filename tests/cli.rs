@@ -348,6 +348,24 @@ fn validate_passes_clean_logs_and_fails_broken_ones() {
 }
 
 #[test]
+fn validate_names_the_line_that_is_not_utf8() {
+    let path = scratch("not-utf8.swf");
+    std::fs::write(
+        &path,
+        b"1 0 -1 10 1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n\xff\n",
+    )
+    .unwrap();
+    let out = psbench(&["validate", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{}\": line 2: invalid UTF-8", path.display())),
+        "{stderr}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn convert_emits_swf_that_validates() {
     let raw = scratch("raw.log");
     std::fs::write(
