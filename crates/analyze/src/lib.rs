@@ -59,7 +59,7 @@ pub mod prelude {
         ad_counts, ad_distance, chi_square, chi_square_counts, emd, joint_chi_square, ks_distance,
         FidelityReport, MarginalDistance,
     };
-    pub use crate::profile::{profile_chunked, GroupStats, WorkloadProfile, ACCURACY_SCALE};
+    pub use crate::profile::{GroupStats, WorkloadProfile, ACCURACY_SCALE};
     pub use crate::report::{
         fmt_num, json_escape, json_num, render_fidelity, render_profile, Format, Table,
     };

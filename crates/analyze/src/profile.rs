@@ -191,11 +191,6 @@ impl WorkloadProfile {
         Ok(p)
     }
 
-    /// Profile one contiguous chunk `jobs[start..end]` of a log's record list.
-    pub fn of_job_slice(name: impl Into<String>, log: &SwfLog, start: usize, end: usize) -> Self {
-        WorkloadProfile::of_records(name, &log.jobs[start..end])
-    }
-
     /// Fold the profile of the *following* trace chunk into this one.
     ///
     /// The interarrival gap between this chunk's last submit and the next
@@ -264,33 +259,6 @@ impl WorkloadProfile {
     }
 }
 
-/// Profile a log by cutting its record list into `chunks` contiguous pieces,
-/// profiling each independently through `map` (which may run the closures in
-/// parallel — e.g. `psbench_core::harness::parallel_map`), and folding the
-/// chunk profiles left to right.
-///
-/// The result is bit-identical to [`WorkloadProfile::of_log`] for any chunk
-/// count and any `map` that returns the closure results in input order.
-pub fn profile_chunked<M>(name: &str, log: &SwfLog, chunks: usize, map: M) -> WorkloadProfile
-where
-    M: FnOnce(usize, &(dyn Fn(usize) -> WorkloadProfile + Sync)) -> Vec<WorkloadProfile>,
-{
-    let n = log.jobs.len();
-    let chunks = chunks.clamp(1, n.max(1));
-    let bounds: Vec<(usize, usize)> = (0..chunks)
-        .map(|c| (c * n / chunks, (c + 1) * n / chunks))
-        .collect();
-    let parts = map(chunks, &|c| {
-        let (start, end) = bounds[c];
-        WorkloadProfile::of_job_slice(name, log, start, end)
-    });
-    let mut whole = WorkloadProfile::named(name);
-    for part in &parts {
-        whole.merge(part);
-    }
-    whole
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,8 +324,13 @@ mod tests {
     fn chunked_profile_is_bit_identical_to_sequential() {
         let log = sample_log();
         let seq = WorkloadProfile::of_log("l", &log);
+        let n = log.jobs.len();
         for chunks in [1usize, 2, 3, 7, 50, 400, 1000] {
-            let chunked = profile_chunked("l", &log, chunks, |n, f| (0..n).map(f).collect());
+            let mut chunked = WorkloadProfile::named("l");
+            for c in 0..chunks {
+                let part = &log.jobs[c * n / chunks..(c + 1) * n / chunks];
+                chunked.merge(&WorkloadProfile::of_records("l", part));
+            }
             assert_eq!(chunked, seq, "chunks = {chunks}");
         }
     }
@@ -383,9 +356,9 @@ mod tests {
     fn merge_is_associative_across_three_chunks() {
         let log = sample_log();
         let n = log.jobs.len();
-        let a = WorkloadProfile::of_job_slice("l", &log, 0, n / 3);
-        let b = WorkloadProfile::of_job_slice("l", &log, n / 3, 2 * n / 3);
-        let c = WorkloadProfile::of_job_slice("l", &log, 2 * n / 3, n);
+        let a = WorkloadProfile::of_records("l", &log.jobs[..n / 3]);
+        let b = WorkloadProfile::of_records("l", &log.jobs[n / 3..2 * n / 3]);
+        let c = WorkloadProfile::of_records("l", &log.jobs[2 * n / 3..]);
         let mut left = a.clone();
         left.merge(&b);
         left.merge(&c);

@@ -68,31 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn chunked_profile_merge_equals_single_pass(
-        gaps in prop::collection::vec(0i64..50_000, 2..120),
-        chunks in 1usize..16,
-    ) {
-        // Build a tiny conforming log from arbitrary interarrival gaps.
-        let mut submit = 0i64;
-        let mut log = psbench_swf::SwfLog::default();
-        for (i, &g) in gaps.iter().enumerate() {
-            submit += g;
-            log.jobs.push(
-                SwfRecordBuilder::new(i as u64 + 1, submit)
-                    .run_time((g % 5000) + 1)
-                    .allocated_procs((g % 64) as u32 + 1)
-                    .requested_time((g % 5000) + 100)
-                    .user_id((g % 7) as u32 + 1)
-                    .group_id((g % 3) as u32 + 1)
-                    .build(),
-            );
-        }
-        let seq = WorkloadProfile::of_log("p", &log);
-        let par = profile_chunked("p", &log, chunks, |n, f| (0..n).map(f).collect());
-        prop_assert_eq!(par, seq); // bit-identical, not approximate
-    }
-
-    #[test]
     fn streamed_chunked_profile_merges_bit_identical_to_sequential(
         gaps in prop::collection::vec(0i64..50_000, 2..120),
         cuts in prop::collection::vec(1usize..120, 0..6),

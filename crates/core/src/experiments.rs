@@ -7,11 +7,9 @@
 //! fingerprints them into `BENCH_sweep.json` (see the README's
 //! experiment-harness section).
 
-use crate::harness::{
-    default_threads, fmt, parallel_map, profile_parallel, run_all_parallel, Table,
-};
+use crate::harness::{default_threads, fmt, parallel_map, run_all_parallel, Table};
 use crate::suite::{canonical_schedulers, canonical_suite, Scenario, WorkloadDef, WorkloadKind};
-use psbench_analyze::FidelityReport;
+use psbench_analyze::{FidelityReport, WorkloadProfile};
 use psbench_metasim::{
     coallocate_via_queues, coallocate_via_reservations, standard_metasystem, CoallocationRequest,
 };
@@ -20,8 +18,8 @@ use psbench_metrics::{
 };
 use psbench_sched::by_name;
 use psbench_sim::{SimConfig, SimJob, Simulation};
-use psbench_swf::convert::{convert, ConvertOptions, Dialect};
-use psbench_swf::validate;
+use psbench_swf::convert::{ConvertOptions, Dialect, RawStream};
+use psbench_swf::{validate, JobSource};
 use psbench_workload::{
     generate_raw_log, strip_dependencies, Downey97, OutageGenerator, RawLogProfile, SessionModel,
     WorkloadModel,
@@ -308,23 +306,24 @@ pub fn e6_swf_pipeline(scale: Scale) -> Table {
         let dialect = dialects[i];
         let profile = RawLogProfile::canonical(dialect);
         let raw = generate_raw_log(&profile, scale.jobs, 6);
-        let conv = convert(
-            &raw,
+        let mut stream = RawStream::new(
+            dialect.name(),
+            raw.as_bytes(),
             dialect,
-            Some(profile.machine_size),
+            profile.machine_size,
             &ConvertOptions::default(),
-        )
-        .expect("conversion succeeds");
-        let report = validate(&conv.log);
-        let text = psbench_swf::write_string(&conv.log);
+        );
+        let log = (&mut stream).collect_log().expect("conversion succeeds");
+        let report = validate(&log);
+        let text = psbench_swf::write_string(&log);
         let back = psbench_swf::parse(&text).expect("writer output parses");
         vec![
             dialect.name().to_string(),
             scale.jobs.to_string(),
-            conv.log.len().to_string(),
-            conv.skipped.to_string(),
+            log.len().to_string(),
+            stream.report().skipped.to_string(),
             report.violations.len().to_string(),
-            (back.jobs == conv.log.jobs).to_string(),
+            (back.jobs == log.jobs).to_string(),
         ]
     });
     for row in rows {
@@ -481,15 +480,11 @@ pub fn e9_flexible(scale: Scale) -> Table {
 /// score best — the "relatively representative" claim as a measurement.
 pub fn e10_model_fidelity(scale: Scale) -> Table {
     let reference_def = WorkloadDef::new(WorkloadKind::Lublin99, 128, scale.jobs, 424_242);
-    let reference = profile_parallel(
-        "reference(lublin99)",
-        &reference_def.generate(),
-        default_threads(),
-    );
+    let reference = WorkloadProfile::of_log("reference(lublin99)", &reference_def.generate());
     let models = psbench_workload::standard_models(128);
     let reports: Vec<FidelityReport> = parallel_map(models.len(), default_threads(), |i| {
         let m = &models[i];
-        let profile = profile_parallel(m.name(), &m.generate(scale.jobs, 58), 1);
+        let profile = WorkloadProfile::of_log(m.name(), &m.generate(scale.jobs, 58));
         FidelityReport::compare(&reference, &profile)
     });
     let mut table = Table::new(

@@ -4,7 +4,7 @@
 use crate::suite::Scenario;
 use psbench_analyze::WorkloadProfile;
 use psbench_sim::SimulationResult;
-use psbench_swf::{JobSource, ParseError, SwfLog, SwfRecord};
+use psbench_swf::{JobSource, ParseError, SwfRecord};
 
 // Every experiment renders into the report `Table`, so `psbench sweep` and
 // `bench sweep` print and fingerprint the same thing. It lives beside its
@@ -107,24 +107,6 @@ pub fn profile_source_parallel<S: JobSource>(
     Ok(whole)
 }
 
-/// Characterize an in-memory workload trace on `threads` worker threads: the
-/// record list is cut into contiguous chunks (a few per thread, so long
-/// chunks balance), each chunk is profiled in place — zero copies — on the
-/// [`parallel_map`] pool, and the chunk profiles are folded in input order.
-///
-/// This is the materialized twin of [`profile_source_parallel`]: the
-/// sketches' exact merge makes both **bit-identical** to the sequential
-/// single pass `WorkloadProfile::of_log` for any thread count (the unit
-/// tests below hold them to it; the CLI profiles through the streaming one).
-pub fn profile_parallel(name: &str, log: &SwfLog, threads: usize) -> WorkloadProfile {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return WorkloadProfile::of_log(name, log);
-    }
-    let chunks = (threads * 4).min(log.jobs.len().max(1));
-    psbench_analyze::profile_chunked(name, log, chunks, |n, f| parallel_map(n, threads, f))
-}
-
 /// Build a comparison table (one row per scenario) from a set of results.
 pub fn results_table(title: &str, results: &[(Scenario, SimulationResult)]) -> Table {
     let mut table = Table::new(
@@ -211,14 +193,15 @@ mod tests {
     fn parallel_profile_is_bit_identical_to_sequential() {
         let def = WorkloadDef::new(WorkloadKind::Lublin99, 64, 300, 77);
         let log = def.generate();
-        let seq = profile_parallel("w", &log, 1);
+        let seq = profile_source_parallel(log.as_source("w"), 1).unwrap();
         for threads in [2, 3, 8, 64] {
-            let par = profile_parallel("w", &log, threads);
+            let par = profile_source_parallel(log.as_source("w"), threads).unwrap();
             assert_eq!(par, seq, "threads = {threads}");
         }
         // ... and the rendered report is byte-identical, too.
+        let par = profile_source_parallel(log.as_source("w"), 4).unwrap();
         assert_eq!(
-            render_profile(&profile_parallel("w", &log, 4), Format::Markdown),
+            render_profile(&par, Format::Markdown),
             render_profile(&seq, Format::Markdown),
         );
     }

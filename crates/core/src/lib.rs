@@ -25,9 +25,8 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::experiments::{experiment_ids, run_experiment, Scale};
     pub use crate::harness::{
-        default_threads, fmt, parallel_map, parallel_map_mut, profile_parallel,
-        profile_source_parallel, results_table, run_all, run_all_parallel, Format, Table,
-        PROFILE_BLOCK_LEN,
+        default_threads, fmt, parallel_map, parallel_map_mut, profile_source_parallel,
+        results_table, run_all, run_all_parallel, Format, Table, PROFILE_BLOCK_LEN,
     };
     pub use crate::suite::{
         canonical_machines, canonical_schedulers, canonical_suite, Scenario, WorkloadDef,

@@ -115,45 +115,57 @@ impl SimJob {
     /// Dirty archive logs can repeat job numbers; the simulator requires
     /// unique ids, so only the first record of each id is kept.
     pub fn from_log(log: &SwfLog) -> Vec<SimJob> {
-        let mut seen = IdSet::default();
-        log.summaries()
-            .filter_map(SimJob::from_swf)
-            .filter(|j| seen.insert(j.id))
-            .collect()
+        let mut kept = FirstOfEachId::default();
+        for job in log.summaries().filter_map(SimJob::from_swf) {
+            kept.push(job);
+        }
+        kept.jobs
     }
 
     /// Build the simulator's job list from any streaming [`JobSource`]
     /// (summary records only), without materializing an intermediate
     /// [`SwfLog`]. The job list is identical to [`SimJob::from_log`] over the
     /// collected log, including its duplicate-id policy (first record kept).
-    ///
-    /// While the kept ids ascend, each new id exceeds every kept one and
-    /// needs no lookup; the duplicate-id set is built at the first id that
-    /// does not exceed the last one kept, from every id kept so far, so an
-    /// ascending trace never hashes.
     pub fn from_source<S: JobSource>(mut source: S) -> Result<Vec<SimJob>, ParseError> {
-        let mut jobs: Vec<SimJob> = Vec::new();
-        let mut seen: Option<IdSet> = None;
+        let mut kept = FirstOfEachId::default();
         while let Some(rec) = source.next_record() {
             let rec = rec?;
             if !rec.is_summary() {
                 continue;
             }
-            let Some(job) = SimJob::from_swf(&rec) else {
-                continue;
-            };
-            let fresh = match (&mut seen, jobs.last()) {
-                (Some(seen), _) => seen.insert(job.id),
-                (None, Some(last)) if job.id <= last.id => seen
-                    .insert(jobs.iter().map(|j| j.id).collect())
-                    .insert(job.id),
-                (None, _) => true,
-            };
-            if fresh {
-                jobs.push(job);
+            if let Some(job) = SimJob::from_swf(&rec) {
+                kept.push(job);
             }
         }
-        Ok(jobs)
+        Ok(kept.jobs)
+    }
+}
+
+/// A job list that keeps the first job of each id, in order.
+///
+/// While the kept ids ascend, each new id exceeds every kept one and needs no
+/// lookup; the duplicate-id set is built at the first id that does not
+/// exceed the last one kept, from every id kept so far, so an ascending job
+/// list never hashes.
+#[derive(Default)]
+struct FirstOfEachId {
+    jobs: Vec<SimJob>,
+    seen: Option<IdSet>,
+}
+
+impl FirstOfEachId {
+    fn push(&mut self, job: SimJob) {
+        let fresh = match (&mut self.seen, self.jobs.last()) {
+            (Some(seen), _) => seen.insert(job.id),
+            (None, Some(last)) if job.id <= last.id => self
+                .seen
+                .insert(self.jobs.iter().map(|j| j.id).collect())
+                .insert(job.id),
+            (None, _) => true,
+        };
+        if fresh {
+            self.jobs.push(job);
+        }
     }
 }
 
@@ -444,8 +456,16 @@ mod tests {
                 }
                 log.jobs.push(rec);
             }
+            // The reference: an eager id set probed for every job.
+            let mut seen = IdSet::default();
+            let reference: Vec<SimJob> = log
+                .summaries()
+                .filter_map(SimJob::from_swf)
+                .filter(|j| seen.insert(j.id))
+                .collect();
             let streamed = SimJob::from_source(log.as_source("ids")).unwrap();
-            prop_assert_eq!(streamed, SimJob::from_log(&log));
+            prop_assert_eq!(&streamed, &reference);
+            prop_assert_eq!(SimJob::from_log(&log), reference);
         }
     }
 

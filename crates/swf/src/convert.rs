@@ -9,12 +9,11 @@
 //! conversion pipeline the standard requires: heterogeneous field orders, separators
 //! and units in, one clean anonymized SWF out.
 
-use crate::anonymize::{densify_ids, AnonymizationKey};
-use crate::error::ConvertError;
+use crate::anonymize::AnonymizationKey;
+use crate::error::{ConvertError, ParseError};
 use crate::header::{SwfHeader, FORMAT_VERSION};
-use crate::log::SwfLog;
+use crate::parse::{read_line_capped, MAX_LINE_BYTES};
 use crate::record::{CompletionStatus, SwfRecord};
-use crate::validate::{clean, CleaningReport};
 use serde::{Deserialize, Serialize};
 
 /// The raw accounting-log dialects understood by the converter.
@@ -64,20 +63,6 @@ impl Dialect {
             Dialect::LanlCm5 => "Thinking Machines CM-5",
         }
     }
-}
-
-/// Result of converting a raw log: the SWF log, the anonymization key, and the
-/// report of any cleaning that was needed to make the output conforming.
-#[derive(Debug, Clone)]
-pub struct Conversion {
-    /// The converted, cleaned, anonymized log.
-    pub log: SwfLog,
-    /// Mapping from original identifiers to the dense ids in the log.
-    pub key: AnonymizationKey,
-    /// What the cleaning pass had to fix.
-    pub cleaning: CleaningReport,
-    /// Number of raw lines that were skipped as unparseable (lenient mode only).
-    pub skipped: usize,
 }
 
 /// Options for conversion.
@@ -137,9 +122,8 @@ impl RawJob {
                 Some(false) => CompletionStatus::Failed,
                 None => CompletionStatus::Unknown,
             },
-            // Identifier fields hold placeholder hashes here; densify_ids() rewrites
-            // them to 1..n. We stash indexes via a string table in convert() instead,
-            // so these stay None until then.
+            // Identifier fields stay None here; the caller maps them through
+            // its AnonymizationKey.
             user_id: None,
             group_id: None,
             executable_id: None,
@@ -301,12 +285,12 @@ fn is_raw_comment(trimmed: &str) -> bool {
 }
 
 /// Build the converted log's header, known in full before any record.
-fn converted_header(dialect: Dialect, max_nodes: Option<u32>) -> SwfHeader {
+fn converted_header(dialect: Dialect, max_nodes: u32) -> SwfHeader {
     let mut header = SwfHeader {
         computer: Some(dialect.computer().to_string()),
         conversion: Some("psbench raw-log converter".to_string()),
         version: Some(FORMAT_VERSION),
-        max_nodes,
+        max_nodes: Some(max_nodes),
         ..SwfHeader::default()
     };
     header.notes.push(format!(
@@ -316,92 +300,14 @@ fn converted_header(dialect: Dialect, max_nodes: Option<u32>) -> SwfHeader {
     header
 }
 
-/// Convert raw accounting-log text in the given dialect to a clean SWF log.
-pub fn convert(
-    raw: &str,
-    dialect: Dialect,
-    max_nodes: Option<u32>,
-    opts: &ConvertOptions,
-) -> Result<Conversion, ConvertError> {
-    let mut raw_jobs: Vec<RawJob> = Vec::new();
-    let mut skipped = 0usize;
-    for (i, line) in raw.lines().enumerate() {
-        let line_no = i + 1;
-        let trimmed = line.trim();
-        if is_raw_comment(trimmed) {
-            continue;
-        }
-        match parse_raw_line(trimmed, dialect, line_no) {
-            Ok(j) => raw_jobs.push(j),
-            Err(e) => {
-                if opts.strict {
-                    return Err(e);
-                }
-                skipped += 1;
-            }
-        }
-    }
-    if raw_jobs.is_empty() {
-        return Err(ConvertError::EmptyLog);
-    }
-
-    // Sort by submit time (raw logs are often in end-time order) and rebase to zero.
-    raw_jobs.sort_by_key(|j| j.submit);
-    let base = raw_jobs.first().map(|j| j.submit).unwrap_or(0);
-
-    // Build SWF records with dense string-keyed identifiers.
-    let mut key = AnonymizationKey::default();
-    let mut jobs: Vec<SwfRecord> = Vec::with_capacity(raw_jobs.len());
-    for (idx, mut rj) in raw_jobs.into_iter().enumerate() {
-        rj.submit -= base;
-        if let Some(s) = rj.start.as_mut() {
-            *s -= base;
-        }
-        if let Some(e) = rj.end.as_mut() {
-            *e -= base;
-        }
-        let user = rj.user.clone();
-        let group = rj.group.clone();
-        let exe = rj.executable.clone();
-        let queue = rj.queue.clone();
-        let partition = rj.partition.clone();
-        let interactive = rj.interactive;
-        let mut rec = rj.into_record(idx as u64 + 1);
-        rec.user_id = user.map(|u| key.users.map(&u));
-        rec.group_id = group.map(|g| key.groups.map(&g));
-        rec.executable_id = exe.map(|e| key.executables.map(&e));
-        rec.queue_id = if interactive {
-            Some(0)
-        } else {
-            queue.map(|q| key.queues.map(&q))
-        };
-        rec.partition_id = partition.map(|p| key.partitions.map(&p));
-        jobs.push(rec);
-    }
-
-    let header = converted_header(dialect, max_nodes);
-
-    let mut log = SwfLog::new(header, jobs);
-    // densify_ids is idempotent here (ids are already dense) but shields against
-    // dialect parsers that might leave gaps in the future.
-    let _ = densify_ids(&mut log);
-    let cleaning = clean(&mut log);
-    Ok(Conversion {
-        log,
-        key,
-        cleaning,
-        skipped,
-    })
-}
-
 /// Default reorder window of [`RawStream`]: how many records of submit-time
 /// disorder the streaming converter absorbs (raw logs are commonly in
 /// end-time order, where local disorder is bounded by queue depth).
 pub const DEFAULT_REORDER_WINDOW: usize = 8_192;
 
 /// Per-record queued entry of the reorder window, min-ordered by
-/// `(submit, input sequence)` — exactly the stable `sort_by_key(submit)`
-/// order of the materialized converter.
+/// `(submit, input sequence)` — exactly the order a stable
+/// `sort_by_key(submit)` of the whole log gives.
 struct Pending {
     submit: i64,
     seq: u64,
@@ -426,7 +332,8 @@ impl Ord for Pending {
 }
 
 /// Cleaning counters of a streaming conversion — the subset of
-/// [`CleaningReport`] a record-at-a-time pass can observe.
+/// [`CleaningReport`](crate::validate::CleaningReport) a record-at-a-time
+/// pass can observe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Raw lines skipped as unparseable (lenient mode only).
@@ -447,17 +354,21 @@ pub struct StreamReport {
 /// renumbered SWF records in bounded memory.
 ///
 /// Memory is bounded by the reorder window (a min-heap of at most
-/// `window` + 1 raw jobs) plus one line buffer — never the whole log. Within
-/// that window the stream is **record-for-record identical** to the
-/// materialized [`convert`] pipeline (stable sort by submit, rebase to the
-/// first kept submit, anonymization ids assigned in sorted order over *all*
-/// records including later-dropped ones, job ids `1..m` over kept records,
-/// per-record cleaning): property tests assert the equivalence per dialect.
-/// Input more disordered than the window fails with
-/// [`ConvertError::WindowExceeded`] rather than yielding an unsorted log.
+/// `window` + 1 raw jobs) plus one line of at most
+/// [`MAX_LINE_BYTES`] — never the whole log. A
+/// longer line is [`ParseError::LineTooLong`] naming it, and a line that is
+/// not UTF-8 is [`ParseError::InvalidUtf8`] naming it. Within
+/// that window the stream is **record-for-record identical** to converting
+/// the whole log at once (stable sort by submit, rebase to the first kept
+/// submit, anonymization ids assigned in sorted order over *all* records
+/// including later-dropped ones, job ids `1..m` over kept records, then
+/// [`clean`](crate::validate::clean)): the tests hold it to such a
+/// materialized reference converter, per dialect. Input more disordered than
+/// the window fails with [`ConvertError::WindowExceeded`] rather than
+/// yielding an unsorted log.
 ///
-/// Unlike [`convert`], the header must be fully known up front (the whole
-/// point is emitting it before the records), so `max_nodes` is required.
+/// The header must be fully known up front (the whole point is emitting it
+/// before the records), so `max_nodes` is required.
 pub struct RawStream<R: std::io::BufRead> {
     reader: Option<R>,
     dialect: Dialect,
@@ -482,7 +393,7 @@ pub struct RawStream<R: std::io::BufRead> {
     last_submit: Option<i64>,
     /// Set after a terminal error or the EmptyLog report.
     failed: bool,
-    line: String,
+    line: Vec<u8>,
 }
 
 impl<R: std::io::BufRead> RawStream<R> {
@@ -521,7 +432,7 @@ impl<R: std::io::BufRead> RawStream<R> {
             heap: std::collections::BinaryHeap::new(),
             meta: crate::source::SourceMeta {
                 name: name.into(),
-                header: converted_header(dialect, Some(max_nodes)),
+                header: converted_header(dialect, max_nodes),
             },
             key: AnonymizationKey::default(),
             report: StreamReport::default(),
@@ -533,7 +444,7 @@ impl<R: std::io::BufRead> RawStream<R> {
             next_id: 1,
             last_submit: None,
             failed: false,
-            line: String::new(),
+            line: Vec::new(),
         }
     }
 
@@ -549,25 +460,30 @@ impl<R: std::io::BufRead> RawStream<R> {
     }
 
     /// Pull raw lines until the reorder window is full or input is exhausted.
-    fn fill(&mut self) -> Result<(), ConvertError> {
+    fn fill(&mut self) -> Result<(), ParseError> {
         while self.heap.len() < self.window {
             let Some(reader) = self.reader.as_mut() else {
                 return Ok(());
             };
             self.line.clear();
-            let n =
-                reader
-                    .read_line(&mut self.line)
-                    .map_err(|e| ConvertError::MalformedRecord {
-                        line: self.line_no + 1,
-                        reason: format!("i/o error: {e}"),
-                    })?;
+            let n = read_line_capped(reader, &mut self.line).map_err(|e| {
+                ConvertError::MalformedRecord {
+                    line: self.line_no + 1,
+                    reason: format!("i/o error: {e}"),
+                }
+            })?;
             if n == 0 {
                 self.reader = None;
                 return Ok(());
             }
             self.line_no += 1;
-            let trimmed = self.line.trim();
+            if n > MAX_LINE_BYTES {
+                return Err(ParseError::LineTooLong { line: self.line_no });
+            }
+            let Ok(text) = std::str::from_utf8(&self.line) else {
+                return Err(ParseError::InvalidUtf8 { line: self.line_no });
+            };
+            let trimmed = text.trim();
             if is_raw_comment(trimmed) {
                 continue;
             }
@@ -583,7 +499,7 @@ impl<R: std::io::BufRead> RawStream<R> {
                 }
                 Err(e) => {
                     if self.strict {
-                        return Err(e);
+                        return Err(e.into());
                     }
                     self.report.skipped += 1;
                 }
@@ -595,7 +511,7 @@ impl<R: std::io::BufRead> RawStream<R> {
     /// Turn the next pending raw job into a clean SWF record; `None` when it
     /// is dropped as hopeless.
     fn emit(&mut self, mut rj: RawJob) -> Result<Option<SwfRecord>, ConvertError> {
-        // Anonymize *before* the hopeless check: the materialized pipeline
+        // Anonymize *before* the hopeless check: converting the whole log
         // maps identifiers over every sorted record and only then cleans, so
         // skipping dropped records here would shift every later id.
         let user = rj.user.take().map(|u| self.key.users.map(&u));
@@ -672,19 +588,19 @@ impl<R: std::io::BufRead> crate::source::JobSource for RawStream<R> {
         &self.meta
     }
 
-    fn next_record(&mut self) -> Option<Result<SwfRecord, crate::error::ParseError>> {
+    fn next_record(&mut self) -> Option<Result<SwfRecord, ParseError>> {
         if self.failed {
             return None;
         }
         loop {
             if let Err(e) = self.fill() {
                 self.failed = true;
-                return Some(Err(e.into()));
+                return Some(Err(e));
             }
             let Some(std::cmp::Reverse(pending)) = self.heap.pop() else {
                 if self.parsed == 0 {
-                    // Materialized convert() rejects inputs with no parseable
-                    // records; so does the stream, once.
+                    // An input with no parseable record is an error,
+                    // reported once.
                     self.failed = true;
                     return Some(Err(ConvertError::EmptyLog.into()));
                 }
@@ -705,7 +621,77 @@ impl<R: std::io::BufRead> crate::source::JobSource for RawStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate;
+    use crate::log::SwfLog;
+    use crate::validate::{clean, validate};
+
+    /// What [`convert`] produces: the clean log, its anonymization key and
+    /// the number of raw lines skipped as unparseable.
+    #[derive(Debug)]
+    struct Conversion {
+        log: SwfLog,
+        key: AnonymizationKey,
+        skipped: usize,
+    }
+
+    /// The materialized converter [`RawStream`] is checked against: parse
+    /// every raw line, stable-sort by submit, rebase to the first submit,
+    /// anonymize in sorted order, then [`clean`] the whole log.
+    fn convert(
+        raw: &str,
+        dialect: Dialect,
+        max_nodes: u32,
+        opts: &ConvertOptions,
+    ) -> Result<Conversion, ConvertError> {
+        let mut raw_jobs: Vec<RawJob> = Vec::new();
+        let mut skipped = 0usize;
+        for (i, line) in raw.lines().enumerate() {
+            let trimmed = line.trim();
+            if is_raw_comment(trimmed) {
+                continue;
+            }
+            match parse_raw_line(trimmed, dialect, i + 1) {
+                Ok(j) => raw_jobs.push(j),
+                Err(e) if opts.strict => return Err(e),
+                Err(_) => skipped += 1,
+            }
+        }
+        if raw_jobs.is_empty() {
+            return Err(ConvertError::EmptyLog);
+        }
+        raw_jobs.sort_by_key(|j| j.submit);
+        let base = raw_jobs[0].submit;
+        let mut key = AnonymizationKey::default();
+        let mut jobs: Vec<SwfRecord> = Vec::with_capacity(raw_jobs.len());
+        for (idx, mut rj) in raw_jobs.into_iter().enumerate() {
+            rj.submit -= base;
+            if let Some(s) = rj.start.as_mut() {
+                *s -= base;
+            }
+            if let Some(e) = rj.end.as_mut() {
+                *e -= base;
+            }
+            let user = rj.user.clone();
+            let group = rj.group.clone();
+            let exe = rj.executable.clone();
+            let queue = rj.queue.clone();
+            let partition = rj.partition.clone();
+            let interactive = rj.interactive;
+            let mut rec = rj.into_record(idx as u64 + 1);
+            rec.user_id = user.map(|u| key.users.map(&u));
+            rec.group_id = group.map(|g| key.groups.map(&g));
+            rec.executable_id = exe.map(|e| key.executables.map(&e));
+            rec.queue_id = if interactive {
+                Some(0)
+            } else {
+                queue.map(|q| key.queues.map(&q))
+            };
+            rec.partition_id = partition.map(|p| key.partitions.map(&p));
+            jobs.push(rec);
+        }
+        let mut log = SwfLog::new(converted_header(dialect, max_nodes), jobs);
+        clean(&mut log);
+        Ok(Conversion { log, key, skipped })
+    }
 
     const NASA: &str = "\
 # jobid user exe nodes submit start runtime status
@@ -734,13 +720,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
 
     #[test]
     fn converts_nasa_dialect() {
-        let c = convert(
-            NASA,
-            Dialect::NasaIpsc,
-            Some(128),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let c = convert(NASA, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
         assert_eq!(c.log.len(), 3);
         assert_eq!(c.skipped, 0);
         assert!(validate(&c.log).is_clean());
@@ -763,7 +743,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         let c = convert(
             PARAGON,
             Dialect::SdscParagon,
-            Some(416),
+            416,
             &ConvertOptions::default(),
         )
         .unwrap();
@@ -781,7 +761,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
 
     #[test]
     fn converts_sp2_dialect() {
-        let c = convert(SP2, Dialect::CtcSp2, Some(430), &ConvertOptions::default()).unwrap();
+        let c = convert(SP2, Dialect::CtcSp2, 430, &ConvertOptions::default()).unwrap();
         assert_eq!(c.log.len(), 3);
         assert!(validate(&c.log).is_clean());
         assert_eq!(c.log.jobs[0].requested_time, Some(3600));
@@ -792,13 +772,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
 
     #[test]
     fn converts_cm5_dialect() {
-        let c = convert(
-            CM5,
-            Dialect::LanlCm5,
-            Some(1024),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let c = convert(CM5, Dialect::LanlCm5, 1024, &ConvertOptions::default()).unwrap();
         assert_eq!(c.log.len(), 3);
         assert!(validate(&c.log).is_clean());
         assert_eq!(c.log.jobs[0].allocated_procs, Some(32));
@@ -813,19 +787,13 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
     #[test]
     fn lenient_skips_garbage_strict_rejects() {
         let noisy = format!("{NASA}\nthis line is garbage\n");
-        let c = convert(
-            &noisy,
-            Dialect::NasaIpsc,
-            Some(128),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let c = convert(&noisy, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
         assert_eq!(c.log.len(), 3);
         assert_eq!(c.skipped, 1);
         let err = convert(
             &noisy,
             Dialect::NasaIpsc,
-            Some(128),
+            128,
             &ConvertOptions { strict: true },
         )
         .unwrap_err();
@@ -837,7 +805,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         let err = convert(
             "# nothing\n",
             Dialect::NasaIpsc,
-            None,
+            128,
             &ConvertOptions::default(),
         )
         .unwrap_err();
@@ -849,7 +817,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         let c = convert(
             PARAGON,
             Dialect::SdscParagon,
-            Some(416),
+            416,
             &ConvertOptions::default(),
         )
         .unwrap();
@@ -864,13 +832,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
 2 bob qcd 64 1100 1200 1200 ok
 1 alice cfd 32 1000 1010 600 ok
 ";
-        let c = convert(
-            shuffled,
-            Dialect::NasaIpsc,
-            Some(128),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let c = convert(shuffled, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
         assert!(c
             .log
             .jobs
@@ -890,7 +852,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         ];
         for &(raw, dialect, max_nodes) in fixtures {
             let materialized =
-                convert(raw, dialect, Some(max_nodes), &ConvertOptions::default()).unwrap();
+                convert(raw, dialect, max_nodes, &ConvertOptions::default()).unwrap();
             let stream = RawStream::new(
                 "s",
                 raw.as_bytes(),
@@ -919,13 +881,8 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
     fn streaming_replicates_anonymization_and_skip_counts() {
         use crate::source::JobSource;
         let noisy = format!("{NASA}\nthis line is garbage\n");
-        let materialized = convert(
-            &noisy,
-            Dialect::NasaIpsc,
-            Some(128),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let materialized =
+            convert(&noisy, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
         let mut stream = RawStream::new(
             "s",
             noisy.as_bytes(),
@@ -958,7 +915,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         };
         assert!(matches!(
             err,
-            crate::error::ParseError::Convert(ConvertError::MalformedRecord { .. })
+            ParseError::Convert(ConvertError::MalformedRecord { .. })
         ));
         assert!(strict.next_record().is_none(), "errors are terminal");
     }
@@ -970,13 +927,8 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
 2 bob qcd 64 1100 1200 1200 ok
 1 alice cfd 32 1000 1010 600 ok
 ";
-        let materialized = convert(
-            shuffled,
-            Dialect::NasaIpsc,
-            Some(128),
-            &ConvertOptions::default(),
-        )
-        .unwrap();
+        let materialized =
+            convert(shuffled, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
         let streamed = RawStream::with_window(
             "s",
             shuffled.as_bytes(),
@@ -1002,7 +954,7 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         .unwrap_err();
         assert!(matches!(
             err,
-            crate::error::ParseError::Convert(ConvertError::WindowExceeded { window: 1 })
+            ParseError::Convert(ConvertError::WindowExceeded { window: 1 })
         ));
     }
 
@@ -1015,8 +967,7 @@ job=1 user=u1 group=g1 class=batch submit=100 start=160 end=400 procs=16 complet
 job=2 user=u2 group=g1 class=batch submit=150 start=152 end=200 completion=ok
 job=3 user=u3 group=g2 class=batch submit=300 start=500 end=5500 procs=128 completion=ok
 ";
-        let materialized =
-            convert(raw, Dialect::CtcSp2, Some(430), &ConvertOptions::default()).unwrap();
+        let materialized = convert(raw, Dialect::CtcSp2, 430, &ConvertOptions::default()).unwrap();
         assert_eq!(materialized.log.len(), 2);
         let mut stream = RawStream::new(
             "s",
@@ -1051,11 +1002,24 @@ job=3 user=u3 group=g2 class=batch submit=300 start=500 end=5500 procs=128 compl
         );
         assert!(matches!(
             stream.next_record(),
-            Some(Err(crate::error::ParseError::Convert(
-                ConvertError::EmptyLog
-            )))
+            Some(Err(ParseError::Convert(ConvertError::EmptyLog)))
         ));
         assert!(stream.next_record().is_none());
+    }
+
+    #[test]
+    fn streaming_names_an_overlong_or_non_utf8_line() {
+        use crate::source::JobSource;
+        let endless = std::io::BufReader::new(std::io::repeat(b'x'));
+        let opts = ConvertOptions::default();
+        let mut stream = RawStream::new("s", endless, Dialect::NasaIpsc, 128, &opts);
+        let err = stream.next_record().unwrap().unwrap_err();
+        assert_eq!(err, ParseError::LineTooLong { line: 1 });
+        assert!(stream.next_record().is_none());
+        let raw = [NASA.as_bytes(), b"\xff\n"].concat();
+        let mut stream = RawStream::new("s", &raw[..], Dialect::NasaIpsc, 128, &opts);
+        let err = stream.next_record().unwrap().unwrap_err();
+        assert_eq!(err, ParseError::InvalidUtf8 { line: 5 });
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error types for SWF parsing, validation, and conversion.
 
+use crate::parse::MAX_LINE_BYTES;
 use std::fmt;
 
 /// An error produced while parsing an SWF file or a single SWF line.
@@ -57,8 +58,11 @@ pub enum ParseError {
         /// 1-based line number in the input.
         line: usize,
     },
-    /// The input was empty (no data lines at all) and the parser was asked to require jobs.
-    EmptyLog,
+    /// A line of the input is longer than [`crate::parse::MAX_LINE_BYTES`].
+    LineTooLong {
+        /// 1-based line number in the input.
+        line: usize,
+    },
     /// An I/O error occurred while reading the input.
     Io(String),
     /// A raw accounting-log dialect failed to convert (streaming conversion
@@ -100,7 +104,9 @@ impl fmt::Display for ParseError {
                 )
             }
             ParseError::InvalidUtf8 { line } => write!(f, "line {line}: invalid UTF-8"),
-            ParseError::EmptyLog => write!(f, "log contains no job records"),
+            ParseError::LineTooLong { line } => {
+                write!(f, "line {line}: longer than {MAX_LINE_BYTES} bytes")
+            }
             ParseError::Io(msg) => write!(f, "i/o error: {msg}"),
             ParseError::Convert(e) => write!(f, "{e}"),
         }

@@ -2,8 +2,10 @@
 //! the simulation's hot paths. Logs use it to renumber jobs
 //! ([`SwfLog::renumber`](crate::log::SwfLog::renumber)), to map old ids to
 //! new ones and find orphan partial lines and dangling dependencies in
-//! [`clean`](crate::validate::clean), and to drop repeated ids when a log
-//! becomes a simulator job list. The simulator (which re-exports this module
+//! [`clean`](crate::validate::clean), to hold the summary ids
+//! [`StreamingValidator`](crate::validate::StreamingValidator) checks
+//! dependencies against, and to drop repeated ids when a log becomes a
+//! simulator job list. The simulator (which re-exports this module
 //! as `psbench_sim::idhash`) uses it for the engine's running index,
 //! cancelled and online ids, dependents, wakeups and duplicate check, the
 //! queue's id indexes, and the conservative planners' slot and running maps.

@@ -65,8 +65,7 @@ pub mod prelude {
     pub use crate::anonymize::{densify_ids, AnonymizationKey, IdMap};
     pub use crate::checkpoint::{assemble, expand, Burst, BurstOutcome, CheckpointedJob};
     pub use crate::convert::{
-        convert, Conversion, ConvertOptions, Dialect, RawStream, StreamReport,
-        DEFAULT_REORDER_WINDOW,
+        ConvertOptions, Dialect, RawStream, StreamReport, DEFAULT_REORDER_WINDOW,
     };
     pub use crate::error::{ConvertError, OutageParseError, ParseError};
     pub use crate::header::{RequestedTimeKind, SwfHeader, FORMAT_VERSION};

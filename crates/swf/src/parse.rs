@@ -8,51 +8,54 @@
 //! are truncated, unknown completion codes).
 //!
 //! Files are read by [`RecordIter`], one line at a time into a buffer it
-//! reuses: its memory is the reader's buffer plus the longest line. Each line
-//! is checked for UTF-8 (an invalid one is [`ParseError::InvalidUtf8`] naming
-//! it). A data line is tokenized over its bytes: a plain integer token
-//! (`-?[0-9]{1,18}`) is accumulated directly and any other token goes through
-//! `str::parse`, so values and errors are those of the standard library's
-//! parsers.
+//! reuses: its memory is the reader's buffer plus one line of at most
+//! [`MAX_LINE_BYTES`] (a longer one is [`ParseError::LineTooLong`] naming it).
+//! Each line is checked for UTF-8 (an invalid one is
+//! [`ParseError::InvalidUtf8`] naming it). A data line is tokenized over its
+//! bytes: a plain integer token (`-?[0-9]{1,18}`) is accumulated directly and
+//! any other token goes through `str::parse`, so values and errors are those
+//! of the standard library's parsers.
 
 use crate::error::ParseError;
 use crate::log::SwfLog;
 use crate::record::{CompletionStatus, SwfRecord, FIELD_COUNT, UNKNOWN};
 use crate::source::{JobSource, SourceMeta};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// Options controlling parser behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParseOptions {
     /// In strict mode any deviation from the format is an error. In lenient mode the
     /// parser truncates fractional tokens, accepts unknown completion codes (mapping
-    /// them to unknown) and clamps other illegal negatives to unknown.
+    /// them to unknown), clamps other illegal negatives to unknown, and numbers a
+    /// line whose job id is 0 or negative by its position among the data lines.
     pub strict: bool,
-    /// If true, lines whose job id is 0 or missing get a sequential id assigned.
-    pub assign_missing_ids: bool,
-    /// If true, an input with zero data lines is an error.
-    pub require_jobs: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            strict: false,
-            assign_missing_ids: true,
-            require_jobs: false,
-        }
-    }
 }
 
 impl ParseOptions {
     /// Strict parsing: enforce the standard exactly.
     pub fn strict() -> Self {
-        ParseOptions {
-            strict: true,
-            assign_missing_ids: false,
-            require_jobs: false,
-        }
+        ParseOptions { strict: true }
     }
+}
+
+/// The longest line the trace readers ([`RecordIter`] and
+/// [`RawStream`](crate::convert::RawStream)) accept, its `\n` included. An
+/// 18-field SWF line needs under 1 KB; a longer line is
+/// [`ParseError::LineTooLong`], so an input without newlines fails after this
+/// many bytes instead of being read whole.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Append the next line of `reader`, through its `\n`, to `buf`, reading at
+/// most [`MAX_LINE_BYTES`] + 1 bytes: a return value above [`MAX_LINE_BYTES`]
+/// means the line is too long. 0 means the end of the input.
+pub(crate) fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)
 }
 
 /// Split a line into exactly `N` separator-delimited fields without touching
@@ -314,30 +317,23 @@ impl LineParser {
             Line::Data(text) => {
                 self.data_lines += 1;
                 let mut rec = parse_record_line(text, line_no, &self.opts)?;
-                if rec.job_id == 0 && self.opts.assign_missing_ids {
+                // Only lenient mode gets here with id 0: strict mode rejects
+                // a job id below 1.
+                if rec.job_id == 0 {
                     rec.job_id = self.data_lines as u64;
                 }
                 Ok(Some(rec))
             }
         }
     }
-
-    /// The end-of-input check: an input with zero data lines is an error when
-    /// the options require jobs.
-    fn finish(&self) -> Result<(), ParseError> {
-        if self.opts.require_jobs && self.data_lines == 0 {
-            return Err(ParseError::EmptyLog);
-        }
-        Ok(())
-    }
 }
 
 /// A bounded-memory incremental SWF parser: reads one line at a time from any
 /// [`BufRead`] and yields records as they are parsed, never holding more than
-/// the current line in memory.
+/// the current line, of at most [`MAX_LINE_BYTES`], in memory.
 ///
-/// Each line is checked for UTF-8: a line that is not valid UTF-8 is
-/// [`ParseError::InvalidUtf8`] naming it, and a failed read is
+/// A longer line is [`ParseError::LineTooLong`] naming it, a line that is not
+/// valid UTF-8 is [`ParseError::InvalidUtf8`] naming it, and a failed read is
 /// [`ParseError::Io`].
 ///
 /// `RecordIter` is the streaming half of the parser ([`parse_str`] and
@@ -397,7 +393,7 @@ impl<R: BufRead> RecordIter<R> {
         }
         loop {
             self.buf.clear();
-            let n = match self.reader.read_until(b'\n', &mut self.buf) {
+            let n = match read_line_capped(&mut self.reader, &mut self.buf) {
                 Ok(n) => n,
                 Err(e) => {
                     self.done = true;
@@ -406,13 +402,15 @@ impl<R: BufRead> RecordIter<R> {
             };
             if n == 0 {
                 self.done = true;
-                return match self.parser.finish() {
-                    Ok(()) => None,
-                    Err(e) => Some(Err(e)),
-                };
+                return None;
             }
             self.line_no += 1;
-            match self.parser.feed(&self.buf, self.line_no) {
+            let fed = if n > MAX_LINE_BYTES {
+                Err(ParseError::LineTooLong { line: self.line_no })
+            } else {
+                self.parser.feed(&self.buf, self.line_no)
+            };
+            match fed {
                 Ok(Some(rec)) => return Some(Ok(rec)),
                 Ok(None) => continue,
                 Err(e) => {
@@ -578,16 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn require_jobs_flags_empty() {
-        let opts = ParseOptions {
-            require_jobs: true,
-            ..ParseOptions::default()
-        };
-        let err = parse_str(";Computer: x\n", &opts).unwrap_err();
-        assert_eq!(err, ParseError::EmptyLog);
-    }
-
-    #[test]
     fn parse_reader_matches_parse_str() {
         let from_str = parse(SAMPLE).unwrap();
         let from_reader =
@@ -649,17 +637,36 @@ mod tests {
     }
 
     #[test]
-    fn record_iter_reports_empty_log_when_jobs_required() {
-        let opts = ParseOptions {
-            require_jobs: true,
-            ..ParseOptions::default()
-        };
-        let mut iter = RecordIter::new(";Computer: x\n".as_bytes(), opts);
-        assert_eq!(
-            iter.next_record().unwrap().unwrap_err(),
-            ParseError::EmptyLog
-        );
+    fn an_overlong_line_is_an_error_naming_it() {
+        // An input without newlines fails once the cap is passed.
+        let endless = std::io::BufReader::new(std::io::repeat(b'1'));
+        let mut iter = RecordIter::new(endless, ParseOptions::default());
+        let err = iter.next_record().unwrap().unwrap_err();
+        assert_eq!(err, ParseError::LineTooLong { line: 1 });
+        assert_eq!(err.to_string(), "line 1: longer than 65536 bytes");
+        assert_eq!(iter.line_no(), 1);
         assert!(iter.next_record().is_none());
+        // A line of exactly MAX_LINE_BYTES, its newline included, is read;
+        // one byte more is not.
+        let data = "1 0 -1 10 1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n";
+        let blank = |len: usize| format!("{}\n", " ".repeat(len - 1));
+        let input = [
+            data,
+            &blank(MAX_LINE_BYTES),
+            &blank(MAX_LINE_BYTES + 1),
+            data,
+        ]
+        .concat();
+        for capacity in [7, 8192] {
+            let reader = std::io::BufReader::with_capacity(capacity, input.as_bytes());
+            let mut iter = RecordIter::new(reader, ParseOptions::default());
+            assert_eq!(iter.next_record().unwrap().unwrap().job_id, 1);
+            assert_eq!(
+                iter.next_record().unwrap().unwrap_err(),
+                ParseError::LineTooLong { line: 3 }
+            );
+            assert!(iter.next_record().is_none());
+        }
     }
 
     #[test]

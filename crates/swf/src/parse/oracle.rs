@@ -63,7 +63,7 @@ impl<R: BufRead> ReferenceIter<R> {
             Line::Data(text) => {
                 self.data_lines += 1;
                 let mut rec = reference_record_line(text, line_no, &self.opts)?;
-                if rec.job_id == 0 && self.opts.assign_missing_ids {
+                if rec.job_id == 0 && !self.opts.strict {
                     rec.job_id = self.data_lines as u64;
                 }
                 Ok(Some(rec))
@@ -92,9 +92,6 @@ impl<R: BufRead> JobSource for ReferenceIter<R> {
             };
             if n == 0 {
                 self.done = true;
-                if self.opts.require_jobs && self.data_lines == 0 {
-                    return Some(Err(ParseError::EmptyLog));
-                }
                 return None;
             }
             self.line_no += 1;
@@ -248,10 +245,8 @@ fn check(input: &[u8], capacity: usize, interrupt: Option<usize>, opts: ParseOpt
 const CAPACITIES: [usize; 4] = [1, 7, 64, 8192];
 
 fn arb_opts() -> impl Strategy<Value = ParseOptions> {
-    (0u8..2, 0u8..2, 0u8..2).prop_map(|(strict, ids, require)| ParseOptions {
+    (0u8..2).prop_map(|strict| ParseOptions {
         strict: strict == 1,
-        assign_missing_ids: ids == 1,
-        require_jobs: require == 1,
     })
 }
 

@@ -13,7 +13,7 @@ use crate::log::SwfLog;
 use crate::record::{CompletionStatus, SwfRecord};
 use crate::source::JobSource;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A single consistency violation found in a log.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -159,9 +159,9 @@ mod rule {
 /// Cross-record state kept per stream: one `(id → runtime)` entry per summary
 /// record (for dependency-existence and checkpoint-chain rules), the partial
 /// runtime sums of checkpointed jobs, and the unresolved forward
-/// preceding-job references — tens of bytes per job instead of the whole
-/// record vector, which is what lets `psbench validate` run over archive-scale
-/// logs in bounded memory.
+/// preceding-job references — tens of bytes per summary job instead of the
+/// whole record vector. Memory therefore still grows linearly with the
+/// number of summary jobs.
 #[derive(Debug)]
 pub struct StreamingValidator {
     records: usize,
@@ -180,7 +180,7 @@ pub struct StreamingValidator {
     record_violations: Vec<(usize, u8, Violation)>,
     /// id → runtime of every summary record seen (last record wins for
     /// duplicated ids, matching the collected validator).
-    summaries: HashMap<u64, Option<i64>>,
+    summaries: IdMap<Option<i64>>,
     /// Preceding-job references that pointed at ids not seen yet: `(record
     /// index, job id, preceding id)`. Resolved against `summaries` at finish.
     pending_refs: Vec<(usize, u64, u64)>,
@@ -208,7 +208,7 @@ impl StreamingValidator {
             expected_id: 1,
             id_violations: Vec::new(),
             record_violations: Vec::new(),
-            summaries: HashMap::new(),
+            summaries: IdMap::default(),
             pending_refs: Vec::new(),
             partials: Vec::new(),
             partial_sums: BTreeMap::new(),

@@ -184,14 +184,9 @@ proptest! {
     fn record_iter_matches_parse_str_on_arbitrary_input(
         lines in prop::collection::vec(arb_swf_line(), 0..40),
         strict in prop_oneof![Just(false), Just(true)],
-        require_jobs in prop_oneof![Just(false), Just(true)],
     ) {
         let text = lines.join("\n");
-        let opts = ParseOptions {
-            strict,
-            require_jobs,
-            ..if strict { ParseOptions::strict() } else { ParseOptions::default() }
-        };
+        let opts = ParseOptions { strict };
         let oneshot = parse_str(&text, &opts);
         // Record-for-record comparison against the one-shot job list.
         let mut iter = RecordIter::new(text.as_bytes(), opts);

@@ -200,8 +200,8 @@ pub fn generate_raw_log(profile: &RawLogProfile, n_jobs: usize, seed: u64) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psbench_swf::convert::{convert, ConvertOptions};
-    use psbench_swf::validate;
+    use psbench_swf::convert::{ConvertOptions, RawStream};
+    use psbench_swf::{validate, JobSource};
 
     #[test]
     fn canonical_profiles_cover_all_dialects() {
@@ -219,18 +219,21 @@ mod tests {
             let profile = RawLogProfile::canonical(d);
             let raw = generate_raw_log(&profile, 300, 7);
             assert!(!raw.is_empty());
-            let conv = convert(
-                &raw,
+            let mut stream = RawStream::new(
+                d.name(),
+                raw.as_bytes(),
                 d,
-                Some(profile.machine_size),
+                profile.machine_size,
                 &ConvertOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("dialect {d:?}: {e}"));
-            assert_eq!(conv.skipped, 0, "dialect {d:?} skipped lines");
-            assert_eq!(conv.log.len(), 300, "dialect {d:?}");
-            assert!(validate(&conv.log).is_clean(), "dialect {d:?}");
+            );
+            let log = (&mut stream)
+                .collect_log()
+                .unwrap_or_else(|e| panic!("dialect {d:?}: {e}"));
+            assert_eq!(stream.report().skipped, 0, "dialect {d:?} skipped lines");
+            assert_eq!(log.len(), 300, "dialect {d:?}");
+            assert!(validate(&log).is_clean(), "dialect {d:?}");
             // identities were anonymized into dense ranges
-            assert!(conv.key.users.len() > 1);
+            assert!(stream.key().users.len() > 1);
         }
     }
 

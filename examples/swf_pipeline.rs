@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example swf_pipeline`
 
-use psbench::swf::convert::{convert, ConvertOptions, Dialect};
-use psbench::swf::{validate, write_string};
+use psbench::swf::convert::{ConvertOptions, Dialect, RawStream};
+use psbench::swf::{validate, write_string, JobSource};
 use psbench::workload::{generate_raw_log, OutageGenerator, RawLogProfile};
 
 fn main() {
@@ -12,29 +12,31 @@ fn main() {
     for &dialect in Dialect::all() {
         let profile = RawLogProfile::canonical(dialect);
         let raw = generate_raw_log(&profile, 1_000, 7);
-        let conv = convert(
-            &raw,
+        let mut stream = RawStream::new(
+            dialect.name(),
+            raw.as_bytes(),
             dialect,
-            Some(profile.machine_size),
+            profile.machine_size,
             &ConvertOptions::default(),
-        )
-        .expect("conversion succeeds");
-        let report = validate(&conv.log);
+        );
+        let log = (&mut stream).collect_log().expect("conversion succeeds");
+        let report = validate(&log);
+        let cleaning = stream.report();
         println!(
             "{:>14}: {} raw lines -> {} SWF jobs, {} users, {} executables, {} violations, cleaned: dropped={} clamped_procs={}",
             dialect.name(),
             raw.lines().count(),
-            conv.log.len(),
-            conv.key.users.len(),
-            conv.key.executables.len(),
+            log.len(),
+            stream.key().users.len(),
+            stream.key().executables.len(),
             report.violations.len(),
-            conv.cleaning.dropped,
-            conv.cleaning.clamped_procs,
+            cleaning.dropped,
+            cleaning.clamped_procs,
         );
         // The converted log round-trips through the textual format.
-        let text = write_string(&conv.log);
+        let text = write_string(&log);
         let back = psbench::swf::parse(&text).unwrap();
-        assert_eq!(back.jobs, conv.log.jobs);
+        assert_eq!(back.jobs, log.jobs);
     }
 
     println!("\n== the standard outage format (Section 2.2) ==");

@@ -98,7 +98,7 @@ SUBCOMMANDS:
                                        file inputs stream in bounded memory
     compare  <REFERENCE> <CANDIDATE>   KS/EMD/chi2/AD fidelity of a workload vs a reference trace
     validate <INPUT>                   check conformance to the SWF standard,
-                                       streaming in bounded memory
+                                       streaming; keeps an id and a runtime per job
     convert  --dialect <D> <RAWFILE>   convert a raw accounting log to SWF, streaming
                                        (dialects: nasa-ipsc860, sdsc-paragon, ctc-sp2, lanl-cm5)
     simulate <INPUT>                   run a trace through a scheduler, report metrics
@@ -535,8 +535,8 @@ fn cmd_validate(opts: &Opts) -> Result<ExitCode, String> {
     let name = source.meta().name.clone();
     // The per-record rules run incrementally over the stream; only the
     // minimal cross-record state (summary ids and runtimes, partial sums,
-    // unresolved dependency references) is retained, so archive-scale logs
-    // validate in bounded memory.
+    // unresolved dependency references) is retained, so memory grows by an
+    // id and a runtime per summary job, never by whole records.
     let report = validate_source(source).map_err(stream_err(spec))?;
     let mut table = Table::new(
         format!("SWF conformance — {name}"),

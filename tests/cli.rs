@@ -366,6 +366,24 @@ fn validate_names_the_line_that_is_not_utf8() {
 }
 
 #[test]
+fn validate_names_a_line_too_long_to_read() {
+    // ~100 KB and no newline: the reader stops at its line cap.
+    let path = scratch("no-newline.swf");
+    std::fs::write(&path, "1 ".repeat(50_000)).unwrap();
+    let out = psbench(&["validate", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "{}\": line 1: longer than 65536 bytes",
+            path.display()
+        )),
+        "{stderr}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn convert_emits_swf_that_validates() {
     let raw = scratch("raw.log");
     std::fs::write(
