@@ -14,7 +14,7 @@ use psbench_metasim::{
     coallocate_via_queues, coallocate_via_reservations, standard_metasystem, CoallocationRequest,
 };
 use psbench_metrics::{
-    compare_workloads, rank_by_weighted, workload_features, Objective, WeightedObjective,
+    compare_workloads, rank_by, workload_features, Objective, WeightedObjective,
 };
 use psbench_sched::by_name;
 use psbench_sim::{SimConfig, SimJob, Simulation};
@@ -143,7 +143,8 @@ pub fn e2_objective_weights(scale: Scale) -> Table {
     let n = scale.sweep_points.max(3);
     for i in 0..=n {
         let w = i as f64 / n as f64;
-        let ranking = rank_by_weighted(&results, &WeightedObjective::with_user_weight(w));
+        let objective = WeightedObjective::with_user_weight(w);
+        let ranking = rank_by(&results, |agg, sys| objective.badness(agg, sys));
         table.push_row(vec![fmt(w), ranking[0].clone(), ranking[1].clone()]);
     }
     table

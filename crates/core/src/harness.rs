@@ -24,17 +24,12 @@ pub fn fmt(v: f64) -> String {
 // cycle; re-exported here so existing callers keep their import paths.
 pub use psbench_harness::{default_threads, parallel_map, parallel_map_mut};
 
-/// Run a batch of scenarios sequentially, returning `(scenario, result)` pairs in
-/// input order.
-pub fn run_all(scenarios: &[Scenario]) -> Vec<(Scenario, SimulationResult)> {
-    scenarios.iter().map(|s| (s.clone(), s.run())).collect()
-}
-
 /// Run a batch of scenarios on a work-stealing pool of `threads` scoped
-/// threads; results come back in input order.
+/// threads (one runs them in turn on the caller's thread); results come back
+/// in input order.
 ///
 /// Every scenario carries its own workload seed, so a run is a pure function
-/// of the scenario and the results are bit-identical to [`run_all`].
+/// of the scenario and the results are bit-identical for any thread count.
 pub fn run_all_parallel(
     scenarios: &[Scenario],
     threads: usize,
@@ -179,7 +174,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_runs_agree() {
         let scenarios = small_scenarios();
-        let seq = run_all(&scenarios);
+        let seq = run_all_parallel(&scenarios, 1);
         let par = run_all_parallel(&scenarios, 3);
         assert_eq!(seq.len(), par.len());
         for ((s_a, r_a), (s_b, r_b)) in seq.iter().zip(par.iter()) {
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn results_table_has_a_row_per_scenario() {
-        let results = run_all(&small_scenarios());
+        let results = run_all_parallel(&small_scenarios(), 1);
         let table = results_table("smoke", &results);
         assert_eq!(table.rows.len(), 3);
         assert_eq!(table.headers.len(), 8);

@@ -26,11 +26,10 @@ pub mod prelude {
     pub use crate::experiments::{experiment_ids, run_experiment, Scale};
     pub use crate::harness::{
         default_threads, fmt, parallel_map, parallel_map_mut, profile_source_parallel,
-        results_table, run_all, run_all_parallel, Format, Table, PROFILE_BLOCK_LEN,
+        results_table, run_all_parallel, Format, Table, PROFILE_BLOCK_LEN,
     };
     pub use crate::suite::{
-        canonical_machines, canonical_schedulers, canonical_suite, Scenario, WorkloadDef,
-        WorkloadKind,
+        canonical_schedulers, canonical_suite, Scenario, WorkloadDef, WorkloadKind,
     };
     pub use crate::sweep::{
         cell_key, run_sweep_resumable, sweep_key, trace_cell_key, GridSpec, SweepOutcome,
@@ -38,3 +37,20 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn standard_lineup_is_a_subset_of_the_registry() {
+        // Every policy in the benchmark line-up must be reachable by name, so
+        // the registry (and thus CLI help) can never lag behind the line-up.
+        let names = psbench_sched::scheduler_names();
+        assert_eq!(canonical_schedulers().len(), 6);
+        for &name in canonical_schedulers() {
+            assert!(names.contains(&name), "{name} missing from registry");
+            assert_eq!(psbench_sched::by_name(name, 128).unwrap().name(), name);
+        }
+    }
+}

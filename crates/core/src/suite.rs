@@ -161,11 +161,6 @@ pub fn canonical_suite(jobs: usize) -> Vec<WorkloadDef> {
         .collect()
 }
 
-/// The canonical machine sizes for the WARMstones-style scenario table (E8).
-pub fn canonical_machines() -> &'static [u32] {
-    &[64, 128, 256]
-}
-
 /// The canonical scheduler line-up (registry names).
 pub fn canonical_schedulers() -> &'static [&'static str] {
     &["fcfs", "sjf", "greedy-fcfs", "easy", "conservative", "gang"]
@@ -234,7 +229,6 @@ mod tests {
             vec!["feitelson96", "jann97", "downey97", "lublin99", "sessions"]
         );
         assert!(suite.iter().all(|d| d.machine_size == 128));
-        assert_eq!(canonical_machines().len(), 3);
         assert_eq!(canonical_schedulers().len(), 6);
     }
 }

@@ -169,8 +169,7 @@ pub fn run_sweep_resumable(
     limit: Option<usize>,
 ) -> io::Result<SweepOutcome> {
     let keys: Vec<u128> = scenarios.iter().map(cell_key).collect();
-    let ledger = SweepLedger::open(store, sweep_key(name, &keys))?;
-    let journaled = ledger.replay()?;
+    let (ledger, journaled) = SweepLedger::open(store, sweep_key(name, &keys))?;
 
     let todo: Vec<usize> = (0..scenarios.len())
         .filter(|&i| !store.has(ArtifactKind::Result, keys[i]))
@@ -250,7 +249,7 @@ pub fn run_sweep_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{results_table, run_all, Format};
+    use crate::harness::{results_table, run_all_parallel, Format};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("psbench-sweep-{name}-{}", std::process::id()));
@@ -303,7 +302,7 @@ mod tests {
         let dir = scratch("resume");
         let store = ArtifactStore::open(&dir).unwrap();
         let cells = small_grid().enumerate();
-        let direct = results_table("t", &run_all(&cells));
+        let direct = results_table("t", &run_all_parallel(&cells, 1));
 
         // Interrupted run: compute only 5 of the 16 cells, then "die".
         let partial = run_sweep_resumable("demo", &cells, &store, 4, Some(5)).unwrap();

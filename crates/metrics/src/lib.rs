@@ -32,11 +32,11 @@ pub mod prelude {
     };
     pub use crate::job::{outcomes_from_log, JobOutcome, BOUNDED_SLOWDOWN_THRESHOLD};
     pub use crate::objective::{
-        objectives_disagree, rank_by_objective, rank_by_weighted, Objective, SchedulerResult,
+        objectives_disagree, rank_by, rank_by_objective, Objective, SchedulerResult,
         WeightedObjective,
     };
     pub use crate::stats::{
-        compare_workloads, moments, pearson_correlation, workload_features, ComparisonMatrix, Ecdf,
+        compare_workloads, moments, pearson_correlation, workload_features, ComparisonMatrix,
         Moments, WorkloadFeatures,
     };
     pub use crate::system::{

@@ -142,12 +142,17 @@ pub struct SchedulerResult {
     pub system: SystemMetrics,
 }
 
-/// Rank schedulers under a single-metric objective; best first. Ties keep input order.
-pub fn rank_by_objective(results: &[SchedulerResult], objective: Objective) -> Vec<String> {
+/// Rank schedulers best first under a badness score in which smaller is
+/// better, such as [`Objective::badness`] or [`WeightedObjective::badness`].
+/// Ties keep input order.
+pub fn rank_by(
+    results: &[SchedulerResult],
+    badness: impl Fn(&AggregateMetrics, &SystemMetrics) -> f64,
+) -> Vec<String> {
     let mut indexed: Vec<(usize, f64)> = results
         .iter()
         .enumerate()
-        .map(|(i, r)| (i, objective.badness(&r.aggregate, &r.system)))
+        .map(|(i, r)| (i, badness(&r.aggregate, &r.system)))
         .collect();
     indexed.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
@@ -160,22 +165,9 @@ pub fn rank_by_objective(results: &[SchedulerResult], objective: Objective) -> V
         .collect()
 }
 
-/// Rank schedulers under a weighted objective; best first.
-pub fn rank_by_weighted(results: &[SchedulerResult], objective: &WeightedObjective) -> Vec<String> {
-    let mut indexed: Vec<(usize, f64)> = results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (i, objective.badness(&r.aggregate, &r.system)))
-        .collect();
-    indexed.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    indexed
-        .into_iter()
-        .map(|(i, _)| results[i].name.clone())
-        .collect()
+/// Rank schedulers under a single-metric objective; best first.
+pub fn rank_by_objective(results: &[SchedulerResult], objective: Objective) -> Vec<String> {
+    rank_by(results, |agg, sys| objective.badness(agg, sys))
 }
 
 /// Report whether two objectives *disagree* on the relative order of any pair of
@@ -274,8 +266,11 @@ mod tests {
             result("A", 200.0, 90.0, 0.95),
             result("B", 100.0, 10.0, 0.6),
         ];
-        let user_heavy = rank_by_weighted(&results, &WeightedObjective::with_user_weight(1.0));
-        let system_heavy = rank_by_weighted(&results, &WeightedObjective::with_user_weight(0.0));
+        let rank = |w: f64| {
+            let objective = WeightedObjective::with_user_weight(w);
+            rank_by(&results, |agg, sys| objective.badness(agg, sys))
+        };
+        let (user_heavy, system_heavy) = (rank(1.0), rank(0.0));
         assert_eq!(user_heavy, vec!["B", "A"]);
         assert_eq!(system_heavy, vec!["A", "B"]);
     }

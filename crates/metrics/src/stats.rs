@@ -3,72 +3,13 @@
 //! Section 2.1 of the paper cites a statistical comparison of workload models and
 //! logs ("comparing logs and models ... using the co-plot method" \[58\]) and the
 //! model-selection question ("Lublin is relatively representative"). This module
-//! provides the machinery experiment E3 needs: empirical CDFs, Kolmogorov–Smirnov
-//! distances, moments, correlations, and a normalized multi-workload comparison
-//! matrix in the spirit of co-plot.
+//! provides the machinery experiment E3 needs: moments, correlations, and a
+//! normalized multi-workload comparison matrix in the spirit of co-plot.
+//! Distribution distances (Kolmogorov–Smirnov and friends) live in
+//! `psbench_analyze::distance`, over the mergeable sketches that `psbench
+//! compare` and experiment E10 build.
 
 use serde::{Deserialize, Serialize};
-
-/// An empirical cumulative distribution function over a finite sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Build an ECDF from a sample; non-finite values are dropped.
-    pub fn new(values: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Ecdf { sorted }
-    }
-
-    /// Number of points in the sample.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The fraction of the sample that is ≤ `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// The `q`-quantile (q in `[0,1]`) of the sample.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.sorted.len() - 1) as f64 * q).round() as usize;
-        self.sorted[idx]
-    }
-
-    /// Kolmogorov–Smirnov distance between two ECDFs: the maximum absolute
-    /// difference of the two distribution functions, evaluated at all sample points.
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        if self.is_empty() || other.is_empty() {
-            return if self.is_empty() && other.is_empty() {
-                0.0
-            } else {
-                1.0
-            };
-        }
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
-}
 
 /// First four standardized moments of a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -320,43 +261,6 @@ impl ComparisonMatrix {
 mod tests {
     use super::*;
     use psbench_swf::{SwfHeader, SwfLog, SwfRecord};
-
-    #[test]
-    fn ecdf_eval_and_quantile() {
-        let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.len(), 4);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(2.0), 0.5);
-        assert_eq!(e.eval(10.0), 1.0);
-        assert_eq!(e.quantile(0.0), 1.0);
-        assert_eq!(e.quantile(1.0), 4.0);
-        assert!(!e.is_empty());
-    }
-
-    #[test]
-    fn ecdf_handles_empty_and_nonfinite() {
-        let e = Ecdf::new(&[f64::NAN, f64::INFINITY]);
-        assert!(e.is_empty() || e.len() == 1); // infinity kept? it's not finite -> dropped
-        assert_eq!(Ecdf::new(&[]).eval(1.0), 0.0);
-        assert_eq!(Ecdf::new(&[]).quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn ks_distance_properties() {
-        let a = Ecdf::new(&[1.0, 2.0, 3.0]);
-        let b = Ecdf::new(&[1.0, 2.0, 3.0]);
-        let c = Ecdf::new(&[100.0, 200.0, 300.0]);
-        assert_eq!(a.ks_distance(&b), 0.0);
-        assert_eq!(a.ks_distance(&c), 1.0);
-        let d = Ecdf::new(&[1.0, 2.0, 300.0]);
-        let dist = a.ks_distance(&d);
-        assert!(dist > 0.0 && dist < 1.0);
-        // symmetry
-        assert!((a.ks_distance(&d) - d.ks_distance(&a)).abs() < 1e-12);
-        // empty cases
-        assert_eq!(Ecdf::new(&[]).ks_distance(&Ecdf::new(&[])), 0.0);
-        assert_eq!(a.ks_distance(&Ecdf::new(&[])), 1.0);
-    }
 
     #[test]
     fn moments_of_known_sample() {

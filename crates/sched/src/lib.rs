@@ -46,26 +46,12 @@ pub mod prelude {
     pub use crate::gang::{GangScheduler, Packing};
     pub use crate::probe::{probe_start, LiveSim, Prediction, ProbeError};
     pub use crate::queue_order::{Fcfs, Order, SortedGreedy};
-    pub use crate::{by_name, scheduler_names, standard_schedulers, UnknownScheduler};
+    pub use crate::{by_name, scheduler_names, UnknownScheduler};
 }
 
 pub use prelude::*;
 
 use psbench_sim::Scheduler;
-
-/// The standard scheduler line-up used by the benchmark suite and the WARMstones-
-/// style scenario table (experiment E8), instantiated for a machine of the given
-/// size.
-pub fn standard_schedulers(machine_size: u32) -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Fcfs),
-        Box::new(SortedGreedy::sjf()),
-        Box::new(SortedGreedy::greedy_fcfs()),
-        Box::new(EasyBackfill::default()),
-        Box::new(ConservativeBackfill::default()),
-        Box::new(GangScheduler::new(machine_size, 4, Packing::FirstFit)),
-    ]
-}
 
 /// Constructor of one registered scheduler, from a machine size.
 type SchedulerCtor = fn(u32) -> Box<dyn Scheduler>;
@@ -141,7 +127,7 @@ mod tests {
     use psbench_sim::{SimConfig, SimJob, Simulation};
 
     #[test]
-    fn standard_schedulers_all_run() {
+    fn every_registered_scheduler_runs() {
         let jobs: Vec<SimJob> = (0..100)
             .map(|i| {
                 SimJob::rigid(
@@ -152,11 +138,10 @@ mod tests {
                 )
             })
             .collect();
-        let mut scheds = standard_schedulers(64);
-        assert_eq!(scheds.len(), 6);
-        for s in scheds.iter_mut() {
+        for name in scheduler_names() {
+            let mut s = by_name(name, 64).unwrap();
             let result = Simulation::new(SimConfig::new(64), jobs.clone()).run(s.as_mut());
-            assert_eq!(result.finished.len(), 100, "{}", s.name());
+            assert_eq!(result.finished.len(), 100, "{name}");
         }
     }
 
@@ -165,20 +150,6 @@ mod tests {
         for name in scheduler_names() {
             let s = by_name(name, 128).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(s.name(), name);
-        }
-    }
-
-    #[test]
-    fn standard_lineup_is_a_subset_of_the_registry() {
-        // Every policy in the benchmark line-up must be reachable by name, so
-        // the registry (and thus CLI help) can never lag behind the line-up.
-        let names = scheduler_names();
-        for s in standard_schedulers(64) {
-            assert!(
-                names.iter().any(|n| *n == s.name()),
-                "{} missing from registry",
-                s.name()
-            );
         }
     }
 

@@ -52,44 +52,19 @@ impl Transcript {
     }
 }
 
-/// Retry policy for [`run_script_with`]: how many times to retry a failed
-/// connect or a busy hello, with exponential backoff between attempts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Number of *retries* after the first attempt (0 = fail fast).
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles on each subsequent one.
-    pub base: Duration,
-    /// Ceiling on the computed backoff (a server `retry-after=` hint may
-    /// still exceed it).
-    pub cap: Duration,
-}
+/// Backoff before the first retry of [`run_script_with`]; it doubles on each
+/// subsequent one.
+const RETRY_BASE: Duration = Duration::from_millis(50);
 
-impl RetryPolicy {
-    /// No retries: behave exactly like [`run_script`].
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 0,
-            base: Duration::ZERO,
-            cap: Duration::ZERO,
-        }
-    }
+/// Ceiling on the computed backoff (a server `retry-after=` hint may still
+/// exceed it).
+const RETRY_CAP: Duration = Duration::from_secs(2);
 
-    /// `attempts` retries starting at 50 ms, doubling, capped at 2 s.
-    pub fn quick(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            attempts,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-        }
-    }
-
-    /// Backoff before retry number `attempt` (0-based).
-    fn delay(&self, attempt: u32) -> Duration {
-        self.base
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.cap)
-    }
+/// Backoff before retry number `attempt` (0-based).
+fn backoff(attempt: u32) -> Duration {
+    RETRY_BASE
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(RETRY_CAP)
 }
 
 /// The `retry-after=<secs>` hint in an `err busy …` reply, if present.
@@ -115,17 +90,15 @@ where
     A: ToSocketAddrs,
     S: AsRef<str>,
 {
-    run_script_with(addr, script, RetryPolicy::none())
+    run_script_with(addr, script, 0)
 }
 
-/// [`run_script`] with retry/backoff on connect failures and on an
-/// `err busy retry-after=<secs>` reply to the script's *first* command (the
-/// hello — nothing has been applied yet, so restarting the script is safe).
-pub fn run_script_with<A, S>(
-    addr: A,
-    script: &[S],
-    retry: RetryPolicy,
-) -> std::io::Result<Transcript>
+/// [`run_script`] with up to `retries` retries, with exponential backoff
+/// (50 ms, doubling, capped at 2 s), on connect failures and on an `err busy
+/// retry-after=<secs>` reply to the script's *first* command (the hello —
+/// nothing has been applied yet, so restarting the script is safe). Zero
+/// retries fails fast, exactly like [`run_script`].
+pub fn run_script_with<A, S>(addr: A, script: &[S], retries: u32) -> std::io::Result<Transcript>
 where
     A: ToSocketAddrs,
     S: AsRef<str>,
@@ -135,16 +108,16 @@ where
         match try_run_script(&addr, script) {
             Ok((transcript, None)) => return Ok(transcript),
             Ok((transcript, Some(retry_after))) => {
-                if attempt >= retry.attempts {
+                if attempt >= retries {
                     return Ok(transcript);
                 }
-                std::thread::sleep(retry.delay(attempt).max(retry_after));
+                std::thread::sleep(backoff(attempt).max(retry_after));
             }
             Err(e) => {
-                if attempt >= retry.attempts {
+                if attempt >= retries {
                     return Err(e);
                 }
-                std::thread::sleep(retry.delay(attempt));
+                std::thread::sleep(backoff(attempt));
             }
         }
         attempt += 1;
@@ -291,10 +264,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let retry = RetryPolicy::quick(5);
-        assert_eq!(retry.delay(0), Duration::from_millis(50));
-        assert_eq!(retry.delay(1), Duration::from_millis(100));
-        assert_eq!(retry.delay(10), Duration::from_secs(2));
-        assert_eq!(RetryPolicy::none().delay(3), Duration::ZERO);
+        assert_eq!(backoff(0), Duration::from_millis(50));
+        assert_eq!(backoff(1), Duration::from_millis(100));
+        assert_eq!(backoff(10), Duration::from_secs(2));
+        assert_eq!(backoff(u32::MAX), RETRY_CAP);
     }
 }

@@ -63,7 +63,8 @@
 //! * The first command must be `hello` with protocol version 1 (`bye` is
 //!   also allowed). Anything else is an `err`, and the connection stays
 //!   usable. A server at capacity replies `err busy retry-after=<secs> …`;
-//!   the bundled client backs off and retries ([`client::RetryPolicy`]).
+//!   the bundled client backs off and retries ([`client::run_script_with`],
+//!   `psbench client --retries N`).
 //! * `hello session=<name>` attaches to (or creates) a **named session**.
 //!   Disconnecting without `drain` detaches it: reconnect with the same name
 //!   to resume — across a server crash, when journaling is on. A connection
@@ -112,7 +113,7 @@ pub mod shard;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::client::{
-        run_pipelined, run_script, run_script_with, CapturedPayload, RetryPolicy, Transcript,
+        run_pipelined, run_script, run_script_with, CapturedPayload, Transcript,
     };
     pub use crate::clock::{ClockMode, SessionClock};
     pub use crate::protocol::{

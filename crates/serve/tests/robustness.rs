@@ -277,9 +277,7 @@ fn busy_servers_are_retried_by_the_client() {
         "drain",
         "bye",
     ];
-    let transcript =
-        psbench_serve::run_script_with(addr, &script, psbench_serve::RetryPolicy::quick(5))
-            .expect("script with retries");
+    let transcript = psbench_serve::run_script_with(addr, &script, 5).expect("script with retries");
     release.join().unwrap();
     assert!(
         transcript.replies[0].starts_with("ok hello"),

@@ -4,8 +4,8 @@
 //! append-only text file of `cell <cell-key> <result-fingerprint>` lines, one
 //! per completed cell, flushed after every append — after a `SIGKILL` the
 //! ledger holds every cell whose line made it into the `write` syscall, plus
-//! at most one torn final line, which opening the ledger truncates away and
-//! [`SweepLedger::replay`] would skip anyway.
+//! at most one torn final line, which opening the ledger truncates away.
+//! [`SweepLedger::open`] reads the file once and returns the journaled cells.
 //!
 //! The file handling is the shared [`crate::journal`] machinery (the same
 //! code serve session logs recover through), so a failed append rolls back
@@ -25,7 +25,6 @@ use crate::fnv::{key_hex, parse_key_hex};
 use crate::journal::{FsyncPolicy, Journal};
 use crate::store::{ArtifactKind, ArtifactStore};
 use std::collections::BTreeMap;
-use std::fs;
 use std::io;
 
 /// The append-only journal of one sweep's completed cells.
@@ -35,16 +34,25 @@ pub struct SweepLedger {
 }
 
 impl SweepLedger {
-    /// Open (creating if needed) the ledger for `sweep_key` in `store`.
-    /// An unterminated torn tail left by a kill is truncated here.
-    pub fn open(store: &ArtifactStore, sweep_key: u128) -> io::Result<SweepLedger> {
+    /// Open (creating if needed) the ledger for `sweep_key` in `store`, and
+    /// return it with every journaled cell and its result fingerprint, from
+    /// one read of the file. An unterminated torn tail left by a kill is
+    /// truncated here. A complete line that does not parse (bitrot, say) is
+    /// skipped, never an error: the ledger is a hint, not the source of
+    /// truth. A later line for the same cell wins.
+    pub fn open(
+        store: &ArtifactStore,
+        sweep_key: u128,
+    ) -> io::Result<(SweepLedger, BTreeMap<u128, u64>)> {
         let path = store.path(ArtifactKind::Ledger, sweep_key);
-        // Ledger lines are tolerated malformed (see `replay`), so recovery
-        // accepts every complete line and keeps nothing of it; flush-only
-        // durability matches the ledger's contract (survive process death,
-        // not power loss).
-        let (journal, _) = Journal::recover(path, FsyncPolicy::Never, |_| Some(()))?;
-        Ok(SweepLedger { journal })
+        // Recovery accepts every complete line (a malformed one as `None`),
+        // so only the unterminated tail is cut; flush-only durability
+        // matches the ledger's contract (survive process death, not power
+        // loss).
+        let (journal, lines) =
+            Journal::recover(path, FsyncPolicy::Never, |line| Some(parse_cell(line)))?;
+        let cells = lines.into_iter().flatten().collect();
+        Ok((SweepLedger { journal }, cells))
     }
 
     /// The ledger's on-disk path.
@@ -60,37 +68,23 @@ impl SweepLedger {
             key_hex(cell_key)
         ))
     }
+}
 
-    /// Replay the journal: every completed cell and its result fingerprint.
-    /// Malformed lines (at most a torn tail after a kill) are skipped, never
-    /// an error. A later line for the same cell wins.
-    pub fn replay(&self) -> io::Result<BTreeMap<u128, u64>> {
-        let text = match fs::read_to_string(self.journal.path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-            Err(e) => return Err(e),
-        };
-        let mut cells = BTreeMap::new();
-        for line in text.lines() {
-            let mut parts = line.split_ascii_whitespace();
-            let parsed = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                (Some("cell"), Some(key), Some(fp), None) => {
-                    parse_key_hex(key).zip(u64::from_str_radix(fp, 16).ok())
-                }
-                _ => None,
-            };
-            if let Some((key, fp)) = parsed {
-                cells.insert(key, fp);
-            }
+/// The cell key and result fingerprint of a `cell <key> <fingerprint>` line.
+fn parse_cell(line: &str) -> Option<(u128, u64)> {
+    let mut parts = line.split_ascii_whitespace();
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some("cell"), Some(key), Some(fp), None) => {
+            parse_key_hex(key).zip(u64::from_str_radix(fp, 16).ok())
         }
-        Ok(cells)
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs::OpenOptions;
+    use std::fs::{self, OpenOptions};
     use std::io::Write;
     use std::path::PathBuf;
 
@@ -101,23 +95,33 @@ mod tests {
         dir
     }
 
+    /// The cells a fresh open of the ledger replays.
+    fn replay(store: &ArtifactStore, sweep_key: u128) -> BTreeMap<u128, u64> {
+        SweepLedger::open(store, sweep_key).unwrap().1
+    }
+
     #[test]
     fn record_then_replay_round_trips() {
         let dir = scratch("roundtrip");
         let store = ArtifactStore::open(&dir).unwrap();
-        let ledger = SweepLedger::open(&store, 7).unwrap();
+        let (ledger, cells) = SweepLedger::open(&store, 7).unwrap();
+        assert!(cells.is_empty());
         ledger.record(10, 0xaaaa).unwrap();
         ledger.record(11, 0xbbbb).unwrap();
-        let cells = ledger.replay().unwrap();
+        drop(ledger);
+        let (ledger, cells) = SweepLedger::open(&store, 7).unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[&10], 0xaaaa);
         assert_eq!(cells[&11], 0xbbbb);
 
-        // Reopening appends rather than truncating.
-        drop(ledger);
-        let ledger = SweepLedger::open(&store, 7).unwrap();
+        // Reopening appends rather than truncating, and a later line for the
+        // same cell wins.
         ledger.record(12, 0xcccc).unwrap();
-        assert_eq!(ledger.replay().unwrap().len(), 3);
+        ledger.record(10, 0xdddd).unwrap();
+        drop(ledger);
+        let cells = replay(&store, 7);
+        assert_eq!(cells.len(), 3);
+        assert_eq!(cells[&10], 0xdddd);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -125,7 +129,7 @@ mod tests {
     fn ledger_lines_keep_the_historic_byte_format() {
         let dir = scratch("format");
         let store = ArtifactStore::open(&dir).unwrap();
-        let ledger = SweepLedger::open(&store, 3).unwrap();
+        let (ledger, _) = SweepLedger::open(&store, 3).unwrap();
         ledger.record(0xabc, 0x1234).unwrap();
         let text = fs::read_to_string(ledger.path()).unwrap();
         assert_eq!(
@@ -139,7 +143,7 @@ mod tests {
     fn torn_tail_is_truncated_on_open_not_fatal() {
         let dir = scratch("torn");
         let store = ArtifactStore::open(&dir).unwrap();
-        let ledger = SweepLedger::open(&store, 9).unwrap();
+        let (ledger, _) = SweepLedger::open(&store, 9).unwrap();
         ledger.record(1, 0x1111).unwrap();
         let path = ledger.path().to_path_buf();
         drop(ledger);
@@ -148,14 +152,14 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             write!(f, "cell 00000000000000000000000000").unwrap();
         }
-        // Reopening cuts the torn tail, so the next record lands clean and
-        // replay sees exactly the completed cells.
-        let ledger = SweepLedger::open(&store, 9).unwrap();
-        let cells = ledger.replay().unwrap();
+        // Reopening cuts the torn tail and returns exactly the completed
+        // cells, so the next record lands clean.
+        let (ledger, cells) = SweepLedger::open(&store, 9).unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[&1], 0x1111);
         ledger.record(2, 0x2222).unwrap();
-        let cells = ledger.replay().unwrap();
+        drop(ledger);
+        let cells = replay(&store, 9);
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[&2], 0x2222);
         fs::remove_dir_all(&dir).unwrap();
@@ -165,20 +169,21 @@ mod tests {
     fn malformed_complete_lines_are_skipped_by_replay() {
         let dir = scratch("malformed");
         let store = ArtifactStore::open(&dir).unwrap();
-        let ledger = SweepLedger::open(&store, 5).unwrap();
+        let (ledger, _) = SweepLedger::open(&store, 5).unwrap();
         ledger.record(1, 0x1111).unwrap();
         let path = ledger.path().to_path_buf();
         drop(ledger);
         // A complete-but-garbled line mid-file (e.g. filesystem bitrot):
-        // replay skips it; the ledger is a hint, not the source of truth.
+        // opening skips it; the ledger is a hint, not the source of truth.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "cell not-a-key junk").unwrap();
         }
-        let ledger = SweepLedger::open(&store, 5).unwrap();
+        let (ledger, cells) = SweepLedger::open(&store, 5).unwrap();
+        assert_eq!(cells.len(), 1);
         ledger.record(2, 0x2222).unwrap();
-        let cells = ledger.replay().unwrap();
-        assert_eq!(cells.len(), 2);
+        drop(ledger);
+        assert_eq!(replay(&store, 5).len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -186,9 +191,10 @@ mod tests {
     fn missing_ledger_replays_empty() {
         let dir = scratch("missing");
         let store = ArtifactStore::open(&dir).unwrap();
-        let ledger = SweepLedger::open(&store, 1).unwrap();
+        let (ledger, _) = SweepLedger::open(&store, 1).unwrap();
         fs::remove_file(ledger.path()).unwrap();
-        assert!(ledger.replay().unwrap().is_empty());
+        drop(ledger);
+        assert!(replay(&store, 1).is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

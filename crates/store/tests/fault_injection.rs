@@ -226,7 +226,7 @@ fn ledgers_survive_faulted_records_and_replay_only_whole_entries() {
     let _guard = plan_guard(None);
     let dir = temp_dir("ledger");
     let store = ArtifactStore::open(&dir).unwrap();
-    let ledger = SweepLedger::open(&store, 0xfeed_beef).unwrap();
+    let (ledger, _) = SweepLedger::open(&store, 0xfeed_beef).unwrap();
 
     fault::install(Some(plan(11, 200, 200, 0)));
     let mut recorded = Vec::new();
@@ -242,8 +242,7 @@ fn ledgers_survive_faulted_records_and_replay_only_whole_entries() {
 
     // Reopening replays exactly the successfully recorded cells.
     drop(ledger);
-    let ledger = SweepLedger::open(&store, 0xfeed_beef).unwrap();
-    let replayed = ledger.replay().unwrap();
+    let (_, replayed) = SweepLedger::open(&store, 0xfeed_beef).unwrap();
     assert_eq!(
         replayed.keys().copied().collect::<Vec<_>>(),
         recorded,

@@ -14,6 +14,7 @@ use crate::error::{ConvertError, ParseError};
 use crate::header::{SwfHeader, FORMAT_VERSION};
 use crate::parse::{read_line_capped, MAX_LINE_BYTES};
 use crate::record::{CompletionStatus, SwfRecord};
+use crate::validate::{repair_record, CleaningReport};
 use serde::{Deserialize, Serialize};
 
 /// The raw accounting-log dialects understood by the converter.
@@ -300,7 +301,7 @@ fn converted_header(dialect: Dialect, max_nodes: u32) -> SwfHeader {
     header
 }
 
-/// Default reorder window of [`RawStream`]: how many records of submit-time
+/// The reorder window of [`RawStream`]: how many records of submit-time
 /// disorder the streaming converter absorbs (raw logs are commonly in
 /// end-time order, where local disorder is bounded by queue depth).
 pub const DEFAULT_REORDER_WINDOW: usize = 8_192;
@@ -332,8 +333,7 @@ impl Ord for Pending {
 }
 
 /// Cleaning counters of a streaming conversion — the subset of
-/// [`CleaningReport`](crate::validate::CleaningReport) a record-at-a-time
-/// pass can observe.
+/// [`CleaningReport`] a record-at-a-time pass can observe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Raw lines skipped as unparseable (lenient mode only).
@@ -354,7 +354,7 @@ pub struct StreamReport {
 /// renumbered SWF records in bounded memory.
 ///
 /// Memory is bounded by the reorder window (a min-heap of at most
-/// `window` + 1 raw jobs) plus one line of at most
+/// [`DEFAULT_REORDER_WINDOW`] raw jobs) plus one line of at most
 /// [`MAX_LINE_BYTES`] — never the whole log. A
 /// longer line is [`ParseError::LineTooLong`] naming it, and a line that is
 /// not UTF-8 is [`ParseError::InvalidUtf8`] naming it. Within
@@ -365,7 +365,8 @@ pub struct StreamReport {
 /// [`clean`](crate::validate::clean)): the tests hold it to such a
 /// materialized reference converter, per dialect. Input more disordered than
 /// the window fails with [`ConvertError::WindowExceeded`] rather than
-/// yielding an unsorted log.
+/// yielding an unsorted log. The per-record repairs are `clean`'s own,
+/// counted in a [`StreamReport`].
 ///
 /// The header must be fully known up front (the whole point is emitting it
 /// before the records), so `max_nodes` is required.
@@ -373,11 +374,13 @@ pub struct RawStream<R: std::io::BufRead> {
     reader: Option<R>,
     dialect: Dialect,
     strict: bool,
-    window: usize,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<Pending>>,
     meta: crate::source::SourceMeta,
     key: AnonymizationKey,
-    report: StreamReport,
+    /// Raw lines skipped as unparseable.
+    skipped: usize,
+    /// What the per-record repairs and the hopeless-record drops did.
+    cleaning: CleaningReport,
     max_nodes: u32,
     /// 1-based raw line number, for error messages.
     line_no: usize,
@@ -397,7 +400,7 @@ pub struct RawStream<R: std::io::BufRead> {
 }
 
 impl<R: std::io::BufRead> RawStream<R> {
-    /// Stream-convert `reader` with the [`DEFAULT_REORDER_WINDOW`].
+    /// Stream-convert `reader`.
     pub fn new(
         name: impl Into<String>,
         reader: R,
@@ -405,37 +408,18 @@ impl<R: std::io::BufRead> RawStream<R> {
         max_nodes: u32,
         opts: &ConvertOptions,
     ) -> Self {
-        Self::with_window(
-            name,
-            reader,
-            dialect,
-            max_nodes,
-            opts,
-            DEFAULT_REORDER_WINDOW,
-        )
-    }
-
-    /// Stream-convert with an explicit reorder window (in records).
-    pub fn with_window(
-        name: impl Into<String>,
-        reader: R,
-        dialect: Dialect,
-        max_nodes: u32,
-        opts: &ConvertOptions,
-        window: usize,
-    ) -> Self {
         RawStream {
             reader: Some(reader),
             dialect,
             strict: opts.strict,
-            window: window.max(1),
             heap: std::collections::BinaryHeap::new(),
             meta: crate::source::SourceMeta {
                 name: name.into(),
                 header: converted_header(dialect, max_nodes),
             },
             key: AnonymizationKey::default(),
-            report: StreamReport::default(),
+            skipped: 0,
+            cleaning: CleaningReport::default(),
             max_nodes,
             line_no: 0,
             seq: 0,
@@ -456,12 +440,18 @@ impl<R: std::io::BufRead> RawStream<R> {
 
     /// Cleaning counters so far (complete once the stream is drained).
     pub fn report(&self) -> StreamReport {
-        self.report
+        StreamReport {
+            skipped: self.skipped,
+            dropped: self.cleaning.dropped,
+            clamped_procs: self.cleaning.clamped_procs,
+            clamped_cpu: self.cleaning.clamped_cpu,
+            filled_runtimes: self.cleaning.filled_runtimes,
+        }
     }
 
     /// Pull raw lines until the reorder window is full or input is exhausted.
     fn fill(&mut self) -> Result<(), ParseError> {
-        while self.heap.len() < self.window {
+        while self.heap.len() < DEFAULT_REORDER_WINDOW {
             let Some(reader) = self.reader.as_mut() else {
                 return Ok(());
             };
@@ -501,7 +491,7 @@ impl<R: std::io::BufRead> RawStream<R> {
                     if self.strict {
                         return Err(e.into());
                     }
-                    self.report.skipped += 1;
+                    self.skipped += 1;
                 }
             }
         }
@@ -528,13 +518,11 @@ impl<R: std::io::BufRead> RawStream<R> {
 
         if rj.procs.is_none() && rj.req_procs.is_none() {
             // A summary record with no processor count: clean() drops these.
-            self.report.dropped += 1;
+            self.cleaning.dropped += 1;
             return Ok(None);
         }
         if self.last_submit.is_some_and(|prev| rj.submit < prev) {
-            return Err(ConvertError::WindowExceeded {
-                window: self.window,
-            });
+            return Err(ConvertError::WindowExceeded);
         }
         self.last_submit = Some(rj.submit);
         let base = *self.base.get_or_insert(rj.submit);
@@ -553,32 +541,7 @@ impl<R: std::io::BufRead> RawStream<R> {
         rec.queue_id = queue;
         rec.partition_id = partition;
 
-        // The per-record half of validate::clean(), verbatim.
-        if let Some(p) = rec.requested_procs {
-            if p > self.max_nodes {
-                rec.requested_procs = Some(self.max_nodes);
-                self.report.clamped_procs += 1;
-            }
-        }
-        if let Some(p) = rec.allocated_procs {
-            if p > self.max_nodes {
-                rec.allocated_procs = Some(self.max_nodes);
-                self.report.clamped_procs += 1;
-            }
-        }
-        if let (Some(c), Some(r)) = (rec.avg_cpu_time, rec.run_time) {
-            if c > r {
-                rec.avg_cpu_time = Some(r);
-                self.report.clamped_cpu += 1;
-            }
-        }
-        if rec.run_time.is_none()
-            && rec.status != CompletionStatus::Cancelled
-            && rec.status != CompletionStatus::Unknown
-        {
-            rec.run_time = Some(rec.avg_cpu_time.unwrap_or(0));
-            self.report.filled_runtimes += 1;
-        }
+        repair_record(&mut rec, Some(self.max_nodes), &mut self.cleaning);
         Ok(Some(rec))
     }
 }
@@ -624,13 +587,14 @@ mod tests {
     use crate::log::SwfLog;
     use crate::validate::{clean, validate};
 
-    /// What [`convert`] produces: the clean log, its anonymization key and
-    /// the number of raw lines skipped as unparseable.
+    /// What [`convert`] produces: the clean log, its anonymization key, the
+    /// number of raw lines skipped as unparseable and what [`clean`] did.
     #[derive(Debug)]
     struct Conversion {
         log: SwfLog,
         key: AnonymizationKey,
         skipped: usize,
+        cleaning: CleaningReport,
     }
 
     /// The materialized converter [`RawStream`] is checked against: parse
@@ -689,8 +653,13 @@ mod tests {
             jobs.push(rec);
         }
         let mut log = SwfLog::new(converted_header(dialect, max_nodes), jobs);
-        clean(&mut log);
-        Ok(Conversion { log, key, skipped })
+        let cleaning = clean(&mut log);
+        Ok(Conversion {
+            log,
+            key,
+            skipped,
+            cleaning,
+        })
     }
 
     const NASA: &str = "\
@@ -920,42 +889,118 @@ job=3 user=u1 group=g2 class=batch submit=300 start=500 end=5500 procs=128 wall_
         assert!(strict.next_record().is_none(), "errors are terminal");
     }
 
+    /// `lines` NASA records in submit order, except that the last one was
+    /// submitted before all the others.
+    fn nasa_with_a_late_last_record(lines: usize) -> String {
+        let mut raw: String = (1..lines)
+            .map(|i| format!("{i} u{} app 8 {} {} 60 ok\n", i % 7, 1000 + i, 1010 + i))
+            .collect();
+        raw.push_str(&format!("{lines} late app 8 5 10 60 ok\n"));
+        raw
+    }
+
     #[test]
     fn streaming_handles_unsorted_input_within_window() {
         use crate::source::JobSource;
+        let opts = ConvertOptions::default();
         let shuffled = "\
 2 bob qcd 64 1100 1200 1200 ok
 1 alice cfd 32 1000 1010 600 ok
 ";
-        let materialized =
-            convert(shuffled, Dialect::NasaIpsc, 128, &ConvertOptions::default()).unwrap();
-        let streamed = RawStream::with_window(
-            "s",
-            shuffled.as_bytes(),
-            Dialect::NasaIpsc,
-            128,
-            &ConvertOptions::default(),
-            4,
-        )
-        .collect_log()
-        .unwrap();
-        assert_eq!(streamed.jobs, materialized.log.jobs);
+        // A record is absorbed while it arrives within the window: the late
+        // one may be the window's last line.
+        let window_deep = nasa_with_a_late_last_record(DEFAULT_REORDER_WINDOW);
+        for raw in [shuffled, window_deep.as_str()] {
+            let materialized = convert(raw, Dialect::NasaIpsc, 128, &opts).unwrap();
+            let streamed = RawStream::new("s", raw.as_bytes(), Dialect::NasaIpsc, 128, &opts)
+                .collect_log()
+                .unwrap();
+            assert_eq!(streamed.jobs, materialized.log.jobs);
+        }
 
-        // A window of 1 cannot absorb the swap: hard error, not silent disorder.
-        let err = RawStream::with_window(
-            "s",
-            shuffled.as_bytes(),
-            Dialect::NasaIpsc,
-            128,
-            &ConvertOptions::default(),
-            1,
-        )
-        .collect_log()
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            ParseError::Convert(ConvertError::WindowExceeded { window: 1 })
-        ));
+        // One record further and the window cannot absorb it: a hard error
+        // naming the window, not silent disorder.
+        for lines in [DEFAULT_REORDER_WINDOW + 1, 8_194] {
+            let raw = nasa_with_a_late_last_record(lines);
+            let err = RawStream::new("s", raw.as_bytes(), Dialect::NasaIpsc, 128, &opts)
+                .collect_log()
+                .unwrap_err();
+            assert_eq!(err, ParseError::Convert(ConvertError::WindowExceeded));
+            assert_eq!(
+                err.to_string(),
+                "raw input is more unsorted than the 8192-record reorder window; \
+                 put its records closer to submit order"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_counts_every_repair_like_clean() {
+        use crate::source::JobSource;
+        // Each log needs every repair its dialect can carry: processors above
+        // MaxNodes, CPU time above the runtime (not in NASA's fields), a
+        // failed job with no runtime (NASA's runtime field is mandatory), a
+        // record with no processor count (only SP2 may omit it), and one
+        // unparseable line.
+        let report = |skipped, dropped, clamped_procs, clamped_cpu, filled_runtimes| StreamReport {
+            skipped,
+            dropped,
+            clamped_procs,
+            clamped_cpu,
+            filled_runtimes,
+        };
+        let fixtures: &[(&str, Dialect, u32, StreamReport)] = &[
+            (
+                "1 alice cfd 256 1000 1010 600 ok\n\
+                 2 bob qcd 32 1100 1200 1200 failed\n\
+                 this line is garbage\n",
+                Dialect::NasaIpsc,
+                128,
+                report(1, 0, 2, 0, 0),
+            ),
+            (
+                "101|u12|g3|batch|main|5000|5100|5700|128|900|32768|C\n\
+                 102|u13|g3|batch|main|5050|5055|5000|16|18|4096|F\n\
+                 this line is garbage\n",
+                Dialect::SdscParagon,
+                64,
+                report(1, 0, 2, 1, 1),
+            ),
+            (
+                "job=1 user=u1 submit=100 start=160 end=400 procs=512 cpu=300 completion=ok\n\
+                 job=2 user=u2 submit=150 start=152 procs=8 cpu=20 completion=removed\n\
+                 job=3 user=u3 submit=300 start=500 end=5500 completion=ok\n\
+                 this line is garbage\n",
+                Dialect::CtcSp2,
+                128,
+                report(1, 1, 2, 1, 1),
+            ),
+            (
+                "1,u_a,grp1,sw,2048,0,5,905,1200,120000,success\n\
+                 2,u_b,grp1,qcd,32,60,1000,900,50,800000,failure\n\
+                 this line is garbage\n",
+                Dialect::LanlCm5,
+                1024,
+                report(1, 0, 2, 1, 1),
+            ),
+        ];
+        let opts = ConvertOptions::default();
+        for &(raw, dialect, max_nodes, expected) in fixtures {
+            let reference = convert(raw, dialect, max_nodes, &opts).unwrap();
+            let c = &reference.cleaning;
+            let cleaned = report(
+                reference.skipped,
+                c.dropped,
+                c.clamped_procs,
+                c.clamped_cpu,
+                c.filled_runtimes,
+            );
+            assert_eq!(cleaned, expected, "{}", dialect.name());
+            let mut stream = RawStream::new("s", raw.as_bytes(), dialect, max_nodes, &opts);
+            let streamed = (&mut stream).collect_log().unwrap();
+            assert_eq!(streamed.jobs, reference.log.jobs, "{}", dialect.name());
+            assert_eq!(stream.report(), cleaned, "{}", dialect.name());
+        }
     }
 
     #[test]

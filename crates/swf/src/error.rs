@@ -1,5 +1,6 @@
 //! Error types for SWF parsing, validation, and conversion.
 
+use crate::convert::DEFAULT_REORDER_WINDOW;
 use crate::parse::MAX_LINE_BYTES;
 use std::fmt;
 
@@ -153,12 +154,10 @@ pub enum ConvertError {
     },
     /// The resulting log would be empty.
     EmptyLog,
-    /// The streaming converter's bounded reorder window was smaller than the
-    /// input's submit-time disorder; the output could not be kept sorted.
-    WindowExceeded {
-        /// The reorder window size, in records.
-        window: usize,
-    },
+    /// The input's submit-time disorder exceeded the streaming converter's
+    /// reorder window of [`DEFAULT_REORDER_WINDOW`] records; the output could
+    /// not be kept sorted.
+    WindowExceeded,
 }
 
 impl fmt::Display for ConvertError {
@@ -177,10 +176,10 @@ impl fmt::Display for ConvertError {
                 )
             }
             ConvertError::EmptyLog => write!(f, "conversion produced no job records"),
-            ConvertError::WindowExceeded { window } => write!(
+            ConvertError::WindowExceeded => write!(
                 f,
-                "raw input is more unsorted than the {window}-record reorder window; \
-                 enlarge the window or convert materialized"
+                "raw input is more unsorted than the {DEFAULT_REORDER_WINDOW}-record \
+                 reorder window; put its records closer to submit order"
             ),
         }
     }

@@ -540,41 +540,9 @@ pub fn clean(log: &mut SwfLog) -> CleaningReport {
         report.renumbered = true;
     }
 
-    // Clamp per-record values.
     let max_nodes = log.header.max_nodes;
     for j in &mut log.jobs {
-        if let Some(mn) = max_nodes {
-            if let Some(p) = j.requested_procs {
-                if p > mn {
-                    j.requested_procs = Some(mn);
-                    report.clamped_procs += 1;
-                }
-            }
-            if let Some(p) = j.allocated_procs {
-                if p > mn {
-                    j.allocated_procs = Some(mn);
-                    report.clamped_procs += 1;
-                }
-            }
-        }
-        if let (Some(c), Some(r)) = (j.avg_cpu_time, j.run_time) {
-            if c > r {
-                j.avg_cpu_time = Some(r);
-                report.clamped_cpu += 1;
-            }
-        }
-        if j.think_time.is_some() && j.preceding_job.is_none() {
-            j.think_time = None;
-            report.dropped_dependencies += 1;
-        }
-        if j.is_summary()
-            && j.run_time.is_none()
-            && j.status != CompletionStatus::Cancelled
-            && j.status != CompletionStatus::Unknown
-        {
-            j.run_time = Some(j.avg_cpu_time.unwrap_or(0));
-            report.filled_runtimes += 1;
-        }
+        repair_record(j, max_nodes, &mut report);
     }
 
     // Drop dependencies pointing at later or missing jobs (only a log whose
@@ -612,6 +580,47 @@ pub fn clean(log: &mut SwfLog) -> CleaningReport {
     }
 
     report
+}
+
+/// The per-record repairs of [`clean`], which the streaming raw-log converter
+/// applies too: processor counts clamped to `max_nodes`, CPU time clamped to
+/// the runtime, a think time without a preceding job dropped, and a summary
+/// record's missing runtime filled in (from the CPU time when known,
+/// otherwise zero). Each repair is counted in `report`.
+pub(crate) fn repair_record(
+    j: &mut SwfRecord,
+    max_nodes: Option<u32>,
+    report: &mut CleaningReport,
+) {
+    if let Some(mn) = max_nodes {
+        for p in [&mut j.requested_procs, &mut j.allocated_procs]
+            .into_iter()
+            .flatten()
+        {
+            if *p > mn {
+                *p = mn;
+                report.clamped_procs += 1;
+            }
+        }
+    }
+    if let (Some(c), Some(r)) = (j.avg_cpu_time, j.run_time) {
+        if c > r {
+            j.avg_cpu_time = Some(r);
+            report.clamped_cpu += 1;
+        }
+    }
+    if j.think_time.is_some() && j.preceding_job.is_none() {
+        j.think_time = None;
+        report.dropped_dependencies += 1;
+    }
+    if j.is_summary()
+        && j.run_time.is_none()
+        && j.status != CompletionStatus::Cancelled
+        && j.status != CompletionStatus::Unknown
+    {
+        j.run_time = Some(j.avg_cpu_time.unwrap_or(0));
+        report.filled_runtimes += 1;
+    }
 }
 
 /// Validate, and if violations are found clean and re-validate; returns the cleaning

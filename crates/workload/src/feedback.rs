@@ -263,10 +263,9 @@ impl WorkloadModel for SessionModel {
         header
             .notes
             .push("Closed-loop session workload: fields 17/18 carry the dependencies".to_string());
+        // The ids ascend in generation order, so `clean` sorts by submit as a
+        // stable sort would, rebases, and renumbers jobs and references 1..n.
         let mut log = SwfLog::new(header, records);
-        log.sort_by_submit();
-        log.rebase_times();
-        log.renumber();
         clean(&mut log);
         log
     }

@@ -121,7 +121,9 @@ pub struct GeneratedJob {
 }
 
 /// Assemble generated jobs into a conforming SWF log: assign ids, users,
-/// executables and estimates, build the header, sort, rebase and clean.
+/// executables and estimates, build the header, and [`clean`] it. The ids
+/// ascend in generation order, so `clean` sorts by submit as a stable sort
+/// would, rebases, and renumbers the jobs 1..n in submit order.
 pub fn assemble_log<R: Rng + ?Sized>(
     rng: &mut R,
     model_name: &str,
@@ -152,9 +154,6 @@ pub fn assemble_log<R: Rng + ?Sized>(
     header.max_runtime = Some(common.max_runtime);
     header.queues = Some("queue 0 = interactive, queue 1 = batch".to_string());
     let mut log = SwfLog::new(header, records);
-    log.sort_by_submit();
-    log.rebase_times();
-    log.renumber();
     clean(&mut log);
     log
 }

@@ -1004,12 +1004,8 @@ fn cmd_client(opts: &Opts) -> Result<ExitCode, String> {
         }
     };
     let lines: Vec<&str> = script.lines().collect();
-    let retry = match opts.retries {
-        0 => psbench::serve::RetryPolicy::none(),
-        n => psbench::serve::RetryPolicy::quick(n),
-    };
-    let transcript =
-        run_script_with(addr.as_str(), &lines, retry).map_err(|e| format!("client {addr}: {e}"))?;
+    let transcript = run_script_with(addr.as_str(), &lines, opts.retries)
+        .map_err(|e| format!("client {addr}: {e}"))?;
     for reply in &transcript.replies {
         println!("{reply}");
     }

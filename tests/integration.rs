@@ -1,9 +1,11 @@
 //! Integration tests spanning the whole workspace: model → SWF → simulator →
 //! metrics → experiment harness, exercised through the public facade crate.
 
-use psbench::core::{run_experiment, Format, Scale, Scenario, WorkloadDef, WorkloadKind};
+use psbench::core::{
+    canonical_schedulers, run_experiment, Format, Scale, Scenario, WorkloadDef, WorkloadKind,
+};
 use psbench::metrics::{outcomes_from_log, AggregateMetrics};
-use psbench::sched::{by_name, standard_schedulers};
+use psbench::sched::by_name;
 use psbench::sim::{SimConfig, SimJob, Simulation};
 use psbench::swf::{parse, validate, write_string};
 use psbench::workload::{
@@ -60,21 +62,20 @@ fn every_standard_scheduler_conserves_jobs_on_every_model() {
     for model in standard_models(64) {
         let log = model.generate(150, 7);
         let jobs = SimJob::from_log(&log);
-        for sched in standard_schedulers(64).iter_mut() {
+        for &name in canonical_schedulers() {
+            let mut sched = by_name(name, 64).unwrap();
             let result = Simulation::new(SimConfig::new(64), jobs.clone()).run(sched.as_mut());
             assert_eq!(
                 result.finished.len() + result.unfinished + result.discarded,
                 jobs.len(),
-                "model {} scheduler {}",
+                "model {} scheduler {name}",
                 model.name(),
-                sched.name()
             );
             assert_eq!(
                 result.unfinished,
                 0,
-                "model {} scheduler {}",
+                "model {} scheduler {name}",
                 model.name(),
-                sched.name()
             );
         }
     }
@@ -152,8 +153,7 @@ fn fixed_seed_runs_are_byte_identical_for_every_standard_scheduler() {
     // SimulationResult derives PartialEq over every field, so this compares the
     // full result (per-job outcomes, integrals, counters), not a summary.
     let def = WorkloadDef::new(WorkloadKind::Lublin99, 64, 150, 777);
-    for sched in standard_schedulers(64) {
-        let name = sched.name();
+    for &name in canonical_schedulers() {
         let run = || {
             let jobs = SimJob::from_log(&def.generate());
             let mut s = by_name(name, 64).unwrap();
@@ -168,19 +168,16 @@ fn sequential_and_parallel_harness_paths_agree() {
     // The work-stealing pool must return bit-identical results in input order,
     // whatever the thread count. One scenario per standard scheduler, twice over
     // (so there are more tasks than threads and stealing actually happens).
-    use psbench::core::{run_all, run_all_parallel};
+    use psbench::core::run_all_parallel;
     let mut scenarios = Vec::new();
     for round in 0..2u64 {
-        for sched in standard_schedulers(64) {
+        for &name in canonical_schedulers() {
             let def = WorkloadDef::new(WorkloadKind::Jann97, 64, 120, 31 + round);
-            scenarios.push(Scenario::new(
-                format!("{}-{round}", sched.name()),
-                def,
-                sched.name(),
-            ));
+            scenarios.push(Scenario::new(format!("{name}-{round}"), def, name));
         }
     }
-    let seq = run_all(&scenarios);
+    // The reference: each scenario run in turn, outside the pool.
+    let seq: Vec<_> = scenarios.iter().map(|s| (s.clone(), s.run())).collect();
     for threads in [1, 3, 8] {
         let par = run_all_parallel(&scenarios, threads);
         assert_eq!(seq.len(), par.len());
